@@ -614,86 +614,21 @@ def _run_store_lease_case(
     return outcome
 
 
-def _run_profile_crc_case(
-    case: ChaosCase, platform: PlatformConfig
+def _run_artifact_crc_case(
+    case: ChaosCase, platform: PlatformConfig, kind: str
 ) -> ChaosOutcome:
-    """A stored compiled profile rots on disk; readers must not trust it.
+    """A stored ``profile`` or ``reuse`` artifact rots on disk.
 
     Unlike the torn-write case (which injects during the commit), this
-    flips bytes in the committed ``profile-*.npy`` files directly — the
-    bit-rot / stale-artifact scenario where the sidecar still parses but
-    the CRC no longer matches.  A fresh store view must reject the
-    profile, rebuild it from the (intact) trace and hit mask, re-save
-    it, and price identical figures; a second fresh view then proves
-    the re-saved profile loads clean.  ``fired`` counts the files
-    corrupted, since no injector site is involved.
-    """
-    outcome = ChaosOutcome(case=case.name)
-    spec = JobSpec(
-        app=_default_app(), platform=platform, flow="cell", placement="fast"
-    )
-    reference = committed_figures(execute_job(spec, trace_cache=TraceCache()))
-    outcome.reference = reference
-    with tempfile.TemporaryDirectory(prefix="chaos-profile-") as root:
-        writer = TraceCache(store=TraceStore(Path(root)))
-        execute_job(spec, trace_cache=writer)
-        corrupted = 0
-        for path in sorted(Path(root).rglob("profile-*.npy")):
-            blob = bytearray(path.read_bytes())
-            if not blob:
-                continue
-            blob[-1] ^= 0xFF
-            path.write_bytes(bytes(blob))
-            corrupted += 1
-        reader_store = TraceStore(Path(root))
-        reread_result = execute_job(
-            spec, trace_cache=TraceCache(store=reader_store)
-        )
-        second_store = TraceStore(Path(root))
-        second_result = execute_job(
-            spec, trace_cache=TraceCache(store=second_store)
-        )
-    outcome.completed = True
-    outcome.fired = corrupted
-    outcome.figures = committed_figures(reread_result)
-    outcome.identical = figures_identical(
-        outcome.figures, reference
-    ) and figures_identical(committed_figures(second_result), reference)
-    rebuilt_ok = (
-        reader_store.stats.rejects >= 1
-        and reader_store.stats.profile_saves >= 1
-        and second_store.stats.rejects == 0
-        and second_store.stats.profile_loads >= 1
-    )
-    outcome.consistent = rebuilt_ok
-    outcome.detail = (
-        f"{reader_store.stats.rejects} stale profile(s) rejected, rebuilt, "
-        f"and re-served from the store"
-        if rebuilt_ok
-        else (
-            f"rejects={reader_store.stats.rejects} "
-            f"saves={reader_store.stats.profile_saves} "
-            f"second-view rejects={second_store.stats.rejects} "
-            f"loads={second_store.stats.profile_loads}"
-        )
-    )
-    return outcome
-
-
-def _run_reuse_crc_case(
-    case: ChaosCase, platform: PlatformConfig
-) -> ChaosOutcome:
-    """A stored reuse profile rots on disk; derived masks must not trust it.
-
-    Mirrors the ``profile-stale-crc`` case one lattice level up: bytes
-    are flipped in the committed ``reuse-*.npy`` files, and the stored
-    hit masks are removed (as a budget eviction would) so the reader is
-    forced through the reuse-derive path.  The fresh store view must
-    reject the rotten profile, re-fold it from the (intact) trace,
-    re-save it, and produce identical figures; the masks are removed
-    once more so a second fresh view proves the re-saved profile loads
-    clean and still derives the same figures.  ``fired`` counts the
-    files corrupted, since no injector site is involved.
+    flips bytes in the committed ``<kind>-*.npy`` files directly — the
+    bit-rot scenario where the sidecar still parses but the CRC no
+    longer matches.  A fresh store view must reject the artifact,
+    rebuild it from the (intact) trace and hit mask, re-save it, and
+    produce identical figures; a second fresh view then proves the
+    re-saved artifact loads clean.  For ``reuse`` the stored hit masks
+    are also removed before each read (as a budget eviction would), so
+    the reader is forced through the reuse-derive path.  ``fired``
+    counts the files corrupted, since no injector site is involved.
     """
     outcome = ChaosOutcome(case=case.name)
     spec = JobSpec(
@@ -702,53 +637,47 @@ def _run_reuse_crc_case(
     reference = committed_figures(execute_job(spec, trace_cache=TraceCache()))
     outcome.reference = reference
 
-    def drop_masks(root: Path) -> None:
-        for path in sorted(root.rglob("mask-*")):
-            path.unlink()
+    def fresh_read(root: Path) -> tuple[TraceStore, dict]:
+        if kind == "reuse":
+            for path in sorted(root.rglob("mask-*")):
+                path.unlink()
+        store = TraceStore(root)
+        result = execute_job(spec, trace_cache=TraceCache(store=store))
+        return store, committed_figures(result)
 
-    with tempfile.TemporaryDirectory(prefix="chaos-reuse-") as root:
-        writer = TraceCache(store=TraceStore(Path(root)))
-        execute_job(spec, trace_cache=writer)
+    with tempfile.TemporaryDirectory(prefix=f"chaos-{kind}-") as tmp:
+        root = Path(tmp)
+        execute_job(spec, trace_cache=TraceCache(store=TraceStore(root)))
         corrupted = 0
-        for path in sorted(Path(root).rglob("reuse-*.npy")):
+        for path in sorted(root.rglob(f"{kind}-*.npy")):
             blob = bytearray(path.read_bytes())
             if not blob:
                 continue
             blob[-1] ^= 0xFF
             path.write_bytes(bytes(blob))
             corrupted += 1
-        drop_masks(Path(root))
-        reader_store = TraceStore(Path(root))
-        reread_result = execute_job(
-            spec, trace_cache=TraceCache(store=reader_store)
-        )
-        drop_masks(Path(root))
-        second_store = TraceStore(Path(root))
-        second_result = execute_job(
-            spec, trace_cache=TraceCache(store=second_store)
-        )
+        reader, outcome.figures = fresh_read(root)
+        second, second_figures = fresh_read(root)
     outcome.completed = True
     outcome.fired = corrupted
-    outcome.figures = committed_figures(reread_result)
     outcome.identical = figures_identical(
         outcome.figures, reference
-    ) and figures_identical(committed_figures(second_result), reference)
-    rebuilt_ok = (
-        reader_store.stats.rejects >= 1
-        and reader_store.stats.reuse_saves >= 1
-        and second_store.stats.rejects == 0
-        and second_store.stats.reuse_loads >= 1
+    ) and figures_identical(second_figures, reference)
+    saves = getattr(reader.stats, f"{kind}_saves")
+    loads = getattr(second.stats, f"{kind}_loads")
+    outcome.consistent = (
+        reader.stats.rejects >= 1
+        and saves >= 1
+        and second.stats.rejects == 0
+        and loads >= 1
     )
-    outcome.consistent = rebuilt_ok
     outcome.detail = (
-        f"{reader_store.stats.rejects} stale reuse profile(s) rejected, "
-        f"re-folded, and re-served from the store"
-        if rebuilt_ok
+        f"{reader.stats.rejects} stale {kind} artifact(s) rejected, "
+        "rebuilt, and re-served from the store"
+        if outcome.consistent
         else (
-            f"rejects={reader_store.stats.rejects} "
-            f"saves={reader_store.stats.reuse_saves} "
-            f"second-view rejects={second_store.stats.rejects} "
-            f"loads={second_store.stats.reuse_loads}"
+            f"rejects={reader.stats.rejects} saves={saves} "
+            f"second-view rejects={second.stats.rejects} loads={loads}"
         )
     )
     return outcome
@@ -1453,10 +1382,8 @@ def run_case(
         return _run_store_case(case, platform)
     if case.kind == "store-lease":
         return _run_store_lease_case(case, platform)
-    if case.kind == "profile-crc":
-        return _run_profile_crc_case(case, platform)
-    if case.kind == "reuse-crc":
-        return _run_reuse_crc_case(case, platform)
+    if case.kind in ("profile-crc", "reuse-crc"):
+        return _run_artifact_crc_case(case, platform, case.kind[: -len("-crc")])
     if case.kind == "mt":
         return _run_mt_case(case, platform)
     if case.kind == "mt-squeeze":

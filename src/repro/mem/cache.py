@@ -39,10 +39,16 @@ LINE_SIZE = 1 << LINE_SHIFT
 #: exact and approximate models.
 GAP_COLD = np.iinfo(np.int64).max
 
-#: When truthy, every kernel-folded reuse-gap array is re-computed by the
-#: argsort fold and the two must be bit-identical (the reuse parity
-#: oracle, mirroring ``REPRO_VERIFY_MASK`` one lattice level down).
-VERIFY_REUSE_ENV = "REPRO_VERIFY_REUSE"
+#: Arms every parity oracle when set (and not ``0``): kernel-folded
+#: reuse gaps and incremental reuse extensions are re-checked against
+#: the argsort refold, reuse-derived hit masks against the direct
+#: simulation, and profile-priced runs against replay.
+VERIFY_ENV = "REPRO_VERIFY"
+
+
+def verify_armed() -> bool:
+    """Whether ``REPRO_VERIFY`` arms the parity oracles."""
+    return os.environ.get(VERIFY_ENV, "") not in ("", "0")
 
 #: The dense last-seen table covers ``max - min + 1`` line slots; a
 #: stream whose line span exceeds this multiple of its length is too
@@ -109,7 +115,7 @@ def reuse_time_gaps(addrs: np.ndarray, line_shift: int = LINE_SHIFT) -> np.ndarr
     importable (and ``REPRO_JIT`` allows it), an O(N) single pass over a
     dense last-seen table (:func:`repro.mem.cachejit.reuse_gaps_py`);
     otherwise one stable argsort over line numbers (O(N log N)).
-    ``REPRO_VERIFY_REUSE=1`` re-runs the argsort fold after every kernel
+    ``REPRO_VERIFY=1`` re-runs the argsort fold after every kernel
     fold and raises :class:`~repro.errors.TraceError` on divergence
     (``reuse.parity_checks`` / ``reuse.parity_failures`` metrics).
     """
@@ -121,7 +127,7 @@ def reuse_time_gaps(addrs: np.ndarray, line_shift: int = LINE_SHIFT) -> np.ndarr
     gaps = _kernel_reuse_gaps(lines)
     if gaps is None:
         return _argsort_reuse_gaps(lines)
-    if os.environ.get(VERIFY_REUSE_ENV):
+    if verify_armed():
         _verify_reuse_gaps(gaps, lines)
     return gaps
 

@@ -14,7 +14,7 @@ Two interpreter-bound inner loops live behind this module:
   same fold an LRU simulator's bookkeeping would do.  The gap of access
   *i* is ``i - last_seen[line]`` (or the caller's cold sentinel on a
   first touch), which is exactly what the argsort fold computes, so the
-  two paths are bit-identical and ``REPRO_VERIFY_REUSE=1`` can hold
+  two paths are bit-identical and ``REPRO_VERIFY=1`` can hold
   them to it (see :mod:`repro.sim.tracecache`).
 
 The packaging idiom follows the numba runtime pattern: the dependency is

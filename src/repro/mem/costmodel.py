@@ -150,7 +150,7 @@ class CostModel:
         the latency/bandwidth bounds use the identical expression
         shapes, and absent tiers contribute an exact ``+ 0.0``.  The
         parity tests in ``tests/test_sim_profilepack.py`` and the
-        ``REPRO_VERIFY_PROFILE`` oracle in the executor hold this
+        ``REPRO_VERIFY`` oracle in the executor hold this
         equivalence to replay pricing.
         """
         n_tiers = len(self.tiers)

@@ -330,3 +330,31 @@ def reset_process_metrics() -> MetricsRegistry:
     global _PROCESS_METRICS
     _PROCESS_METRICS = MetricsRegistry()
     return _PROCESS_METRICS
+
+
+class HandleCounters:
+    """Per-handle event counts that are views of registry increments.
+
+    :meth:`bump` is the only write path: it counts the event on this
+    handle *and* increments ``<family>.<name>`` in the process registry,
+    so a handle's ``stats`` and the registry can never drift apart.
+    Counts read as attributes (``stats.trace_hits``); :meth:`as_dict`
+    lists every declared field, zeros included.
+    """
+
+    def __init__(self, family: str, fields) -> None:
+        self._family = family
+        self._counts: dict[str, int] = dict.fromkeys(fields, 0)
+
+    def bump(self, name: str) -> None:
+        self._counts[name] += 1  # KeyError on an undeclared field
+        process_metrics().inc(f"{self._family}.{name}")
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            return self.__dict__["_counts"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(self._counts)

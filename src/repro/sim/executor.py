@@ -26,14 +26,14 @@ no miss observer (profiling windows need the in-order miss stream), no
 TLB counting, and a profile that actually describes this trace.  Every
 priced run increments ``pricing.profile_cells`` or
 ``pricing.replay_cells``; ``REPRO_PRICING=replay`` forces replay
-everywhere, and ``REPRO_VERIFY_PROFILE=1`` re-replays each profile-priced
+everywhere, and ``REPRO_VERIFY=1`` re-replays each profile-priced
 run and asserts the two costs agree (the parity oracle).
 
 The hit mask of step 1 is itself usually *derived* rather than simulated:
 the trace cache compiles a capacity-independent reuse profile — the
 fourth artifact of the lattice, :mod:`repro.sim.reusepack` — and answers
 every working-set LLC geometry from it with one O(log N) window solve.
-``REPRO_VERIFY_MASK=1`` is the matching parity oracle on that path (see
+The same switch arms the matching mask parity oracle on that path (see
 :mod:`repro.sim.tracecache`).
 """
 
@@ -46,6 +46,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.errors import TraceError
+from repro.mem.cache import verify_armed
 from repro.mem.system import HeterogeneousMemorySystem
 from repro.mem.trace import AccessTrace
 from repro.obs.metrics import process_metrics
@@ -55,10 +56,6 @@ from repro.sim.profilepack import TraceProfile
 
 #: Forces a pricing path: ``replay`` disables profile pricing process-wide.
 PRICING_ENV = "REPRO_PRICING"
-
-#: When truthy, every profile-priced run is re-priced by replay and the
-#: two costs must agree to float tolerance (the parity oracle).
-VERIFY_PROFILE_ENV = "REPRO_VERIFY_PROFILE"
 
 #: Relative tolerance of the parity oracle.  Profile pricing is designed
 #: to be bit-exact; the tolerance only keeps the oracle honest about its
@@ -174,7 +171,7 @@ class TraceExecutor:
         ) as live:
             if use_profile:
                 cost = self._run_profiled(profile)
-                if os.environ.get(VERIFY_PROFILE_ENV):
+                if verify_armed():
                     self._verify_parity(cost, trace, hits)
             else:
                 cost = self._run_priced(trace, miss_observer, hits)

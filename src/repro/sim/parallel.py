@@ -109,6 +109,7 @@ from repro.obs.tracer import (
     span,
     trace_path,
 )
+from repro.sim.artifacts import TRACE
 from repro.sim.experiment import (
     AtMemRunResult,
     StaticRunResult,
@@ -778,7 +779,7 @@ def _stage_build_trace(
     app, _ = _registered_app(spec)
     trace = cache.trace(key, app.run_once)
     store = cache.store
-    if handoff and store is not None and not store.has_trace(key):
+    if handoff and store is not None and not store.has(TRACE, key):
         store.save_trace(key, trace)
 
 
@@ -908,7 +909,7 @@ class ExperimentPool:
         self.last_segments: list[str] = []
         self._executor: ProcessPoolExecutor | None = None
         #: Trace keys whose artifact lattice the cold pipeline completed
-        #: this run.  Tracked separately from ``store.has_trace`` because
+        #: this run.  Tracked separately from the store's trace entry because
         #: the adaptive write policy may prime a key without persisting
         #: its raw trace.
         self._primed_keys: set = set()

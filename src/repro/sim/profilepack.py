@@ -43,7 +43,7 @@ from repro.errors import TraceError
 from repro.mem.address_space import PAGE_SHIFT
 from repro.mem.trace import AccessKind, AccessTrace
 
-#: Version stamp carried by serialized profiles (see repro.sim.tracestore).
+#: Columnar layout version; part of the stored file name (repro.sim.artifacts).
 PROFILE_FORMAT = 1
 
 
@@ -216,7 +216,6 @@ def profile_to_columnar(profile: TraceProfile) -> tuple[np.ndarray, dict]:
     """
     stacked = np.vstack([profile.pages, profile.counts]).astype(np.int64)
     record = {
-        "profile_format": PROFILE_FORMAT,
         "nnz": profile.nnz,
         "row_ptr": profile.row_ptr.tolist(),
         "phase_n": profile.phase_n.tolist(),
@@ -243,8 +242,6 @@ def profile_from_columnar(stacked: np.ndarray, record: dict) -> TraceProfile:
         labels = tuple(str(label) for label in record["labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed profile record: {exc}") from exc
-    if int(record.get("profile_format", -1)) != PROFILE_FORMAT:
-        raise TraceError("profile format version mismatch")
     stacked = np.asarray(stacked)
     if stacked.dtype != np.int64 or stacked.shape != (2, nnz):
         raise TraceError(

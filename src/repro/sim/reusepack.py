@@ -28,7 +28,7 @@ the *identical* float64 operations as
 :meth:`repro.mem.cache.WorkingSetCache.hit_mask` (same sort → float64
 cast → prefix curve → closed-form solve → compare), so derived masks
 are indistinguishable from direct ones.  The direct path remains the
-parity oracle — ``REPRO_VERIFY_MASK=1`` makes
+parity oracle — ``REPRO_VERIFY=1`` makes
 :class:`repro.sim.tracecache.TraceCache` recompute every derived mask
 directly and raise on divergence (see DESIGN.md section 10).
 """
@@ -51,11 +51,10 @@ from repro.mem.cache import (
 )
 from repro.mem.trace import AccessTrace
 
-#: Version stamp carried by serialized reuse profiles (repro.sim.tracestore).
+#: Columnar layout version; part of the stored file name (repro.sim.artifacts).
 #: v2 added the window-curve columns (``prefix``/``f_at_gap`` float64) so
 #: a store-loaded profile answers ``window()``/``hit_mask()`` without the
-#: per-process cast+cumsum; v1 entries (gap rows only) are rejected and
-#: rebuilt, never migrated.
+#: per-process cast+cumsum; a v1 file has another name and is never read.
 REUSE_FORMAT = 2
 
 
@@ -475,7 +474,6 @@ def reuse_to_columnar(profile: ReuseProfile) -> tuple[np.ndarray, dict]:
     packed[2, :] = prefix
     packed[3, :n] = f_at_gap
     record = {
-        "reuse_format": REUSE_FORMAT,
         "n": n,
         "line_size": int(profile.line_size),
     }
@@ -488,17 +486,14 @@ def reuse_from_columnar(stacked: np.ndarray, record: dict) -> ReuseProfile:
     ``stacked`` may be a read-only mmap view; the gap rows stay
     zero-copy int64 bit-views into its (C-contiguous) row slices, and
     the curve rows attach pre-computed so no float work happens at load.
-    Raises :class:`TraceError` on any structural defect — including v1
-    entries, which fail the ``reuse_format`` / shape checks — so callers
-    can reject the store entry and rebuild.
+    Raises :class:`TraceError` on any structural defect, so callers can
+    reject the store entry and rebuild.
     """
     try:
         n = int(record["n"])
         line_size = int(record["line_size"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed reuse record: {exc}") from exc
-    if int(record.get("reuse_format", -1)) != REUSE_FORMAT:
-        raise TraceError("reuse format version mismatch")
     stacked = np.asarray(stacked)
     if stacked.dtype != np.float64 or stacked.shape != (4, n + 1):
         raise TraceError(

@@ -1,61 +1,43 @@
 """Content-keyed caching of deterministic run artifacts.
 
 Every experiment flow in :mod:`repro.sim.experiment` runs an application's
-``run_once()`` and classifies the resulting address stream through the LLC
-model.  Both artifacts are *pure functions of the cell's inputs*:
+``run_once()`` and classifies the address stream through the LLC model.
+Both are *pure functions of the cell's inputs*: the trace depends only on
+(app, constructor params, dataset, scale) — a deterministic bump
+allocator assigns virtual addresses, and ``run_once`` is contractually
+idempotent (:class:`repro.apps.base.GraphApp`) — and the hit mask only on
+the trace and the cache geometry ``(size, line)``.  The evaluation grid
+regenerates the same trace up to six times per cell (three placements x
+two iterations); :class:`TraceCache` computes each artifact once per
+content key, which is where most of the harness's serial speedup comes
+from.
 
-- the access trace depends only on (app, constructor params, dataset,
-  scale) — virtual addresses are assigned by a deterministic bump
-  allocator in registration order, so the trace is byte-identical across
-  placements, sweep points, and iterations (``run_once`` is contractually
-  idempotent, see :class:`repro.apps.base.GraphApp`);
-- the LLC hit mask (:meth:`repro.mem.cache.WorkingSetCache.hit_mask`) is a
-  pure function of the trace and the cache geometry ``(size, line)``.
+The artifact lattice is ``trace -> reuse profile -> hit mask -> miss
+profile``, one :class:`~repro.sim.artifacts.ArtifactSpec` per kind, and
+every kind is served by one get path: memory, then the persistent store,
+then a single-flight build saved when the write policy says it pays.
+The reuse profile is keyed by the **trace alone** (gaps are LLC-size-
+independent), so a capacity sweep folds once and derives every
+geometry's mask with one compare (``stage.mask_derive``).
+``REPRO_VERIFY=1`` arms the parity oracles: derived masks are re-checked
+against the direct ``llc.hit_mask`` (``mask.parity_*``) and incremental
+or streamed reuse folds against the one-shot refold (``reuse.parity_*``);
+divergence raises :class:`repro.errors.TraceError`.
 
-The full artifact lattice is ``trace -> reuse profile -> hit mask ->
-miss profile``.  The reuse profile (:mod:`repro.sim.reusepack`) is keyed
-by the **trace alone** — reuse gaps are LLC-size-independent — so a
-capacity sweep folds the trace once and derives every geometry's mask
-with one vectorised compare (:meth:`TraceCache.reuse_profile` /
-``stage.mask_derive``).  Derived masks are bit-exact with the direct
-simulation by construction; setting ``REPRO_VERIFY_MASK=1`` re-runs the
-direct ``llc.hit_mask`` as a parity oracle for every derived mask
-(``mask.parity_checks`` / ``mask.parity_failures``) and raises
-:class:`repro.errors.TraceError` on divergence.  One lattice level down,
-``REPRO_VERIFY_REUSE=1`` does the same for the fold itself: the O(N)
-last-seen kernel (:mod:`repro.mem.cachejit`) and incremental phase
-extensions (:meth:`ReuseProfile.extend`) are both re-checked against the
-argsort refold (``reuse.parity_checks`` / ``reuse.parity_failures``).
+The cache is an LRU over traces (a trace's derived artifacts travel with
+it) because grid traces are large; ``REPRO_TRACE_CACHE`` overrides the
+bound and ``0`` disables memory caching.  With ``REPRO_TRACE_STORE`` set
+it is an in-process view over the shared on-disk
+:class:`repro.sim.tracestore.TraceStore`: store hits are read-only
+``mmap`` views shared by every worker and session, and results stay
+bit-identical — the store holds exactly the bytes a build produces.
 
-The paper's evaluation grid therefore regenerates the same trace up to six
-times per cell (three placements x two iterations) and re-solves the same
-working-set model each time.  :class:`TraceCache` computes each artifact
-once per content key and serves the rest from memory, which is where most
-of the harness's serial speedup comes from.
-
-The cache is bounded (LRU over traces; a trace's hit masks travel with
-it) because grid traces are large.  ``REPRO_TRACE_CACHE`` overrides the
-bound; ``0`` disables memory caching entirely.
-
-**The persistent tier:** when ``REPRO_TRACE_STORE`` is set, the cache
-becomes an in-process LRU *view* over the shared on-disk
-:class:`repro.sim.tracestore.TraceStore`.  A memory miss consults the
-store before running the builder; store hits arrive as read-only
-``mmap`` views whose pages are shared by every worker process and across
-sessions, and fresh artifacts are written back atomically so sibling
-workers (and the next session) skip the work entirely.  Results stay
-bit-identical either way — the store holds exactly the bytes the builder
-would produce.
-
-**Integrity:** every cached trace carries a CRC32 content checksum taken
-at insertion, and store entries are CRC-verified once per process at
-load.  While a fault injector is active, hits are additionally
-re-verified against their insertion checksum — the ``cache.corrupt``
-fault site flips bytes in a cached trace on lookup, and the checksum
-path must discard and recompute it (``stats.corruption_discards`` counts
-the recoveries).  Outside injection the per-hit re-verification is
-skipped: in-memory entries are immutable by construction, and paying a
-full checksum pass per hit dominated warm-cell time.
+**Integrity:** each cached trace carries a CRC32 taken at insertion.
+While a fault injector is active, hits are re-verified against it — the
+``cache.corrupt`` site flips bytes in a cached trace, and the checksum
+path must discard and recompute it (``stats.corruption_discards``).
+Outside injection the per-hit pass is skipped: entries are immutable by
+construction, and a checksum per hit dominated warm-cell time.
 """
 
 from __future__ import annotations
@@ -64,7 +46,7 @@ import os
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 import numpy as np
@@ -72,10 +54,11 @@ import numpy as np
 from repro.errors import TraceError
 from repro.faults.injector import active_injector, fault_point
 from repro.faults.plan import SITE_CACHE_CORRUPT
-from repro.mem.cache import LINE_SIZE, VERIFY_REUSE_ENV
+from repro.mem.cache import LINE_SIZE, verify_armed
 from repro.mem.trace import AccessTrace, worker_byte_budget
-from repro.obs.metrics import process_metrics
+from repro.obs.metrics import HandleCounters, process_metrics
 from repro.obs.tracer import span
+from repro.sim.artifacts import MASK, PROFILE, REUSE, SPECS, TRACE, ArtifactSpec
 from repro.sim.profilepack import TraceProfile, build_profile
 from repro.sim.reusepack import (
     ReuseProfile,
@@ -88,17 +71,21 @@ from repro.sim.tracestore import TraceStore, process_trace_store
 #: Environment variable overriding the trace-entry bound (0 disables).
 CACHE_SIZE_ENV = "REPRO_TRACE_CACHE"
 
-#: When truthy, every reuse-derived hit mask is re-computed by the
-#: direct ``llc.hit_mask`` simulation and the two must be bit-identical
-#: (the mask parity oracle; see REPRO_VERIFY_PROFILE for its pricing
-#: counterpart).
-VERIFY_MASK_ENV = "REPRO_VERIFY_MASK"
-
 #: Default number of distinct traces kept alive per process.
 DEFAULT_MAX_TRACES = 8
 
 #: Sentinel: bind the cache to the process-wide env-configured store.
 _STORE_FROM_ENV = "env"
+
+#: Per-handle counters (``stats``), each mirrored as ``cache.<name>``.
+#: ``store_<kind>_hits`` are misses served from the persistent store.
+CACHE_COUNTERS = (
+    *(f"{spec.kind}_{event}" for spec in SPECS for event in ("hits", "misses")),
+    "reuse_extends",  # reuse misses served by folding only a phase delta
+    "evictions",
+    "corruption_discards",  # corrupt / stale entries dropped and rebuilt
+    *(f"store_{spec.kind}_hits" for spec in SPECS),
+)
 
 
 def configured_max_traces() -> int:
@@ -165,77 +152,26 @@ def llc_signature(llc) -> tuple:
 
 
 @dataclass
-class TraceCacheStats:
-    """Hit/miss counters, split by artifact kind."""
-
-    trace_hits: int = 0
-    trace_misses: int = 0
-    mask_hits: int = 0
-    mask_misses: int = 0
-    profile_hits: int = 0
-    profile_misses: int = 0
-    reuse_hits: int = 0
-    reuse_misses: int = 0
-    #: Reuse misses served by extending a prior phase's profile (only the
-    #: phase delta was folded, not the whole stream).
-    reuse_extends: int = 0
-    evictions: int = 0
-    #: Corrupted / shape-mismatched entries dropped and recomputed.
-    corruption_discards: int = 0
-    #: Memory misses served from the persistent store (no builder run).
-    store_trace_hits: int = 0
-    #: Mask misses served from the persistent store (no LLC simulation).
-    store_mask_hits: int = 0
-    #: Profile misses served from the persistent store (no fold).
-    store_profile_hits: int = 0
-    #: Reuse-profile misses served from the persistent store (no fold).
-    store_reuse_hits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "trace_hits": self.trace_hits,
-            "trace_misses": self.trace_misses,
-            "mask_hits": self.mask_hits,
-            "mask_misses": self.mask_misses,
-            "profile_hits": self.profile_hits,
-            "profile_misses": self.profile_misses,
-            "reuse_hits": self.reuse_hits,
-            "reuse_misses": self.reuse_misses,
-            "reuse_extends": self.reuse_extends,
-            "evictions": self.evictions,
-            "corruption_discards": self.corruption_discards,
-            "store_trace_hits": self.store_trace_hits,
-            "store_mask_hits": self.store_mask_hits,
-            "store_profile_hits": self.store_profile_hits,
-            "store_reuse_hits": self.store_reuse_hits,
-        }
-
-
-def _count(name: str, amount: float = 1.0) -> None:
-    """Mirror one cache counter into the process metrics registry."""
-    process_metrics().inc(f"cache.{name}", amount)
-
-
-@dataclass
 class _TraceEntry:
-    """A cached trace plus the checksum it must keep matching.
+    """A cached trace, the checksum it must keep matching, its artifacts.
 
     ``flat`` is the program-order address array, materialised once at
     insertion and shared by every fold over the trace (checksum, hit
-    masks, reuse profiles) — previously each ``llc_sig`` of the same
-    trace re-derived it.  For traces whose flat copy would blow the
+    masks, reuse profiles).  For traces whose flat copy would blow the
     ``REPRO_WORKER_BYTES`` budget it stays ``None``: the checksum is
     folded chunk-by-chunk at insertion and every fold takes the chunked
-    streaming path instead.
+    streaming path instead.  ``artifacts`` holds the derived artifacts
+    by ``(kind, sub-key)`` and is evicted with the trace.
     """
 
     trace: AccessTrace
     checksum: int
     flat: np.ndarray | None
+    artifacts: dict[tuple, object] = field(default_factory=dict)
 
 
 class TraceCache:
-    """LRU cache of access traces and their derived LLC hit masks.
+    """LRU cache of access traces and the artifacts derived from them.
 
     Keys are caller-chosen hashable content keys (the parallel engine uses
     :meth:`repro.sim.parallel.JobSpec.trace_key`).  Correctness relies on
@@ -261,10 +197,7 @@ class TraceCache:
             None if self._store_from_env else store  # type: ignore[assignment]
         )
         self._traces: OrderedDict[Hashable, _TraceEntry] = OrderedDict()
-        self._masks: dict[Hashable, dict[tuple, np.ndarray]] = {}
-        self._profiles: dict[Hashable, dict[tuple, TraceProfile]] = {}
-        self._reuse: dict[Hashable, dict[int, ReuseProfile]] = {}
-        self.stats = TraceCacheStats()
+        self.stats = HandleCounters("cache", CACHE_COUNTERS)
 
     @property
     def store(self) -> TraceStore | None:
@@ -274,13 +207,81 @@ class TraceCache:
         return self._store
 
     # ------------------------------------------------------------------
-    def _discard(self, key: Hashable) -> None:
-        self._traces.pop(key, None)
-        self._masks.pop(key, None)
-        self._profiles.pop(key, None)
-        self._reuse.pop(key, None)
-        self.stats.corruption_discards += 1
-        _count("corruption_discards")
+    # the one get path
+    # ------------------------------------------------------------------
+    def _get(self, spec: ArtifactSpec, key: Hashable, sub, expected, build):
+        """A derived artifact: memory, else store, else ``build()``.
+
+        A memoised artifact that no longer fits ``expected`` (the trace's
+        length, or phase shape) is treated as corrupt and rebuilt.
+        Memoisation needs the trace itself to be cached under ``key``.
+        """
+        entry = self._traces.get(key)
+        memo = entry.artifacts if entry is not None else None
+        slot = (spec.kind, sub)
+        if memo is not None and slot in memo:
+            cached = memo[slot]
+            if expected is None or spec.fits(cached, expected):
+                self.stats.bump(f"{spec.kind}_hits")
+                return cached
+            del memo[slot]
+            self.stats.bump("corruption_discards")
+        self.stats.bump(f"{spec.kind}_misses")
+        artifact = self._load_or_build(spec, key, sub, expected, build)
+        if memo is not None:
+            memo[slot] = artifact
+        return artifact
+
+    def _load_or_build(self, spec, key, sub, expected, build):
+        """Store load on a memory miss, else build (and maybe write back).
+
+        Store-cold builds run under the artifact's single-flight lease so
+        two workers reaching the same cold artifact never build (and
+        persist) it concurrently: the loser waits, then adopts the
+        committed artifact — or builds in-memory when the winner skipped
+        persistence under the write policy.  Each artifact persists on
+        its own merit: a huge trace may be skipped while its 8x-packed
+        masks are still a bargain.  A derived artifact of a trace that
+        does not report its length cannot be validated, so it stays in
+        memory.
+        """
+        store = self.store
+        if store is None or (expected is None and spec is not TRACE):
+            return build()[0]
+        # Per-kind entry points by name: load_<kind>(key[, sub], expected)
+        # and save_<kind>(key[, sub], artifact).
+        args = (key,) if sub is None else (key, sub)
+        load = getattr(store, f"load_{spec.kind}")
+        artifact = self._store_hit(spec, load(*args, expected))
+        if artifact is not None:
+            return artifact
+        what = spec.stem(sub)
+        done = lambda: store.has(spec, key, sub)  # noqa: E731
+        with store.single_flight(key, what, done=done) as winner:
+            if not winner:
+                artifact = self._store_hit(spec, load(*args, expected))
+                if artifact is not None:
+                    return artifact
+            artifact, build_seconds = build()
+            store.heartbeat_lease(key, what)
+            nbytes = spec.nbytes(artifact)
+            if nbytes is not None and store.should_persist(nbytes, build_seconds):
+                getattr(store, f"save_{spec.kind}")(*args, artifact)
+        return artifact
+
+    def _store_hit(self, spec: ArtifactSpec, artifact):
+        if artifact is not None:
+            self.stats.bump(f"store_{spec.kind}_hits")
+        return artifact
+
+    def _timed(self, name: str, stage: str, key: Hashable, fn: Callable):
+        """Run one build under its ``cache.*`` span and ``stage.*`` timer."""
+        started = time.perf_counter()
+        with span(f"cache.{name}", cat="cache", key=str(key)):
+            artifact = fn()
+        seconds = time.perf_counter() - started
+        process_metrics().observe(stage, seconds)
+        return artifact, seconds
 
     def _flat_addrs(self, key: Hashable, trace: AccessTrace) -> np.ndarray:
         """The trace's flat address array, shared across folds.
@@ -314,165 +315,71 @@ class TraceCache:
                 else trace_checksum(entry.trace)
             )
             if current != entry.checksum:
-                self._discard(key)
+                del self._traces[key]
+                self.stats.bump("corruption_discards")
                 return None
         return entry.trace
 
-    def _trace_from_store_or_builder(
-        self, key: Hashable, builder: Callable[[], AccessTrace]
-    ) -> AccessTrace:
-        """Store load on a memory miss, else build (and write back).
-
-        Store-cold builds run under the ``trace`` single-flight lease so
-        two workers reaching the same cold key never generate (and
-        persist) the same trace concurrently: the loser waits, then
-        adopts the committed entry — or builds in-memory when the winner
-        skipped persistence under the write policy.
-        """
-        store = self.store
-        if store is None:
-            return self._build_trace(key, builder)[0]
-        trace = store.load_trace(key)
-        if trace is not None:
-            self.stats.store_trace_hits += 1
-            _count("store_trace_hits")
-            return trace
-        with store.single_flight(
-            key, "trace", done=lambda: store.has_trace(key)
-        ) as winner:
-            if not winner:
-                adopted = store.load_trace(key)
-                if adopted is not None:
-                    self.stats.store_trace_hits += 1
-                    _count("store_trace_hits")
-                    return adopted
-            trace, build_seconds = self._build_trace(key, builder)
-            if isinstance(trace, AccessTrace) and store.should_persist(
-                trace.total_accesses * 8, build_seconds
-            ):
-                store.save_trace(key, trace)
-        return trace
-
-    def _build_trace(
-        self, key: Hashable, builder: Callable[[], AccessTrace]
-    ) -> tuple[AccessTrace, float]:
-        """Run the builder under the trace-generation span and timer."""
-        started = time.perf_counter()
-        with span("cache.build_trace", cat="cache", key=str(key)):
-            trace = builder()
-        elapsed = time.perf_counter() - started
-        process_metrics().observe("stage.trace_gen", elapsed)
-        return trace, elapsed
-
+    # ------------------------------------------------------------------
+    # the four artifacts
+    # ------------------------------------------------------------------
     def trace(self, key: Hashable, builder: Callable[[], AccessTrace]) -> AccessTrace:
         """The trace under ``key``, built once via ``builder()``."""
-        if self.max_traces == 0:
-            self.stats.trace_misses += 1
-            _count("trace_misses")
-            return self._trace_from_store_or_builder(key, builder)
         cached = self._verified(key)
         if cached is not None:
-            self.stats.trace_hits += 1
-            _count("trace_hits")
+            self.stats.bump("trace_hits")
             self._traces.move_to_end(key)
             return cached
-        self.stats.trace_misses += 1
-        _count("trace_misses")
-        trace = self._trace_from_store_or_builder(key, builder)
+        self.stats.bump("trace_misses")
+        trace = self._load_or_build(
+            TRACE, key, None, None,
+            lambda: self._timed("build_trace", TRACE.stage, key, builder),
+        )
+        if self.max_traces == 0:
+            return trace
         if _over_budget(trace):
             flat = None
             checksum = _chunked_checksum(trace, _fold_chunk_bytes())
         else:
             flat = _flat_of(trace)
             checksum = zlib.crc32(flat.view(np.uint8).data)
-        self._traces[key] = _TraceEntry(
-            trace=trace,
-            checksum=checksum,
-            flat=flat,
-        )
-        self._masks.setdefault(key, {})
-        self._profiles.setdefault(key, {})
-        self._reuse.setdefault(key, {})
+        self._traces[key] = _TraceEntry(trace=trace, checksum=checksum, flat=flat)
         while len(self._traces) > self.max_traces:
-            evicted, _ = self._traces.popitem(last=False)
-            self._masks.pop(evicted, None)
-            self._profiles.pop(evicted, None)
-            self._reuse.pop(evicted, None)
-            self.stats.evictions += 1
-            _count("evictions")
+            self._traces.popitem(last=False)
+            self.stats.bump("evictions")
         return trace
 
     def hit_mask(self, key: Hashable, llc, trace: AccessTrace) -> np.ndarray:
         """The LLC hit mask of ``trace`` under ``llc``, computed once.
 
-        The mask key extends the trace key with the cache-model geometry,
-        so the same trace evaluated on different platforms (different LLC
-        sizes) gets independent masks.  A cached mask whose shape does not
-        match the trace is treated as corrupt and recomputed.
-
-        For a plain :class:`~repro.mem.cache.WorkingSetCache` the mask is
-        *derived* from the trace's reuse profile (one O(log N) window
-        solve plus one compare, ``stage.mask_derive``) instead of
-        re-running the O(N log N) direct fold — a capacity sweep pays the
-        fold once (``stage.reuse_build``) and derives every geometry from
-        it.  Other cache models, or traces the profile cannot describe,
-        take the direct ``stage.hit_mask`` path unchanged.
+        Keyed by the trace key plus the cache-model geometry, so each
+        platform's LLC gets its own mask.  For a plain
+        :class:`~repro.mem.cache.WorkingSetCache` the mask is *derived*
+        from the trace's reuse profile (one O(log N) window solve plus one
+        compare, ``stage.mask_derive``) instead of re-running the O(N log
+        N) direct fold — a capacity sweep pays the fold once
+        (``stage.reuse_build``) and derives every geometry from it.  Other
+        cache models, or traces the profile cannot describe, take the
+        direct ``stage.hit_mask`` path unchanged.
         """
-        llc_sig = llc_signature(llc)
         expected = getattr(trace, "total_accesses", None)
-        masks = (
-            self._masks.get(key) if self.max_traces != 0 else None
-        )
-        if masks is not None:
-            cached = masks.get(llc_sig)
-            if (
-                cached is not None
-                and expected is not None
-                and cached.shape != (expected,)
-            ):
-                masks.pop(llc_sig, None)
-                self.stats.corruption_discards += 1
-                _count("corruption_discards")
-                cached = None
-            if cached is not None:
-                self.stats.mask_hits += 1
-                _count("mask_hits")
-                return cached
-        self.stats.mask_misses += 1
-        _count("mask_misses")
-        mask = None
-        store = self.store
-        if store is not None and expected is not None:
-            mask = store.load_mask(key, llc_sig, expected)
-            if mask is not None:
-                self.stats.store_mask_hits += 1
-                _count("store_mask_hits")
-        if mask is None:
-            if derivable(llc) and expected is not None:
-                profile = self.reuse_profile(key, trace, llc.line_size)
-                started = time.perf_counter()
-                with span("cache.derive_mask", cat="cache", key=str(key)):
-                    mask = profile.hit_mask_for(llc)
-                fold_seconds = time.perf_counter() - started
-                process_metrics().observe("stage.mask_derive", fold_seconds)
-                if os.environ.get(VERIFY_MASK_ENV):
-                    self._verify_mask(key, llc, trace, mask)
-            else:
-                started = time.perf_counter()
-                with span("cache.build_mask", cat="cache", key=str(key)):
-                    mask = llc.hit_mask(self._flat_addrs(key, trace))
-                fold_seconds = time.perf_counter() - started
-                process_metrics().observe("stage.hit_mask", fold_seconds)
-            # Masks persist on their own merit — the trace may legitimately
-            # be absent (the write policy can skip huge trace payloads while
-            # the 8x-packed mask is still a bargain).
-            if store is not None and store.should_persist(
-                (int(mask.size) + 7) // 8, fold_seconds
-            ):
-                store.save_mask(key, llc_sig, mask)
-        if masks is not None:
-            masks[llc_sig] = mask
-        return mask
+
+        def build():
+            if not (derivable(llc) and expected is not None):
+                return self._timed(
+                    "build_mask", MASK.stage, key,
+                    lambda: llc.hit_mask(self._flat_addrs(key, trace)),
+                )
+            profile = self.reuse_profile(key, trace, llc.line_size)
+            mask, seconds = self._timed(
+                "derive_mask", "stage.mask_derive", key,
+                lambda: profile.hit_mask_for(llc),
+            )
+            if verify_armed():
+                self._verify_mask(key, llc, trace, mask)
+            return mask, seconds
+
+        return self._get(MASK, key, llc_signature(llc), expected, build)
 
     def reuse_profile(
         self,
@@ -483,93 +390,27 @@ class TraceCache:
     ) -> ReuseProfile:
         """The compiled reuse profile of ``trace``, folded once.
 
-        Fourth artifact of the lattice (see :mod:`repro.sim.reusepack`):
-        keyed by the **trace key and line granularity only** — reuse gaps
+        Keyed by the **trace key and line granularity only** — reuse gaps
         are LLC-size-independent, so one profile serves every capacity of
-        a sweep.  A cached or stored profile that no longer describes the
-        trace is discarded and rebuilt, mirroring the mask shape guard.
+        a sweep (see :mod:`repro.sim.reusepack`).
 
         ``extend_from`` names a prior key whose trace is a **prefix** of
         this one (the multi-tenant host's phase chain guarantees it): if
         that profile is cached and carries fold state, only the suffix is
         folded (``stage.reuse_extend``, ``reuse_extends``) instead of the
-        whole stream.  ``REPRO_VERIFY_REUSE=1`` re-runs the full refold
-        as a parity oracle after every extension and raises on
-        divergence.
+        whole stream.
         """
-        expected = getattr(trace, "total_accesses", None)
         line_size = int(line_size)
-        cache = self._reuse.get(key) if self.max_traces != 0 else None
-        if cache is not None:
-            cached = cache.get(line_size)
-            if (
-                cached is not None
-                and expected is not None
-                and cached.n != expected
-            ):
-                cache.pop(line_size, None)
-                self.stats.corruption_discards += 1
-                _count("corruption_discards")
-                cached = None
-            if cached is not None:
-                self.stats.reuse_hits += 1
-                _count("reuse_hits")
-                return cached
-        self.stats.reuse_misses += 1
-        _count("reuse_misses")
-        profile = None
-        store = self.store
-        if store is not None and expected is not None:
-            profile = store.load_reuse(key, line_size, expected)
-            if profile is not None:
-                self.stats.store_reuse_hits += 1
-                _count("store_reuse_hits")
-        if profile is None:
-            if store is None:
-                profile = self._fold_reuse(
-                    key, extend_from, trace, line_size, expected
-                )
-            else:
-                # Store-cold fold: single-flight so concurrent workers
-                # never fold (and persist) the same reuse curve twice.
-                with store.single_flight(
-                    key,
-                    f"reuse-{line_size}",
-                    done=lambda: store.has_reuse(key, line_size),
-                ) as winner:
-                    if not winner and expected is not None:
-                        profile = store.load_reuse(key, line_size, expected)
-                        if profile is not None:
-                            self.stats.store_reuse_hits += 1
-                            _count("store_reuse_hits")
-                    if profile is None:
-                        started = time.perf_counter()
-                        profile = self._fold_reuse(
-                            key, extend_from, trace, line_size, expected
-                        )
-                        fold_seconds = time.perf_counter() - started
-                        store.heartbeat_lease(key, f"reuse-{line_size}")
-                        # v2 artifact is float64 [4, n + 1].
-                        if store.should_persist(
-                            32 * (profile.n + 1), fold_seconds
-                        ):
-                            store.save_reuse(key, line_size, profile)
-        if cache is not None:
-            cache[line_size] = profile
-        return profile
+        expected = getattr(trace, "total_accesses", None)
+        return self._get(
+            REUSE, key, line_size, expected,
+            lambda: self._fold_reuse(key, extend_from, trace, line_size, expected),
+        )
 
-    def _fold_reuse(
-        self,
-        key: Hashable,
-        extend_from: Hashable | None,
-        trace: AccessTrace,
-        line_size: int,
-        expected: int | None,
-    ) -> ReuseProfile:
+    def _fold_reuse(self, key, extend_from, trace, line_size, expected):
         """Fold a reuse profile — incrementally when a base qualifies."""
-        base = None
-        if extend_from is not None and self.max_traces != 0:
-            base = (self._reuse.get(extend_from) or {}).get(line_size)
+        entry = self._traces.get(extend_from)
+        base = entry.artifacts.get((REUSE.kind, line_size)) if entry else None
         if (
             base is not None
             and base.can_extend
@@ -577,46 +418,57 @@ class TraceCache:
             and base.n <= expected
         ):
             flat = self._flat_addrs(key, trace)
-            started = time.perf_counter()
-            with span("cache.extend_reuse", cat="cache", key=str(key)):
-                profile = base.extend(flat[base.n :])
-            process_metrics().observe(
-                "stage.reuse_extend", time.perf_counter() - started
+            profile, seconds = self._timed(
+                "extend_reuse", "stage.reuse_extend", key,
+                lambda: base.extend(flat[base.n :]),
             )
-            self.stats.reuse_extends += 1
-            _count("reuse_extends")
-            if os.environ.get(VERIFY_REUSE_ENV):
-                self._verify_reuse(key, trace, line_size, profile)
-            return profile
-        started = time.perf_counter()
-        if _over_budget(trace):
+            self.stats.bump("reuse_extends")
+        elif _over_budget(trace):
             # Streaming fold: seed on the first chunk, extend per chunk —
             # bit-identical to the one-shot fold (extend's contract, and
-            # REPRO_VERIFY_REUSE re-proves it below), without the flat
+            # the verify oracle re-proves it below), without the flat
             # all_addresses copy the worker budget forbids.
-            with span("cache.build_reuse", cat="cache", key=str(key)):
-                profile = fold_reuse_chunks(
+            profile, seconds = self._timed(
+                "build_reuse", REUSE.stage, key,
+                lambda: fold_reuse_chunks(
                     trace.iter_chunks(_fold_chunk_bytes()), line_size
-                )
-            process_metrics().observe(
-                "stage.reuse_build", time.perf_counter() - started
+                ),
             )
-            if os.environ.get(VERIFY_REUSE_ENV):
-                self._verify_reuse(key, trace, line_size, profile)
-            return profile
-        with span("cache.build_reuse", cat="cache", key=str(key)):
-            profile = build_reuse_profile(
-                self._flat_addrs(key, trace), line_size
+        else:
+            return self._timed(
+                "build_reuse", REUSE.stage, key,
+                lambda: build_reuse_profile(self._flat_addrs(key, trace), line_size),
             )
-        process_metrics().observe(
-            "stage.reuse_build", time.perf_counter() - started
-        )
-        return profile
+        if verify_armed():
+            self._verify_reuse(key, trace, line_size, profile)
+        return profile, seconds
 
+    def profile(
+        self, key: Hashable, llc, trace: AccessTrace, hits: np.ndarray
+    ) -> TraceProfile:
+        """The compiled miss profile of ``(trace, llc)``, folded once.
+
+        Keyed like hit masks by ``(trace key, LLC geometry)``, because the
+        profile depends on the hit mask but **not** on placement — every
+        placement cell sharing the key prices from this one profile (see
+        :mod:`repro.sim.profilepack`).
+        """
+        return self._get(
+            PROFILE, key, llc_signature(llc),
+            (len(trace.phases), trace.total_accesses),
+            lambda: self._timed(
+                "build_profile", PROFILE.stage, key,
+                lambda: build_profile(trace, hits),
+            ),
+        )
+
+    # ------------------------------------------------------------------
+    # parity oracles (REPRO_VERIFY)
+    # ------------------------------------------------------------------
     def _verify_reuse(
-        self, key: Hashable, trace: AccessTrace, line_size: int, extended
+        self, key: Hashable, trace: AccessTrace, line_size: int, folded
     ) -> None:
-        """The extend parity oracle: a full refold must agree bit-for-bit."""
+        """The fold parity oracle: a one-shot refold must agree bit-for-bit."""
         registry = process_metrics()
         registry.inc("reuse.parity_checks")
         with span("cache.verify_reuse", cat="cache", key=str(key)):
@@ -624,8 +476,8 @@ class TraceCache:
                 self._flat_addrs(key, trace), line_size, with_state=False
             )
         if not (
-            np.array_equal(extended.gaps, direct.gaps)
-            and np.array_equal(extended.sorted_gaps, direct.sorted_gaps)
+            np.array_equal(folded.gaps, direct.gaps)
+            and np.array_equal(folded.sorted_gaps, direct.sorted_gaps)
         ):
             registry.inc("reuse.parity_failures")
             raise TraceError(
@@ -648,63 +500,6 @@ class TraceCache:
                 f"{int(np.count_nonzero(direct))} hits"
             )
 
-    def profile(
-        self, key: Hashable, llc, trace: AccessTrace, hits: np.ndarray
-    ) -> TraceProfile:
-        """The compiled miss profile of ``(trace, llc)``, folded once.
-
-        Third artifact of the lattice (see :mod:`repro.sim.profilepack`):
-        keyed like hit masks by ``(trace key, LLC geometry)``, because the
-        profile depends on the hit mask but **not** on placement — every
-        placement cell sharing the key prices from this one profile.  A
-        cached or stored profile that no longer describes the trace is
-        discarded and rebuilt, mirroring the mask shape guard.
-        """
-        llc_sig = llc_signature(llc)
-        profiles = (
-            self._profiles.get(key) if self.max_traces != 0 else None
-        )
-        if profiles is not None:
-            cached = profiles.get(llc_sig)
-            if cached is not None and not cached.matches(trace):
-                profiles.pop(llc_sig, None)
-                self.stats.corruption_discards += 1
-                _count("corruption_discards")
-                cached = None
-            if cached is not None:
-                self.stats.profile_hits += 1
-                _count("profile_hits")
-                return cached
-        self.stats.profile_misses += 1
-        _count("profile_misses")
-        profile = None
-        store = self.store
-        if store is not None:
-            profile = store.load_profile(
-                key,
-                llc_sig,
-                expected_phases=len(trace.phases),
-                expected_accesses=trace.total_accesses,
-            )
-            if profile is not None:
-                self.stats.store_profile_hits += 1
-                _count("store_profile_hits")
-        if profile is None:
-            started = time.perf_counter()
-            with span("cache.build_profile", cat="cache", key=str(key)):
-                profile = build_profile(trace, hits)
-            fold_seconds = time.perf_counter() - started
-            process_metrics().observe("stage.profile_build", fold_seconds)
-            # Stacked CSR is int64 [2, nnz]; like masks, profiles persist
-            # independently of whether the (much larger) trace did.
-            if store is not None and store.should_persist(
-                16 * profile.nnz, fold_seconds
-            ):
-                store.save_profile(key, llc_sig, profile)
-        if profiles is not None:
-            profiles[llc_sig] = profile
-        return profile
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._traces)
@@ -712,9 +507,6 @@ class TraceCache:
     def clear(self) -> None:
         """Drop every cached artifact (counters are kept)."""
         self._traces.clear()
-        self._masks.clear()
-        self._profiles.clear()
-        self._reuse.clear()
 
 
 def _corrupt_trace(trace: AccessTrace) -> None:

@@ -1,88 +1,74 @@
 """Persistent, content-keyed, mmap-shared store of run artifacts.
 
-The expensive artifacts of an experiment cell — the application's access
-trace and its LLC hit mask — are pure functions of the cell's content
-key (see :mod:`repro.sim.tracecache`).  The in-process cache already
-reuses them within one process, but the evaluation grid fans out across
-*worker processes* and across *sessions*, and each worker used to rebuild
-everything from scratch.  :class:`TraceStore` closes that gap:
+The lattice artifacts of an experiment cell are pure functions of its
+content key (see :mod:`repro.sim.tracecache`).  :class:`TraceStore`
+shares them across worker processes and sessions through one save and
+one load, parametrised by each kind's :class:`~repro.sim.artifacts.
+ArtifactSpec`:
 
-- **Layout** — one directory per trace key under the store root
-  (``REPRO_TRACE_STORE``), named by a SHA-256 digest of the key's repr::
+- **Layout** — one directory per trace key under ``REPRO_TRACE_STORE``,
+  named by a SHA-256 digest of the key's repr, holding one ``.npy`` +
+  ``.json`` sidecar pair per artifact::
 
-      <root>/<digest>/trace.npy        flat int64 addresses, program order
-      <root>/<digest>/trace.json       manifest: key, CRC32, phase table
-      <root>/<digest>/mask-<llc>.npy   np.packbits-packed hit mask, one LLC
-      <root>/<digest>/mask-<llc>.json  sidecar: llc signature, CRC32, length
-      <root>/<digest>/reuse-<sig>.npy  float64 [4, n+1] gap rows + window curve
-      <root>/<digest>/reuse-<sig>.json sidecar: line size, CRC32, length
+      <root>/<digest>/trace-v1.npy          flat int64 addresses
+      <root>/<digest>/reuse-v2-<line>.npy   float64 [4, n+1] gaps + curve
+      <root>/<digest>/mask-v2-<llc>.npy     np.packbits-packed hit mask
+      <root>/<digest>/profile-v1-<llc>.npy  int64 [2, nnz] CSR pages/counts
+      <root>/<digest>/<stem>.json           key, sub-key, CRC32, lengths
 
-  Hit masks are stored bit-packed (``np.packbits``, 8x smaller than raw
-  bool) and unpacked transparently on load; the sidecar's
-  ``mask_format`` stamp rejects pre-packing entries, which are rebuilt
-  rather than migrated.  Reuse profiles (:mod:`repro.sim.reusepack`)
-  are keyed by the trace and the *line size* only — one entry serves
-  every LLC capacity.
+  The format version is part of the name: an entry written under another
+  layout is never found, and is rebuilt beside it.  Arrays are plain
+  ``.npy`` loaded with ``mmap_mode="r"``, so every worker maps the *same*
+  page-cache pages read-only.
 
-  Arrays are plain ``.npy`` so they load with ``np.load(mmap_mode="r")``:
-  every worker maps the *same* page-cache pages read-only — zero copies,
-  shared across processes and sessions.
+- **Atomicity** — each file is written under a pid-unique temp name and
+  committed with ``os.replace``, the sidecar *after* its array, so a
+  sidecar implies a complete artifact.  Concurrent writers race
+  benignly: artifacts are deterministic and the last rename wins.
 
-- **Atomicity** — every file is written to a pid-unique temp name in the
-  entry directory and committed with ``os.replace``; the manifest /
-  sidecar is committed *after* its array, so the presence of the JSON
-  file implies a complete entry.  Concurrent writers race benignly: both
-  produce byte-identical content (artifacts are deterministic) and the
-  last rename wins.
-
-- **Integrity** — manifests carry a CRC32 over the array bytes, verified
-  once per process per entry on first load (the verification pass doubles
-  as page-cache warming).  A truncated, corrupt, or mismatched entry is
-  *rejected*: dropped from disk, counted in ``stats.rejects``, and
-  recomputed by the caller.  The ``cache.store_torn`` fault site commits
-  a deliberately truncated array file — simulating a writer that died
-  mid-write — which is exactly what the CRC guard must catch.
+- **Integrity** — sidecars carry a CRC32 of the array bytes, verified
+  once per process per file (the pass doubles as page-cache warming).
+  An artifact failing its CRC, dtype/shape, length or phase checks, or
+  with any sidecar field that does not parse, is *rejected*: dropped
+  from disk, counted in ``stats.rejects``, and rebuilt by the caller.
+  The ``cache.store_torn`` fault site commits a truncated array — a
+  writer that died mid-write — which the CRC guard must catch.
 
 - **Budget** — writes are followed by an eviction pass against the
   shared ``REPRO_CACHE_BYTES`` budget (:mod:`repro.cachebudget`); loads
   bump the entry's mtime so eviction is LRU-ish.
 
-- **Leases** — a cross-process single-flight protocol
-  (:meth:`TraceStore.single_flight`): the first worker to reach a cold
-  (key, artifact) pair creates ``.lease-<what>`` in the entry directory
-  with ``O_EXCL`` and folds the artifact; contenders wait (bounded by
-  ``REPRO_LEASE_TIMEOUT``) and then *adopt* the committed entry instead
-  of folding the same bytes concurrently.  A lease whose pid is dead —
-  or that outlived the timeout — is *stale* and reclaimed, so a crashed
-  primer never wedges the pipeline (see the ``store.lease_crash`` chaos
-  case).  Leases are advisory: losing one never blocks a caller from
-  building in-memory, it only stops duplicate *store* work.
+- **Leases** — cross-process single-flight (:meth:`TraceStore.
+  single_flight`): the first worker to reach a cold artifact creates
+  ``.lease-<what>`` with ``O_EXCL`` and builds it; contenders wait
+  (bounded by ``REPRO_LEASE_TIMEOUT``) and *adopt* the committed result.
+  A lease whose pid is dead — or that outlived the timeout — is stale
+  and reclaimed, so a crashed primer never wedges the pipeline (the
+  ``store.lease_crash`` chaos case).  Leases are advisory: losing one
+  never blocks an in-memory build, it only stops duplicate store work.
 
-- **Write policy** — persisting an artifact is only worth it when the
-  write costs less than the rebuild it saves.  :meth:`TraceStore.
-  should_persist` consults a process-wide EWMA of observed commit
-  throughput and skips writes whose projected cost exceeds
-  ``rebuild_seconds * 0.5`` (``REPRO_STORE_POLICY=always|adaptive|never``
-  overrides).  Small writes (< 4 MiB) always persist — the policy
-  exists to stop multi-hundred-MB folds from drowning the cold path in
-  buffered-write system time, not to starve tests and tiny scales.
-  Throughput is measured *durably*: large commits fsync before the
-  rename and the first large decision is preceded by a one-time 4 MiB
-  fsynced probe, because buffered writes land in the page cache at RAM
-  speed and would teach the EWMA a bandwidth the disk cannot sustain —
-  the deferred writeback then stalls the whole run off-stage.
+- **Write policy** — :meth:`TraceStore.should_persist` skips writes
+  whose projected cost (from a process-wide EWMA of commit throughput)
+  exceeds ``rebuild_seconds * 0.5``; ``REPRO_STORE_POLICY=always|
+  adaptive|never`` overrides.  Writes under 4 MiB always persist — the
+  policy stops multi-hundred-MB folds drowning the cold path in write
+  time, not tiny scales.  Throughput is measured *durably* (large
+  commits fsync before the rename, and a one-time 4 MiB fsynced probe
+  precedes the first large decision): buffered writes land in the page
+  cache at RAM speed and would teach the EWMA a bandwidth the disk
+  cannot sustain, stalling the run later in deferred writeback.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -94,29 +80,27 @@ from repro.faults.injector import InjectedWorkerCrash, fault_point
 from repro.faults.plan import SITE_STORE_LEASE_CRASH, SITE_STORE_TORN
 from repro.mem.trace import AccessTrace
 from repro.obs.bus import emit
-from repro.obs.metrics import process_metrics
+from repro.obs.metrics import HandleCounters
 from repro.obs.tracer import span
-from repro.sim.profilepack import (
-    TraceProfile,
-    profile_from_columnar,
-    profile_to_columnar,
+from repro.sim.artifacts import MASK, PROFILE, REUSE, SPECS, TRACE, ArtifactSpec
+from repro.sim.profilepack import TraceProfile
+from repro.sim.reusepack import ReuseProfile
+
+TRACE_ARRAY = f"{TRACE.stem()}.npy"
+TRACE_MANIFEST = f"{TRACE.stem()}.json"
+
+#: Per-handle counters (``stats``), each mirrored as ``store.<name>``.
+STORE_COUNTERS = (
+    *(f"{spec.kind}_{verb}" for spec in SPECS for verb in ("loads", "saves")),
+    "rejects",  # artifacts dropped for failing CRC / shape / sidecar checks
+    # single-flight leases won / waited on / adopted after a wait /
+    # reclaimed from a dead holder
+    "lease_acquires",
+    "lease_waits",
+    "lease_adoptions",
+    "lease_reclaims",
+    "policy_skips",  # writes skipped by the adaptive write policy
 )
-from repro.sim.reusepack import (
-    REUSE_FORMAT,
-    ReuseProfile,
-    reuse_from_columnar,
-    reuse_to_columnar,
-)
-
-FORMAT_VERSION = 1
-
-#: Stamp for the bit-packed hit-mask layout.  Entries written before the
-#: packing change carry no ``mask_format`` and are rejected (rebuilt,
-#: not migrated — artifacts are cheap to recompute, migrations are not).
-MASK_FORMAT = 2
-
-TRACE_ARRAY = "trace.npy"
-TRACE_MANIFEST = "trace.json"
 
 #: Seconds before a lease with a live-looking file is considered stale.
 LEASE_TIMEOUT_ENV = "REPRO_LEASE_TIMEOUT"
@@ -135,9 +119,6 @@ WRITE_PAYBACK = 0.5
 
 #: Commit samples below this size are too noisy to inform the EWMA.
 _POLICY_SAMPLE_BYTES = 1 << 20
-
-#: Streamed trace commits write at most this many bytes per chunk.
-TRACE_WRITE_CHUNK_BYTES = 32 << 20
 
 _TMP_SEQ = 0
 
@@ -207,11 +188,6 @@ class _WritePolicy:
 _WRITE_POLICY = _WritePolicy()
 
 
-def write_policy() -> _WritePolicy:
-    """The per-process adaptive write policy singleton."""
-    return _WRITE_POLICY
-
-
 def store_root() -> Path | None:
     """The configured store root, or ``None`` when the store is off."""
     raw = os.environ.get(TRACE_STORE_ENV)
@@ -225,68 +201,15 @@ def key_digest(key: Hashable) -> str:
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:24]
 
 
-def llc_digest(llc_sig: tuple) -> str:
-    """Stable file-name component for an LLC geometry signature."""
-    return hashlib.sha256(repr(llc_sig).encode("utf-8")).hexdigest()[:12]
-
-
-def _crc32(array: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(array).view(np.uint8).data)
-
-
-@dataclass
-class TraceStoreStats:
-    """Per-process counters for one store handle."""
-
-    trace_loads: int = 0
-    trace_saves: int = 0
-    mask_loads: int = 0
-    mask_saves: int = 0
-    profile_loads: int = 0
-    profile_saves: int = 0
-    reuse_loads: int = 0
-    reuse_saves: int = 0
-    #: Entries dropped because they failed CRC / shape / format checks.
-    rejects: int = 0
-    #: Single-flight leases won / waited-on / adopted-after-wait /
-    #: reclaimed-from-a-dead-holder by this handle.
-    lease_acquires: int = 0
-    lease_waits: int = 0
-    lease_adoptions: int = 0
-    lease_reclaims: int = 0
-    #: Writes skipped by the adaptive write-value policy.
-    policy_skips: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "trace_loads": self.trace_loads,
-            "trace_saves": self.trace_saves,
-            "mask_loads": self.mask_loads,
-            "mask_saves": self.mask_saves,
-            "profile_loads": self.profile_loads,
-            "profile_saves": self.profile_saves,
-            "reuse_loads": self.reuse_loads,
-            "reuse_saves": self.reuse_saves,
-            "rejects": self.rejects,
-            "lease_acquires": self.lease_acquires,
-            "lease_waits": self.lease_waits,
-            "lease_adoptions": self.lease_adoptions,
-            "lease_reclaims": self.lease_reclaims,
-            "policy_skips": self.policy_skips,
-        }
-
-
 class TraceStore:
-    """Content-keyed on-disk store of traces and LLC hit masks."""
+    """Content-keyed on-disk store of the four lattice artifacts."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.stats = TraceStoreStats()
+        self.stats = HandleCounters("store", STORE_COUNTERS)
         #: Array files CRC-verified by this process already (mmap loads
         #: re-verify nothing; the page cache is trusted once checked).
         self._verified: set[Path] = set()
-        #: Lease files this handle currently holds (release targets).
-        self._held: set[Path] = set()
 
     # ------------------------------------------------------------------
     # paths
@@ -294,21 +217,16 @@ class TraceStore:
     def entry_dir(self, key: Hashable) -> Path:
         return self.root / key_digest(key)
 
-    def _mask_paths(self, key: Hashable, llc_sig: tuple) -> tuple[Path, Path]:
-        stem = f"mask-{llc_digest(llc_sig)}"
-        entry = self.entry_dir(key)
-        return entry / f"{stem}.npy", entry / f"{stem}.json"
+    def _paths(
+        self, spec: ArtifactSpec, key: Hashable, sub: Hashable = None
+    ) -> tuple[Path, Path]:
+        """The (array, sidecar) pair of one artifact."""
+        stem = self.entry_dir(key) / spec.stem(sub)
+        return stem.with_suffix(".npy"), stem.with_suffix(".json")
 
-    def _profile_paths(self, key: Hashable, llc_sig: tuple) -> tuple[Path, Path]:
-        stem = f"profile-{llc_digest(llc_sig)}"
-        entry = self.entry_dir(key)
-        return entry / f"{stem}.npy", entry / f"{stem}.json"
-
-    def _reuse_paths(self, key: Hashable, line_size: int) -> tuple[Path, Path]:
-        # Keyed by line granularity only — capacity-independent by design.
-        stem = f"reuse-{llc_digest(('reuse', int(line_size)))}"
-        entry = self.entry_dir(key)
-        return entry / f"{stem}.npy", entry / f"{stem}.json"
+    def has(self, spec: ArtifactSpec, key: Hashable, sub: Hashable = None) -> bool:
+        """Whether the artifact is committed (its sidecar is present)."""
+        return self._paths(spec, key, sub)[1].exists()
 
     # ------------------------------------------------------------------
     # write policy
@@ -331,8 +249,7 @@ class TraceStore:
             self._calibrate_policy()
         verdict = _WRITE_POLICY.should_persist(nbytes, rebuild_seconds)
         if not verdict:
-            self.stats.policy_skips += 1
-            process_metrics().inc("store.policy_skips")
+            self.stats.bump("policy_skips")
         return verdict
 
     def _calibrate_policy(self) -> None:
@@ -400,8 +317,7 @@ class TraceStore:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump({"pid": os.getpid(), "born": time.time()}, handle)
             _HELD.add(path)
-            self.stats.lease_acquires += 1
-            process_metrics().inc("store.lease_acquires")
+            self.stats.bump("lease_acquires")
             if (
                 fault_point(
                     SITE_STORE_LEASE_CRASH,
@@ -461,8 +377,7 @@ class TraceStore:
         deadline = time.monotonic() + (
             lease_timeout() if timeout is None else timeout
         )
-        self.stats.lease_waits += 1
-        process_metrics().inc("store.lease_waits")
+        self.stats.bump("lease_waits")
         with span("store.lease_wait", cat="store", entry=path.parent.name):
             while time.monotonic() < deadline:
                 if done():
@@ -471,8 +386,7 @@ class TraceStore:
                     break
                 time.sleep(0.05)
         if done():
-            self.stats.lease_adoptions += 1
-            process_metrics().inc("store.lease_adoptions")
+            self.stats.bump("lease_adoptions")
             return True
         return False
 
@@ -525,8 +439,7 @@ class TraceStore:
         return (time.time() - mtime) > lease_timeout()
 
     def _reclaim_lease(self, path: Path) -> None:
-        self.stats.lease_reclaims += 1
-        process_metrics().inc("store.lease_reclaims")
+        self.stats.bump("lease_reclaims")
         emit(
             "store.lease_reclaim",
             "stale lease reclaimed",
@@ -554,13 +467,14 @@ class TraceStore:
             visible = [f for f in files if not f.name.startswith(".")]
             leases = [f for f in files if f.name.startswith(".lease-")]
             manifest = self._read_json(entry / TRACE_MANIFEST) or {}
+            total = manifest.get("total")
             kinds = sorted(
                 {f.name.split("-")[0].split(".")[0] for f in visible}
             )
             yield {
                 "digest": entry.name,
                 "key": manifest.get("key", ""),
-                "accesses": int(manifest.get("total", 0)),
+                "accesses": total if isinstance(total, int) else 0,
                 "bytes": sum(f.stat().st_size for f in visible),
                 "files": len(visible),
                 "artifacts": kinds,
@@ -583,21 +497,17 @@ class TraceStore:
         return True
 
     # ------------------------------------------------------------------
-    # traces
+    # artifacts: one save and one load for every kind
     # ------------------------------------------------------------------
-    def has_trace(self, key: Hashable) -> bool:
-        """Whether a committed trace entry exists (manifest present)."""
-        return (self.entry_dir(key) / TRACE_MANIFEST).exists()
-
     def has_entry(self, key: Hashable) -> bool:
         """Whether the store holds *any* committed artifact for this key.
 
-        Weaker than :meth:`has_trace`: the adaptive write policy may skip
-        the raw trace yet persist the small derived artifacts, and a key
-        whose entry already has visible files has been primed once —
-        whatever is missing was judged cheaper to rebuild than to store.
-        The cold-dispatch planner keys off this, so a policy-thinned
-        store does not get re-primed on every warm run.
+        The adaptive write policy may skip the raw trace yet persist the
+        small derived artifacts, and a key whose entry already has
+        visible files has been primed once — whatever is missing was
+        judged cheaper to rebuild than to store.  The cold-dispatch
+        planner keys off this, so a policy-thinned store does not get
+        re-primed on every warm run.
         """
         entry = self.entry_dir(key)
         if not entry.is_dir():
@@ -606,402 +516,156 @@ class TraceStore:
             f.is_file() and not f.name.startswith(".") for f in entry.iterdir()
         )
 
-    def save_trace(self, key: Hashable, trace: AccessTrace) -> bool:
-        """Persist a trace (no-op when the entry already exists).
+    def save(
+        self, spec: ArtifactSpec, key: Hashable, sub: Hashable, artifact
+    ) -> bool:
+        """Persist one artifact (no-op when it is already committed).
 
-        The address stream is written *chunk by chunk* straight from the
-        trace's phase arrays (:meth:`repro.mem.trace.AccessTrace.
-        iter_chunks`) — no flat ``all_addresses`` copy is materialised,
-        so saving a multi-GB trace costs zero extra resident bytes and
-        the CRC folds incrementally over the same chunks.
+        ``TraceStore.save_*`` are unconditional; the write policy lives
+        in the cache's save gate (:meth:`should_persist`).
         """
-        entry = self.entry_dir(key)
-        if (entry / TRACE_MANIFEST).exists():
+        array_path, sidecar_path = self._paths(spec, key, sub)
+        if sidecar_path.exists():
             return False
-        total = trace.total_accesses
+        entry = array_path.parent
+        chunks, shape, record = spec.encode(artifact, sub)
         try:
-            with span("store.save_trace", cat="store", entry=entry.name):
+            with span("store.save", cat="store", kind=spec.kind, entry=entry.name):
                 entry.mkdir(parents=True, exist_ok=True)
-                crc = self._commit_trace_stream(
-                    entry / TRACE_ARRAY,
-                    trace.iter_chunks(TRACE_WRITE_CHUNK_BYTES),
-                    total,
-                    tag=f"{entry.name}/trace",
+                crc = self._commit_array(
+                    array_path, chunks, spec.dtype, shape,
+                    tag=f"{entry.name}/{spec.kind}",
                 )
-                manifest = {
-                    "format": FORMAT_VERSION,
+                sidecar = {
+                    **record,
                     "key": repr(key),
-                    "total": int(total),
+                    "sub": _as_json(sub),
                     "crc32": crc,
-                    "phases": trace.phase_records(),
                 }
-                self._commit_json(entry / TRACE_MANIFEST, manifest)
+                self._commit_json(sidecar_path, sidecar)
         except OSError:
             return False  # a full/read-only disk degrades to no caching
-        self.stats.trace_saves += 1
-        process_metrics().inc("store.trace_saves")
+        self.stats.bump(f"{spec.kind}_saves")
         enforce_cache_budget(protect={entry})
         return True
 
-    def load_trace(self, key: Hashable) -> AccessTrace | None:
-        """The stored trace as zero-copy mmap views, or ``None``."""
-        entry = self.entry_dir(key)
-        manifest_path = entry / TRACE_MANIFEST
-        manifest = self._read_json(manifest_path)
-        if manifest is None:
+    def load(self, spec: ArtifactSpec, key: Hashable, sub: Hashable, expected):
+        """The stored artifact (arrays as read-only mmap views), or ``None``.
+
+        ``expected`` describes the caller's trace (see ``spec.fits``); an
+        artifact describing anything else is stale.  Every sidecar field
+        is parsed inside one guard, so a malformed, corrupt or stale
+        artifact is rejected — never raised to the caller.
+        """
+        array_path, sidecar_path = self._paths(spec, key, sub)
+        entry = array_path.parent
+        sidecar = self._read_json(sidecar_path)
+        if sidecar is None:
             return None
-        with span("store.load_trace", cat="store", entry=entry.name):
-            if manifest.get("format") != FORMAT_VERSION:
-                return self._reject_entry(key, "format version mismatch")
-            flat = self._load_array(
-                entry / TRACE_ARRAY,
-                dtype=np.int64,
-                shape=(int(manifest.get("total", -1)),),
-                crc32=manifest.get("crc32"),
-            )
-            if flat is None:
-                return self._reject_entry(key, "trace array failed validation")
+        with span("store.load", cat="store", kind=spec.kind, entry=entry.name):
             try:
-                trace = AccessTrace.from_columnar(flat, manifest.get("phases", []))
-            except (KeyError, ValueError, TypeError, TraceError) as exc:
-                # Any malformed phase table means the entry cannot be trusted.
-                return self._reject_entry(key, f"bad phase table: {exc}")
-        self.stats.trace_loads += 1
-        process_metrics().inc("store.trace_loads")
+                if sidecar["sub"] != _as_json(sub):
+                    raise TraceError(f"sidecar names sub-key {sidecar['sub']!r}")
+                array = self._load_array(
+                    array_path, spec.dtype, spec.layout(sidecar), sidecar["crc32"]
+                )
+                artifact = spec.decode(array, sidecar)
+                if expected is not None and not spec.fits(artifact, expected):
+                    raise TraceError("artifact describes another trace")
+            except (KeyError, TypeError, ValueError, TraceError) as exc:
+                return self._reject(array_path, sidecar_path, f"{spec.kind}: {exc}")
+        self.stats.bump(f"{spec.kind}_loads")
         touch_entry(entry)
-        return trace
+        return artifact
 
-    # ------------------------------------------------------------------
-    # hit masks
-    # ------------------------------------------------------------------
-    def has_mask(self, key: Hashable, llc_sig: tuple) -> bool:
-        return self._mask_paths(key, llc_sig)[1].exists()
+    # The per-kind entry points the cache (and the benchmark's layer
+    # wrappers) call by name; ``expected`` as in :meth:`load`.
+    def save_trace(self, key, trace: AccessTrace) -> bool:
+        return self.save(TRACE, key, None, trace)
 
-    def save_mask(
-        self, key: Hashable, llc_sig: tuple, mask: np.ndarray
-    ) -> bool:
-        """Persist one LLC geometry's hit mask for a stored trace.
+    def load_trace(self, key, expected=None) -> AccessTrace | None:
+        return self.load(TRACE, key, None, expected)
 
-        Masks are bit-packed (``np.packbits``) before hitting disk — 8x
-        smaller than raw bool — and the sidecar records the unpacked
-        length so loads can trim the pad bits.  The CRC covers the
-        *packed* bytes (what is actually on disk).
-        """
-        array_path, sidecar_path = self._mask_paths(key, llc_sig)
-        if sidecar_path.exists():
-            return False
-        mask = np.ascontiguousarray(mask, dtype=np.bool_)
-        packed = np.packbits(mask)
-        sidecar = {
-            "format": FORMAT_VERSION,
-            "mask_format": MASK_FORMAT,
-            "llc": list(llc_sig),
-            "n": int(mask.size),
-            "crc32": _crc32(packed),
-        }
-        try:
-            array_path.parent.mkdir(parents=True, exist_ok=True)
-            self._commit_array(
-                array_path, packed, tag=f"{array_path.parent.name}/mask"
-            )
-            self._commit_json(sidecar_path, sidecar)
-        except OSError:
-            return False
-        self.stats.mask_saves += 1
-        process_metrics().inc("store.mask_saves")
-        enforce_cache_budget(protect={array_path.parent})
-        return True
+    def save_mask(self, key, llc_sig: tuple, mask) -> bool:
+        return self.save(MASK, key, llc_sig, mask)
 
-    def load_mask(
-        self, key: Hashable, llc_sig: tuple, expected_len: int
-    ) -> np.ndarray | None:
-        """The stored hit mask (unpacked, read-only), or ``None``.
+    def load_mask(self, key, llc_sig: tuple, n: int) -> np.ndarray | None:
+        return self.load(MASK, key, llc_sig, n)
 
-        A sidecar without the current ``mask_format`` stamp — an
-        unpacked pre-packing entry — fails validation like any other
-        stale artifact and is rebuilt by the caller.
-        """
-        array_path, sidecar_path = self._mask_paths(key, llc_sig)
-        sidecar = self._read_json(sidecar_path)
-        if sidecar is None:
-            return None
-        if (
-            sidecar.get("format") != FORMAT_VERSION
-            or sidecar.get("mask_format") != MASK_FORMAT
-            or sidecar.get("llc") != list(llc_sig)
-            or int(sidecar.get("n", -1)) != expected_len
-        ):
-            return self._reject_files(array_path, sidecar_path, "mask")
-        packed = self._load_array(
-            array_path,
-            dtype=np.uint8,
-            shape=((expected_len + 7) // 8,),
-            crc32=sidecar.get("crc32"),
-        )
-        if packed is None:
-            return self._reject_files(array_path, sidecar_path, "mask")
-        mask = np.unpackbits(np.asarray(packed), count=expected_len).view(np.bool_)
-        mask.flags.writeable = False
-        self.stats.mask_loads += 1
-        process_metrics().inc("store.mask_loads")
-        touch_entry(array_path.parent)
-        return mask
+    def save_profile(self, key, llc_sig: tuple, profile) -> bool:
+        return self.save(PROFILE, key, llc_sig, profile)
 
-    # ------------------------------------------------------------------
-    # compiled profiles
-    # ------------------------------------------------------------------
-    def has_profile(self, key: Hashable, llc_sig: tuple) -> bool:
-        return self._profile_paths(key, llc_sig)[1].exists()
+    def load_profile(self, key, llc_sig: tuple, expected) -> TraceProfile | None:
+        """``expected``: the (phase count, access count) being priced."""
+        return self.load(PROFILE, key, llc_sig, expected)
 
-    def save_profile(
-        self, key: Hashable, llc_sig: tuple, profile: TraceProfile
-    ) -> bool:
-        """Persist one LLC geometry's compiled miss profile.
+    def save_reuse(self, key, line_size: int, profile) -> bool:
+        return self.save(REUSE, key, line_size, profile)
 
-        The CSR pages/counts pair lands as one stacked ``int64 [2, nnz]``
-        array (mmap-shareable like traces and masks); the per-phase
-        metadata rides in the JSON sidecar together with the array CRC.
-        """
-        array_path, sidecar_path = self._profile_paths(key, llc_sig)
-        if sidecar_path.exists():
-            return False
-        stacked, record = profile_to_columnar(profile)
-        sidecar = {
-            "format": FORMAT_VERSION,
-            "llc": list(llc_sig),
-            "crc32": _crc32(stacked),
-            **record,
-        }
-        try:
-            array_path.parent.mkdir(parents=True, exist_ok=True)
-            self._commit_array(
-                array_path, stacked, tag=f"{array_path.parent.name}/profile"
-            )
-            self._commit_json(sidecar_path, sidecar)
-        except OSError:
-            return False
-        self.stats.profile_saves += 1
-        process_metrics().inc("store.profile_saves")
-        enforce_cache_budget(protect={array_path.parent})
-        return True
-
-    def load_profile(
-        self,
-        key: Hashable,
-        llc_sig: tuple,
-        *,
-        expected_phases: int,
-        expected_accesses: int,
-    ) -> TraceProfile | None:
-        """The stored profile (CSR arrays as mmap views), or ``None``.
-
-        ``expected_phases``/``expected_accesses`` come from the trace the
-        caller is about to price; a stored profile describing a different
-        trace shape is stale and rejected like any corrupt entry.
-        """
-        array_path, sidecar_path = self._profile_paths(key, llc_sig)
-        sidecar = self._read_json(sidecar_path)
-        if sidecar is None:
-            return None
-        if (
-            sidecar.get("format") != FORMAT_VERSION
-            or sidecar.get("llc") != list(llc_sig)
-        ):
-            return self._reject_files(array_path, sidecar_path, "profile")
-        try:
-            nnz = int(sidecar.get("nnz", -1))
-        except (TypeError, ValueError):
-            return self._reject_files(array_path, sidecar_path, "profile")
-        if nnz < 0:
-            return self._reject_files(array_path, sidecar_path, "profile")
-        stacked = self._load_array(
-            array_path,
-            dtype=np.int64,
-            shape=(2, nnz),
-            crc32=sidecar.get("crc32"),
-        )
-        if stacked is None:
-            return self._reject_files(array_path, sidecar_path, "profile")
-        try:
-            profile = profile_from_columnar(stacked, sidecar)
-        except TraceError:
-            return self._reject_files(array_path, sidecar_path, "profile")
-        if (
-            profile.n_phases != expected_phases
-            or profile.total_accesses != expected_accesses
-        ):
-            return self._reject_files(array_path, sidecar_path, "profile")
-        self.stats.profile_loads += 1
-        process_metrics().inc("store.profile_loads")
-        touch_entry(array_path.parent)
-        return profile
-
-    # ------------------------------------------------------------------
-    # reuse profiles
-    # ------------------------------------------------------------------
-    def has_reuse(self, key: Hashable, line_size: int) -> bool:
-        return self._reuse_paths(key, line_size)[1].exists()
-
-    def save_reuse(
-        self, key: Hashable, line_size: int, profile: ReuseProfile
-    ) -> bool:
-        """Persist one trace's compiled reuse profile.
-
-        Artifact v2: the gap rows (int64 bit patterns) and the
-        pre-computed window curve land as one ``float64 [4, n + 1]``
-        array (see :func:`repro.sim.reusepack.reuse_to_columnar`,
-        mmap-shareable like traces); the line granularity, length and
-        ``reuse_format`` stamp ride in the JSON sidecar together with
-        the array CRC.  One entry per (trace, line size) serves every
-        LLC capacity, with zero per-process float work at load.
-        """
-        array_path, sidecar_path = self._reuse_paths(key, line_size)
-        if sidecar_path.exists():
-            return False
-        stacked, record = reuse_to_columnar(profile)
-        sidecar = {
-            "format": FORMAT_VERSION,
-            "crc32": _crc32(stacked),
-            **record,
-        }
-        try:
-            array_path.parent.mkdir(parents=True, exist_ok=True)
-            self._commit_array(
-                array_path, stacked, tag=f"{array_path.parent.name}/reuse"
-            )
-            self._commit_json(sidecar_path, sidecar)
-        except OSError:
-            return False
-        self.stats.reuse_saves += 1
-        process_metrics().inc("store.reuse_saves")
-        enforce_cache_budget(protect={array_path.parent})
-        return True
-
-    def load_reuse(
-        self, key: Hashable, line_size: int, expected_len: int
-    ) -> ReuseProfile | None:
-        """The stored reuse profile (gap rows as mmap views), or ``None``.
-
-        ``expected_len`` is the access count of the trace the caller is
-        about to derive masks for; a profile of a different length is
-        stale and rejected like any corrupt entry.  So is a pre-curve v1
-        entry (``reuse_format`` below :data:`~repro.sim.reusepack.
-        REUSE_FORMAT`, or the old ``int64 [2, n]`` array shape) — v1 is
-        rebuilt, never migrated.
-        """
-        array_path, sidecar_path = self._reuse_paths(key, line_size)
-        sidecar = self._read_json(sidecar_path)
-        if sidecar is None:
-            return None
-        try:
-            stale = (
-                sidecar.get("format") != FORMAT_VERSION
-                or int(sidecar.get("reuse_format", -1)) != REUSE_FORMAT
-                or int(sidecar.get("line_size", -1)) != int(line_size)
-                or int(sidecar.get("n", -1)) != expected_len
-            )
-        except (TypeError, ValueError):
-            stale = True
-        if stale:
-            return self._reject_files(array_path, sidecar_path, "reuse")
-        stacked = self._load_array(
-            array_path,
-            dtype=np.float64,
-            shape=(4, expected_len + 1),
-            crc32=sidecar.get("crc32"),
-        )
-        if stacked is None:
-            return self._reject_files(array_path, sidecar_path, "reuse")
-        try:
-            profile = reuse_from_columnar(stacked, sidecar)
-        except TraceError:
-            return self._reject_files(array_path, sidecar_path, "reuse")
-        self.stats.reuse_loads += 1
-        process_metrics().inc("store.reuse_loads")
-        touch_entry(array_path.parent)
-        return profile
+    def load_reuse(self, key, line_size: int, n: int) -> ReuseProfile | None:
+        return self.load(REUSE, key, line_size, n)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _commit_array(self, path: Path, array: np.ndarray, *, tag: str) -> None:
-        """Atomic tempfile+rename commit of one ``.npy`` array.
+    def _commit_array(
+        self,
+        path: Path,
+        chunks: Iterable[np.ndarray],
+        dtype: np.dtype,
+        shape: tuple,
+        *,
+        tag: str,
+    ) -> int:
+        """Atomic tempfile+rename commit of one ``.npy``, chunk by chunk.
+
+        Hand-writes the 1.0 array header (byte-identical to ``np.save``'s
+        output) and streams each chunk's buffer, so a trace's flat
+        address array never exists in memory.  Returns the CRC32 folded
+        over the chunk bytes — identical to the CRC of the whole array.
 
         The ``cache.store_torn`` fault truncates the temp file before the
-        rename — committing a torn array under an intact manifest, the
+        rename — committing a torn array under an intact sidecar, the
         exact state a crashed non-atomic writer (or a lost flush) leaves
         behind and the load-side CRC guard must reject.
         """
         global _TMP_SEQ
         _TMP_SEQ += 1
         tmp = path.parent / f".{path.name}.{os.getpid()}.{_TMP_SEQ}.tmp"
+        shape = tuple(int(dim) for dim in shape)
+        header = {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False,
+            "shape": shape,
+        }
         started = time.monotonic()
+        crc = written = 0
         with open(tmp, "wb") as handle:
-            np.save(handle, array)
-            if int(array.nbytes) >= _POLICY_SAMPLE_BYTES:
+            np.lib.format.write_array_header_1_0(handle, header)
+            for chunk in chunks:
+                raw = np.ascontiguousarray(chunk, dtype=dtype).reshape(-1)
+                raw = raw.view(np.uint8)
+                crc = zlib.crc32(raw.data, crc)
+                handle.write(raw.data)
+                written += raw.size
+            if written >= _POLICY_SAMPLE_BYTES:
                 # Durable timing: without the fsync the page cache
                 # absorbs the write at RAM speed, the EWMA learns a
                 # fictional bandwidth, and the deferred writeback
                 # stalls the run off-stage instead.
                 handle.flush()
                 os.fsync(handle.fileno())
-        if fault_point(SITE_STORE_TORN, tag=tag, detail=str(path)) is not None:
-            size = tmp.stat().st_size
-            with open(tmp, "r+b") as handle:
-                handle.truncate(max(1, size // 2))
-        os.replace(tmp, path)
-        _WRITE_POLICY.observe(int(array.nbytes), time.monotonic() - started)
-
-    def _commit_trace_stream(
-        self,
-        path: Path,
-        chunks: Iterable[np.ndarray],
-        total: int,
-        *,
-        tag: str,
-    ) -> int:
-        """Atomic commit of one int64 ``.npy`` written chunk-by-chunk.
-
-        Hand-writes the 1.0 array header (``np.load`` reads it exactly
-        like ``np.save``'s output) and streams each chunk's buffer, so
-        the flat address array never exists in memory.  Returns the
-        CRC32 folded over the chunk bytes — identical to the CRC of the
-        concatenated array, so load-side verification is unchanged.
-        """
-        global _TMP_SEQ
-        _TMP_SEQ += 1
-        tmp = path.parent / f".{path.name}.{os.getpid()}.{_TMP_SEQ}.tmp"
-        header = {
-            "descr": np.lib.format.dtype_to_descr(np.dtype(np.int64)),
-            "fortran_order": False,
-            "shape": (int(total),),
-        }
-        started = time.monotonic()
-        crc = 0
-        written = 0
-        with open(tmp, "wb") as handle:
-            np.lib.format.write_array_header_1_0(handle, header)
-            for chunk in chunks:
-                chunk = np.ascontiguousarray(chunk, dtype=np.int64)
-                crc = zlib.crc32(chunk.view(np.uint8).data, crc)
-                handle.write(chunk.data)
-                written += chunk.size
-            if written * 8 >= _POLICY_SAMPLE_BYTES:
-                # Durable timing — same rationale as _commit_array.
-                handle.flush()
-                os.fsync(handle.fileno())
-        if written != int(total):
+        if written != math.prod(shape) * dtype.itemsize:
             tmp.unlink()
             raise TraceError(
-                f"trace chunks yielded {written} accesses, header promised "
-                f"{total}"
+                f"{path.name}: chunks yielded {written} bytes for shape {shape}"
             )
         if fault_point(SITE_STORE_TORN, tag=tag, detail=str(path)) is not None:
             size = tmp.stat().st_size
             with open(tmp, "r+b") as handle:
                 handle.truncate(max(1, size // 2))
         os.replace(tmp, path)
-        _WRITE_POLICY.observe(written * 8, time.monotonic() - started)
+        _WRITE_POLICY.observe(written, time.monotonic() - started)
         return crc
 
     def _commit_json(self, path: Path, payload: dict) -> None:
@@ -1018,44 +682,25 @@ class TraceStore:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def _load_array(
-        self, path: Path, *, dtype, shape: tuple, crc32
-    ) -> np.ndarray | None:
-        """mmap one array file; validate shape/dtype/CRC (once per process)."""
+    def _load_array(self, path: Path, dtype, shape: tuple, crc32) -> np.ndarray:
+        """mmap one array file; validate dtype/shape/CRC (once per process)."""
         try:
             array = np.load(path, mmap_mode="r")
-        except (OSError, ValueError, EOFError):
-            return None
+        except (OSError, ValueError, EOFError) as exc:
+            raise TraceError(f"unreadable array: {exc}") from None
         if array.dtype != dtype or array.shape != tuple(shape):
-            return None
+            raise TraceError(f"array is {array.dtype}{array.shape}")
         if path not in self._verified:
-            if not isinstance(crc32, int) or _crc32(array) != crc32:
-                return None
+            raw = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+            if not isinstance(crc32, int) or zlib.crc32(raw.data) != crc32:
+                raise TraceError("CRC32 mismatch")
             self._verified.add(path)
         return array
 
-    def _reject_entry(self, key: Hashable, reason: str) -> None:
-        """Drop a whole entry that failed validation; caller recomputes."""
-        self.stats.rejects += 1
-        process_metrics().inc("store.rejects")
-        entry = self.entry_dir(key)
-        emit("store.reject", reason, source="store", entry=entry.name)
-        self._verified = {p for p in self._verified if p.parent != entry}
-        shutil.rmtree(entry, ignore_errors=True)
-        return None
-
-    def _reject_files(
-        self, array_path: Path, sidecar_path: Path, what: str
-    ) -> None:
-        """Drop one per-LLC artifact (mask/profile) pair; caller rebuilds."""
-        self.stats.rejects += 1
-        process_metrics().inc("store.rejects")
-        emit(
-            "store.reject",
-            f"{what} failed validation",
-            source="store",
-            entry=array_path.parent.name,
-        )
+    def _reject(self, array_path: Path, sidecar_path: Path, reason: str) -> None:
+        """Drop one artifact pair that failed validation; caller rebuilds."""
+        self.stats.bump("rejects")
+        emit("store.reject", reason, source="store", entry=array_path.parent.name)
         for path in (sidecar_path, array_path):
             self._verified.discard(path)
             try:
@@ -1063,6 +708,11 @@ class TraceStore:
             except OSError:
                 continue
         return None
+
+
+def _as_json(sub: Hashable):
+    """A sub-key as it reads back from a JSON sidecar (tuples -> lists)."""
+    return json.loads(json.dumps(sub))
 
 
 # ----------------------------------------------------------------------

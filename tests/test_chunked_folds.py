@@ -21,21 +21,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.mem.cache import LINE_SIZE, VERIFY_REUSE_ENV
+from repro.mem.cache import LINE_SIZE, VERIFY_ENV
 from repro.mem.trace import (
     WORKER_BYTES_ENV,
     AccessKind,
     AccessTrace,
     worker_byte_budget,
 )
-from repro.sim.executor import VERIFY_PROFILE_ENV
 from repro.sim.reusepack import (
     build_reuse_profile,
     fold_reuse_chunks,
     reuse_to_columnar,
 )
 from repro.sim.tracecache import (
-    VERIFY_MASK_ENV,
     TraceCache,
     _chunked_checksum,
     trace_checksum,
@@ -197,9 +195,7 @@ class TestAppLevelParity:
             execute_job(spec, trace_cache=TraceCache(store=None))
         )
         monkeypatch.setenv(WORKER_BYTES_ENV, "4096")
-        monkeypatch.setenv(VERIFY_MASK_ENV, "1")
-        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
-        monkeypatch.setenv(VERIFY_PROFILE_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "1")
         assert worker_byte_budget() == 4096
         starved = committed_figures(
             execute_job(spec, trace_cache=TraceCache(store=None))

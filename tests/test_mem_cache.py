@@ -15,7 +15,7 @@ from repro.mem import cache as cache_module
 from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
-    VERIFY_REUSE_ENV,
+    VERIFY_ENV,
     DirectMappedCache,
     SetAssociativeCache,
     _argsort_reuse_gaps,
@@ -355,7 +355,7 @@ class TestReuseGapKernel:
     def test_parity_oracle_passes_on_honest_kernel(
         self, forced_kernel, monkeypatch
     ):
-        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "1")
         counters = process_metrics().counters
         checks = counters.get("reuse.parity_checks", 0.0)
         failures = counters.get("reuse.parity_failures", 0.0)
@@ -372,7 +372,7 @@ class TestReuseGapKernel:
         monkeypatch.setattr(
             cache_module, "reuse_gap_kernel", lambda: _broken
         )
-        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "1")
         counters = process_metrics().counters
         failures = counters.get("reuse.parity_failures", 0.0)
         addrs = np.array([0, LINE_SIZE, 0], dtype=np.int64)
@@ -381,7 +381,7 @@ class TestReuseGapKernel:
         assert counters["reuse.parity_failures"] == failures + 1
 
     def test_verify_off_by_default(self, forced_kernel, monkeypatch):
-        monkeypatch.delenv(VERIFY_REUSE_ENV, raising=False)
+        monkeypatch.delenv(VERIFY_ENV, raising=False)
         counters = process_metrics().counters
         checks = counters.get("reuse.parity_checks", 0.0)
         reuse_time_gaps(np.array([0, 0], dtype=np.int64))

@@ -18,11 +18,11 @@ from repro.config import nvm_dram_testbed
 from repro.core.runtime import AtMemRuntime
 from repro.errors import TraceError
 from repro.graph.datasets import dataset_by_name
+from repro.mem.cache import VERIFY_ENV
 from repro.mem.trace import AccessTrace
 from repro.obs.metrics import process_metrics
 from repro.sim.executor import (
     PRICING_ENV,
-    VERIFY_PROFILE_ENV,
     TraceExecutor,
     pricing_mode,
 )
@@ -36,6 +36,7 @@ from repro.sim.profilepack import (
     profile_to_columnar,
     validate_profile,
 )
+from repro.sim.artifacts import PROFILE
 from repro.sim.tracecache import TraceCache
 from repro.sim.tracestore import TraceStore
 
@@ -195,7 +196,7 @@ def test_mismatched_profile_falls_back_to_replay():
 # ----------------------------------------------------------------------
 def test_parity_oracle_passes_on_honest_profile(monkeypatch):
     system, _, trace, hits, profile = eligibility_fixture()
-    monkeypatch.setenv(VERIFY_PROFILE_ENV, "1")
+    monkeypatch.setenv(VERIFY_ENV, "1")
     checks_before = counter("pricing.parity_checks")
     failures_before = counter("pricing.parity_failures")
     TraceExecutor(system).run(trace, hits=hits, profile=profile)
@@ -207,7 +208,7 @@ def test_parity_oracle_catches_doctored_counts(monkeypatch):
     system, _, trace, hits, profile = eligibility_fixture()
     doctored = dataclasses.replace(profile, counts=profile.counts + 1)
     assert doctored.matches(trace)  # shape-level check cannot see this
-    monkeypatch.setenv(VERIFY_PROFILE_ENV, "1")
+    monkeypatch.setenv(VERIFY_ENV, "1")
     before = counter("pricing.parity_failures")
     with pytest.raises(TraceError, match="diverged from replay"):
         TraceExecutor(system).run(trace, hits=hits, profile=doctored)
@@ -295,7 +296,6 @@ def test_validate_profile_rejects_structural_defects():
 def test_columnar_round_trip_is_lossless():
     _, _, _, _, profile = eligibility_fixture()
     stacked, record = profile_to_columnar(profile)
-    assert record["profile_format"] == PROFILE_FORMAT
     rebuilt = profile_from_columnar(stacked, record)
     np.testing.assert_array_equal(rebuilt.pages, profile.pages)
     np.testing.assert_array_equal(rebuilt.counts, profile.counts)
@@ -313,8 +313,9 @@ def test_columnar_round_trip_is_lossless():
 def test_columnar_rejects_version_and_shape_mismatch():
     _, _, _, _, profile = eligibility_fixture()
     stacked, record = profile_to_columnar(profile)
-    with pytest.raises(TraceError, match="format version"):
-        profile_from_columnar(stacked, {**record, "profile_format": 99})
+    # The layout version is part of the stored file name: an entry
+    # written under another version is never found, so never decoded.
+    assert PROFILE.stem(("llc",)).startswith(f"profile-v{PROFILE_FORMAT}-")
     with pytest.raises(TraceError, match="dtype/shape"):
         profile_from_columnar(stacked[:, :-1], record)
     with pytest.raises(TraceError, match="malformed"):
@@ -353,10 +354,10 @@ def test_cache_rebuilds_profile_that_stopped_matching():
     built = cache.profile("k", system.llc, trace, hits)
     # Simulate a corrupted memoisation: swap in a profile of the wrong
     # shape under the same key.
-    cache._profiles["k"][next(iter(cache._profiles["k"]))] = (
-        dataclasses.replace(
-            built, phase_n=built.phase_n[:-1], row_ptr=built.row_ptr[:-1]
-        )
+    memo = cache._traces["k"].artifacts
+    [slot] = [slot for slot in memo if slot[0] == "profile"]
+    memo[slot] = dataclasses.replace(
+        built, phase_n=built.phase_n[:-1], row_ptr=built.row_ptr[:-1]
     )
     again = cache.profile("k", system.llc, trace, hits)
     assert again.matches(trace)
@@ -423,4 +424,4 @@ def test_cache_eviction_drops_profiles():
     cache.trace("k1", lambda: trace)
     cache.profile("k1", system.llc, trace, hits)
     cache.trace("k2", lambda: trace)  # evicts k1
-    assert "k1" not in cache._profiles
+    assert "k1" not in cache._traces  # its profiles went with it

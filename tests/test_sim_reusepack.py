@@ -9,6 +9,8 @@ capacity monotonicity pins the working-set model's one structural
 guarantee: growing the cache never loses a hit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.mem.cache import (
     WorkingSetCache,
 )
 from repro.mem.stack_distance import COLD, lru_hit_mask, stack_distances
+from repro.sim.artifacts import REUSE
 from repro.sim.reusepack import (
     REUSE_FORMAT,
     build_reuse_profile,
@@ -30,6 +33,7 @@ from repro.sim.reusepack import (
     reuse_to_columnar,
     validate_reuse,
 )
+from repro.sim.tracestore import TraceStore
 
 #: Every working-set LLC size the figure suite instantiates
 #: (mcdram_dram 16 KB, nvm_dram 32 KB, hbm_dram 64 KB) plus the
@@ -200,11 +204,16 @@ class TestColumnar:
             rebuilt.hit_mask_for(llc), profile.hit_mask_for(llc)
         )
 
-    def test_format_mismatch_rejected(self):
-        stacked, record = reuse_to_columnar(build_reuse_profile(mixed_trace(n=64)))
-        record["reuse_format"] = REUSE_FORMAT + 1
-        with pytest.raises(TraceError):
-            reuse_from_columnar(stacked, record)
+    def test_format_mismatch_rejected(self, tmp_path):
+        # The layout version is part of the stored file name: a profile
+        # saved under another version is never found, so never decoded.
+        profile = build_reuse_profile(mixed_trace(n=64))
+        store = TraceStore(tmp_path)
+        store.save_reuse("k", profile.line_size, profile)
+        other = dataclasses.replace(REUSE, version=REUSE_FORMAT + 1)
+        assert store.load(other, "k", profile.line_size, profile.n) is None
+        assert store.load_reuse("k", profile.line_size, profile.n) is not None
+        assert store.stats.rejects == 0
 
     def test_shape_mismatch_rejected(self):
         stacked, record = reuse_to_columnar(build_reuse_profile(mixed_trace(n=64)))

@@ -7,14 +7,12 @@ from repro.apps import make_app
 from repro.config import nvm_dram_testbed
 from repro.errors import TraceError
 from repro.graph.generators import chung_lu_graph
-from repro.mem.cache import GAP_COLD, WorkingSetCache
+from repro.mem.cache import GAP_COLD, VERIFY_ENV, WorkingSetCache
 from repro.obs.metrics import process_metrics
 from repro.sim.experiment import run_atmem, run_static
 from repro.sim.reusepack import build_reuse_profile
 from repro.sim.tracecache import (
     DEFAULT_MAX_TRACES,
-    VERIFY_MASK_ENV,
-    VERIFY_REUSE_ENV,
     TraceCache,
     configured_max_traces,
     process_trace_cache,
@@ -160,7 +158,7 @@ class TestReuseDerivation:
         assert cache.stats.reuse_misses == 0
 
     def test_parity_oracle_passes_on_honest_masks(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_MASK_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "1")
         counters = process_metrics().counters
         checks = counters.get("mask.parity_checks", 0.0)
         failures = counters.get("mask.parity_failures", 0.0)
@@ -172,7 +170,7 @@ class TestReuseDerivation:
         assert counters.get("mask.parity_failures", 0.0) == failures
 
     def test_parity_oracle_raises_on_divergence(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_MASK_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "1")
         counters = process_metrics().counters
         failures = counters.get("mask.parity_failures", 0.0)
         cache = TraceCache(max_traces=4)
@@ -304,7 +302,7 @@ class TestIncrementalExtend:
         assert profile.n == base.total_accesses
 
     def test_parity_oracle_passes_on_honest_extension(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "1")
         counters = process_metrics().counters
         checks = counters.get("reuse.parity_checks", 0.0)
         failures = counters.get("reuse.parity_failures", 0.0)
@@ -316,7 +314,7 @@ class TestIncrementalExtend:
         assert counters.get("reuse.parity_failures", 0.0) == failures
 
     def test_parity_oracle_raises_on_sabotaged_base(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "1")
         counters = process_metrics().counters
         failures = counters.get("reuse.parity_failures", 0.0)
         cache = TraceCache(max_traces=4)

@@ -6,6 +6,7 @@ figures, and any corrupt entry (torn write, truncation, stale format)
 must be rejected and rebuilt rather than trusted.
 """
 
+import dataclasses
 import json
 import os
 
@@ -22,13 +23,9 @@ from repro.mem.trace import AccessKind, AccessTrace
 from repro.sim.parallel import AppSpec, JobSpec, execute_job
 from repro.sim.tracecache import TraceCache, llc_signature
 from repro.sim.reusepack import build_reuse_profile
-from repro.sim.tracestore import (
-    FORMAT_VERSION,
-    TRACE_ARRAY,
-    TRACE_MANIFEST,
-    TraceStore,
-    process_trace_store,
-)
+from repro.sim.artifacts import MASK, PROFILE, REUSE, SPECS, TRACE
+from repro.sim.profilepack import build_profile
+from repro.sim.tracestore import TRACE_ARRAY, TraceStore, process_trace_store
 
 TINY_SCALE = 1 << 20
 
@@ -55,7 +52,7 @@ class TestTraceRoundtrip:
         store = TraceStore(tmp_path)
         original = small_trace()
         assert store.save_trace("k1", original) is True
-        assert store.has_trace("k1")
+        assert store.has(TRACE, "k1")
         loaded = TraceStore(tmp_path).load_trace("k1")
         assert loaded is not None
         np.testing.assert_array_equal(
@@ -113,7 +110,7 @@ class TestMaskRoundtrip:
         llc = WorkingSetCache(1 << 14)
         mask = llc.hit_mask(trace.all_addresses())
         store.save_mask("k1", llc_signature(llc), mask)
-        array_path = store._mask_paths("k1", llc_signature(llc))[0]
+        array_path = store._paths(MASK, "k1", llc_signature(llc))[0]
         stored = np.load(array_path)
         assert stored.dtype == np.uint8
         assert stored.size == (mask.size + 7) // 8  # 8x smaller than bool
@@ -129,38 +126,6 @@ class TestMaskRoundtrip:
         loaded = TraceStore(tmp_path).load_mask("k1", sig, mask.size)
         assert not loaded.flags.writeable
 
-    def test_old_unpacked_mask_entry_rejected_and_rebuilt(self, tmp_path):
-        # A pre-packing entry: raw bool array, sidecar without the
-        # mask_format stamp.  It must be rejected (not silently
-        # misread as packed bytes) and a clean re-save must work.
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        llc = WorkingSetCache(1 << 14)
-        sig = llc_signature(llc)
-        mask = llc.hit_mask(trace.all_addresses())
-        array_path, sidecar_path = store._mask_paths("k1", sig)
-        np.save(array_path, mask)  # unpacked, old layout
-        import zlib
-
-        sidecar_path.write_text(
-            json.dumps(
-                {
-                    "format": FORMAT_VERSION,
-                    "llc": list(sig),
-                    "n": int(mask.size),
-                    "crc32": zlib.crc32(mask.view(np.uint8).data),
-                }
-            )
-        )
-        fresh = TraceStore(tmp_path)
-        assert fresh.load_mask("k1", sig, mask.size) is None
-        assert fresh.stats.rejects == 1
-        assert not fresh.has_mask("k1", sig)
-        assert fresh.save_mask("k1", sig, mask) is True
-        reread = TraceStore(tmp_path).load_mask("k1", sig, mask.size)
-        np.testing.assert_array_equal(np.asarray(reread), mask)
-
     def test_mask_length_mismatch_rejected(self, tmp_path):
         store = TraceStore(tmp_path)
         trace = small_trace()
@@ -172,7 +137,7 @@ class TestMaskRoundtrip:
         assert fresh.load_mask("k1", sig, 7) is None
         assert fresh.stats.rejects == 1
         # The bad mask pair is gone; the trace itself is untouched.
-        assert not fresh.has_mask("k1", sig)
+        assert not fresh.has(MASK, "k1", sig)
         assert fresh.load_trace("k1") is not None
 
 
@@ -183,7 +148,7 @@ class TestReuseRoundtrip:
         store.save_trace("k1", trace)
         profile = build_reuse_profile(trace.all_addresses())
         assert store.save_reuse("k1", profile.line_size, profile) is True
-        assert store.has_reuse("k1", profile.line_size)
+        assert store.has(REUSE, "k1", profile.line_size)
         loaded = TraceStore(tmp_path).load_reuse(
             "k1", profile.line_size, profile.n
         )
@@ -208,46 +173,8 @@ class TestReuseRoundtrip:
         fresh = TraceStore(tmp_path)
         assert fresh.load_reuse("k1", profile.line_size, 9) is None
         assert fresh.stats.rejects == 1
-        assert not fresh.has_reuse("k1", profile.line_size)
+        assert not fresh.has(REUSE, "k1", profile.line_size)
         assert fresh.load_trace("k1") is not None  # trace untouched
-
-    def test_v1_reuse_entry_rejected_and_rebuilt(self, tmp_path):
-        # A pre-curve v1 entry: int64 [2, n] gap rows only, sidecar
-        # without the reuse_format stamp.  It must be rejected (never
-        # migrated or misread as the float64 v2 layout) and a clean
-        # re-save must produce a loadable v2 entry.
-        import zlib
-
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        profile = build_reuse_profile(trace.all_addresses())
-        array_path, sidecar_path = store._reuse_paths("k1", profile.line_size)
-        stacked_v1 = np.stack([profile.gaps, profile.sorted_gaps])
-        array_path.parent.mkdir(parents=True, exist_ok=True)
-        np.save(array_path, stacked_v1)
-        sidecar_path.write_text(
-            json.dumps(
-                {
-                    "format": FORMAT_VERSION,
-                    "n": int(profile.n),
-                    "line_size": int(profile.line_size),
-                    "crc32": zlib.crc32(
-                        np.ascontiguousarray(stacked_v1).view(np.uint8).data
-                    ),
-                }
-            )
-        )
-        fresh = TraceStore(tmp_path)
-        assert fresh.load_reuse("k1", profile.line_size, profile.n) is None
-        assert fresh.stats.rejects == 1
-        assert not fresh.has_reuse("k1", profile.line_size)
-        assert fresh.save_reuse("k1", profile.line_size, profile) is True
-        reread = TraceStore(tmp_path).load_reuse(
-            "k1", profile.line_size, profile.n
-        )
-        np.testing.assert_array_equal(reread.gaps, profile.gaps)
-        np.testing.assert_array_equal(reread.sorted_gaps, profile.sorted_gaps)
 
     def test_loaded_reuse_answers_masks_without_float_work(self, tmp_path):
         # The v2 point: the window curve rides in the artifact, so the
@@ -274,13 +201,125 @@ class TestReuseRoundtrip:
         store.save_trace("k1", trace)
         profile = build_reuse_profile(trace.all_addresses())
         store.save_reuse("k1", profile.line_size, profile)
-        array_path = store._reuse_paths("k1", profile.line_size)[0]
+        array_path = store._paths(REUSE, "k1", profile.line_size)[0]
         raw = bytearray(array_path.read_bytes())
         raw[-8] ^= 0xFF
         array_path.write_bytes(bytes(raw))
         fresh = TraceStore(tmp_path)
         assert fresh.load_reuse("k1", profile.line_size, profile.n) is None
         assert fresh.stats.rejects == 1
+
+
+#: Each kind's sidecar field that sizes its array.
+LENGTH_FIELD = {"trace": "total", "mask": "n", "profile": "nnz", "reuse": "n"}
+
+
+def artifact_of(spec, trace):
+    """``(sub-key, artifact, expected)`` of one kind, derived from ``trace``."""
+    if spec is TRACE:
+        return None, trace, None
+    if spec is REUSE:
+        profile = build_reuse_profile(trace.all_addresses())
+        return profile.line_size, profile, profile.n
+    llc = WorkingSetCache(1 << 14)
+    mask = llc.hit_mask(trace.all_addresses())
+    if spec is MASK:
+        return llc_signature(llc), mask, mask.size
+    profile = build_profile(trace, mask)
+    return llc_signature(llc), profile, (len(trace.phases), trace.total_accesses)
+
+
+def columnar(spec, sub, artifact):
+    """An artifact's on-disk form: concatenated array bytes plus record."""
+    chunks, _, record = spec.encode(artifact, sub)
+    return np.concatenate([np.ravel(c) for c in chunks]), record
+
+
+@pytest.fixture(params=SPECS, ids=lambda spec: spec.kind)
+def saved(request, tmp_path):
+    """One artifact of every kind, committed under key ``k1``."""
+    spec = request.param
+    sub, artifact, expected = artifact_of(spec, small_trace())
+    store = TraceStore(tmp_path)
+    assert store.save(spec, "k1", sub, artifact) is True
+    return spec, sub, artifact, expected, store
+
+
+class TestArtifactTable:
+    """Every kind of the spec table through the one save/load path."""
+
+    def reload(self, saved):
+        spec, sub, _, expected, store = saved
+        fresh = TraceStore(store.root)
+        return fresh, fresh.load(spec, "k1", sub, expected)
+
+    def assert_rejected(self, saved):
+        spec, sub, _, _, _ = saved
+        fresh, loaded = self.reload(saved)
+        assert loaded is None
+        assert fresh.stats.rejects == 1
+        assert not fresh.has(spec, "k1", sub)  # dropped, ready to rebuild
+
+    def test_round_trip(self, saved):
+        spec, sub, artifact, _, store = saved
+        assert store.has(spec, "k1", sub)
+        fresh, loaded = self.reload(saved)
+        got, got_record = columnar(spec, sub, loaded)
+        want, want_record = columnar(spec, sub, artifact)
+        np.testing.assert_array_equal(got, want)
+        assert got_record == want_record
+        assert getattr(fresh.stats, f"{spec.kind}_loads") == 1
+
+    def test_save_is_idempotent(self, saved):
+        spec, sub, artifact, _, store = saved
+        assert store.save(spec, "k1", sub, artifact) is False
+        assert getattr(store.stats, f"{spec.kind}_saves") == 1
+
+    def test_flipped_byte_fails_crc(self, saved):
+        spec, sub, _, _, store = saved
+        array_path = store._paths(spec, "k1", sub)[0]
+        raw = bytearray(array_path.read_bytes())
+        raw[-1] ^= 0xFF
+        array_path.write_bytes(bytes(raw))
+        self.assert_rejected(saved)
+
+    def test_truncated_array_rejected(self, saved):
+        spec, sub, _, _, store = saved
+        array_path = store._paths(spec, "k1", sub)[0]
+        data = array_path.read_bytes()
+        array_path.write_bytes(data[: len(data) // 2])
+        self.assert_rejected(saved)
+
+    def test_length_mismatch_rejected(self, saved):
+        spec, sub, _, _, store = saved
+        sidecar_path = store._paths(spec, "k1", sub)[1]
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar[LENGTH_FIELD[spec.kind]] += 1
+        sidecar_path.write_text(json.dumps(sidecar))
+        self.assert_rejected(saved)
+
+    @pytest.mark.parametrize("bad", [None, "7", "missing"])
+    def test_malformed_numeric_field_rejected(self, saved, bad):
+        spec, sub, _, _, store = saved
+        sidecar_path = store._paths(spec, "k1", sub)[1]
+        sidecar = json.loads(sidecar_path.read_text())
+        for field in (LENGTH_FIELD[spec.kind], "crc32"):
+            tampered = dict(sidecar)
+            if bad == "missing":
+                del tampered[field]
+            else:
+                tampered[field] = bad
+            sidecar_path.write_text(json.dumps(tampered))
+            self.assert_rejected(saved)
+            assert store.save(spec, "k1", sub, saved[2]) is True
+
+    def test_other_format_version_is_never_found(self, saved):
+        spec, sub, _, expected, store = saved
+        other = dataclasses.replace(spec, version=spec.version + 1)
+        fresh = TraceStore(store.root)
+        assert fresh.load(other, "k1", sub, expected) is None
+        assert fresh.stats.rejects == 0
+        assert fresh.load(spec, "k1", sub, expected) is not None
 
 
 class TestIntegrity:
@@ -293,7 +332,7 @@ class TestIntegrity:
         fresh = TraceStore(tmp_path)
         assert fresh.load_trace("k1") is None
         assert fresh.stats.rejects == 1
-        assert not fresh.has_trace("k1")  # dropped, ready for recompute
+        assert not fresh.has(TRACE, "k1")  # dropped, ready for recompute
 
     def test_flipped_bytes_fail_crc(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -302,17 +341,6 @@ class TestIntegrity:
         raw = bytearray(array_path.read_bytes())
         raw[-8] ^= 0xFF
         array_path.write_bytes(bytes(raw))
-        fresh = TraceStore(tmp_path)
-        assert fresh.load_trace("k1") is None
-        assert fresh.stats.rejects == 1
-
-    def test_format_version_mismatch_rejected(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.save_trace("k1", small_trace())
-        manifest_path = store.entry_dir("k1") / TRACE_MANIFEST
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 999
-        manifest_path.write_text(json.dumps(manifest))
         fresh = TraceStore(tmp_path)
         assert fresh.load_trace("k1") is None
         assert fresh.stats.rejects == 1
@@ -363,7 +391,7 @@ class TestBudget:
         os.utime(old_entry, (1, 1))  # make it the eviction candidate
         store.save_trace("new", small_trace(seed=2))
         assert not old_entry.exists()
-        assert store.has_trace("new")  # the just-written entry is protected
+        assert store.has(TRACE, "new")  # the just-written entry is protected
 
     def test_budget_disabled_keeps_everything(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path))
@@ -371,7 +399,7 @@ class TestBudget:
         store = TraceStore(tmp_path)
         store.save_trace("a", small_trace(seed=1))
         store.save_trace("b", small_trace(seed=2))
-        assert store.has_trace("a") and store.has_trace("b")
+        assert store.has(TRACE, "a") and store.has(TRACE, "b")
 
 
 class TestProcessStore:
