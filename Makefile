@@ -2,14 +2,15 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-smoke bench-fold bench-scaling bench-cold serve-smoke chaos reproduce examples clean loc
+.PHONY: install test lint bench perfbench chaos reproduce examples clean loc
 
 install:
 	$(PYTHON) -m pip install -e '.[test]' --no-build-isolation || \
 	  echo "$(CURDIR)/src" > "$$($(PYTHON) -c 'import site; print(site.getsitepackages()[0])')/repro-dev.pth"
 
+# Tier-1: every path under pyproject's testpaths (tests/ and perfbench/tests).
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest
 
 # AST lint: no silent exception handlers, no bare print() outside the
 # report surface.  The same checks run under tier-1 via
@@ -20,46 +21,17 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# One small figure benchmark through the process pool with 2 workers;
-# fresh wall-clock timings (with a pricing: profile|replay field and a
-# replay-vs-profile speedup row) land in a scratch record file, then the
-# regression gate fails on stages >25% slower than the committed
-# BENCH_parallel.json.  The obs_overhead row (tracing+metrics on vs off
-# on the same cell) is gated absolutely at <3% wall overhead.
-bench-smoke:
-	rm -f benchmarks/results/BENCH_smoke.json
-	REPRO_PARALLEL_JSON=benchmarks/results/BENCH_smoke.json \
-	  $(PYTHON) -m pytest benchmarks/bench_parallel_engine.py benchmarks/bench_fold.py benchmarks/bench_obs_overhead.py --benchmark-only --jobs 2
-	PYTHONPATH=src $(PYTHON) -m repro.bench.regression --strict --fresh benchmarks/results/BENCH_smoke.json
+# The repository's one benchmark (see BENCHMARK.json): one short pass of
+# each workload.  Every pass checks its cell and job digests against
+# perfbench/digests.json; a mismatch or a failed job fails the target.
+PERFBENCH_WORKLOADS = fig5-cold grids-store-2 serve-churn
 
-# Reuse-fold microbenchmark: argsort fold vs the O(N) last-seen kernel
-# vs a store-loaded v2 curve answering a whole capacity sweep; appends
-# reuse_speedup + trace_gen_vectorize rows to BENCH_parallel.json (the
-# committed baselines the bench-smoke gate compares against).
-bench-fold:
-	$(PYTHON) -m pytest benchmarks/bench_fold.py --benchmark-only
-
-# Full fig5 scaling sweep: serial vs cold/warm trace store at 2 and 4
-# workers; refreshes BENCH_parallel.json and checks artifacts stay
-# bit-identical (see benchmarks/run_scaling.py).
-bench-scaling:
-	$(PYTHON) benchmarks/run_scaling.py
-
-# Cold-path gate: serial vs cold-2 fig5 only, into a scratch record,
-# then the strict regression gate re-judges the cold_parallel_speedup
-# invariant row (cold parallel must not fall below its recorded floor)
-# alongside the per-stage comparison against the committed baselines.
-bench-cold:
-	$(PYTHON) benchmarks/run_scaling.py --cold
-	PYTHONPATH=src $(PYTHON) -m repro.bench.regression --strict --fresh benchmarks/results/BENCH_cold.json
-
-# Serving-layer gate: stream a short arrival trace through the resident
-# service (repro.serve), record sustained placements/sec + p50/p99
-# decision latency to BENCH_serve.json, and prove kill-and-recover
-# resumes with a bit-identical tenant table.  Strict: blown p99 budget,
-# a diverged recovery, or any consistency-audit failure is a hard fail.
-serve-smoke:
-	$(PYTHON) benchmarks/bench_serve.py --smoke
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+	  out=$$($(PYTHON) perfbench/run.py --workload $$w --seed 7 --seconds 1 --trace 0) || exit 1; \
+	  echo "$$out"; \
+	  echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])' || exit 1; \
+	done
 
 # Fault-injection seed matrix: every injected fault must be survived
 # with results bit-identical to a fault-free run (see DESIGN.md).
@@ -77,6 +49,7 @@ examples:
 loc:
 	find src tests benchmarks examples -name '*.py' | xargs wc -l | tail -1
 
+# Untracked caches only: benchmarks/results holds committed artifacts.
 clean:
-	rm -rf benchmarks/results .pytest_cache .hypothesis
+	rm -rf .pytest_cache .hypothesis .perfbench-scratch
 	find . -name __pycache__ -type d -exec rm -rf {} +

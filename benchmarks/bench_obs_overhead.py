@@ -1,19 +1,14 @@
-"""Observability overhead gate (``make bench-smoke``).
+"""Observability overhead gate.
 
 Runs one representative figure cell (PR/twitter smoke) serially twice:
 with the telemetry plane **off** (no ``REPRO_TRACE``, the zero-cost
 ``_NULL_SPAN`` path) and **on** (span tracing armed to a scratch file,
-metrics registry live).  Three guarantees are checked:
+metrics registry live).  Two guarantees are checked:
 
 1. the produced figures are **bit-identical** between modes — tracing
    must observe the run, never perturb it;
 2. the wall-clock overhead of the *on* mode stays under
-   :data:`OVERHEAD_LIMIT` (3%) — asserted here and again by the
-   ``--strict`` regression gate on the recorded row;
-3. the run leaves an ``obs_overhead`` row in the record file
-   (``REPRO_PARALLEL_JSON``) carrying both timings, so ``make
-   bench-smoke`` can enforce the budget even on machines where the
-   committed baseline has no matching row.
+   :data:`OVERHEAD_LIMIT` (3%).
 
 Both modes replay the same memory-resident trace cache (primed once
 before any timing), so the comparison isolates instrumentation cost
@@ -23,10 +18,10 @@ from trace construction.
 import os
 import time
 
-from repro.bench.workloads import _cell_spec, bench_scale
+from repro.bench.workloads import _cell_spec
 from repro.obs import reset_all
 from repro.obs.tracer import TRACE_ENV, reset_process_tracer
-from repro.sim.parallel import execute_job, record_parallel_timing
+from repro.sim.parallel import execute_job
 from repro.sim.tracecache import TraceCache
 
 #: Maximum tolerated fractional wall overhead with telemetry armed.
@@ -88,19 +83,6 @@ def test_obs_overhead(once, tmp_path):
     assert _figures(off_cell) == _figures(on_cell)
 
     overhead = on_seconds / max(off_seconds, 1e-9) - 1.0
-    record_parallel_timing(
-        {
-            "benchmark": "obs_overhead",
-            "jobs": 1,
-            "cells": 1,
-            "scale": bench_scale(),
-            "rounds": ROUNDS,
-            "wall_seconds": round(on_seconds, 4),
-            "baseline_seconds": round(off_seconds, 4),
-            "overhead_fraction": round(overhead, 4),
-            "limit": OVERHEAD_LIMIT,
-        }
-    )
     assert overhead < OVERHEAD_LIMIT, (
         f"telemetry overhead {overhead:.1%} exceeds the "
         f"{OVERHEAD_LIMIT:.0%} budget "

@@ -6,8 +6,7 @@ timing distribution.  Heavy grids are shared between benchmarks through
 the memoised cache in :mod:`repro.bench.workloads`.
 
 Pass ``--jobs N`` to fan experiment cells out across N worker processes
-(sets ``REPRO_JOBS`` for the whole run); measured batch wall-clocks are
-appended to ``BENCH_parallel.json`` next to this directory.
+(sets ``REPRO_JOBS`` for the whole run).
 """
 
 import os
@@ -16,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-# Self-contained like run_scaling.py / bench_serve.py: `make bench*`
-# works without an installed package or an exported PYTHONPATH.
+# Self-contained: `make bench` works without an installed package or an
+# exported PYTHONPATH.
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
@@ -35,14 +34,10 @@ def pytest_addoption(parser):
 
 @pytest.fixture(autouse=True)
 def _experiment_jobs(request):
-    """Propagate --jobs to the pool and arm wall-clock recording."""
+    """Propagate --jobs to the pool."""
     jobs = request.config.getoption("--jobs")
     if jobs is not None:
         os.environ["REPRO_JOBS"] = str(jobs)
-    os.environ.setdefault(
-        "REPRO_PARALLEL_JSON",
-        str(Path(__file__).resolve().parent.parent / "BENCH_parallel.json"),
-    )
     yield
 
 

@@ -12,26 +12,18 @@ workers) instead of being computed one by one on cache misses.
 
 from __future__ import annotations
 
-import time
-
 from repro.bench.report import Series, Table
 from repro.bench.workloads import (
     BENCH_APPS,
     BENCH_DATASETS,
     app_factory,
     bench_platform,
-    bench_scale,
     overall_results,
     prime_overall_grid,
 )
 from repro.core.analyzer import AnalyzerConfig
 from repro.core.runtime import RuntimeConfig
-from repro.sim.parallel import (
-    ExperimentPool,
-    JobSpec,
-    record_parallel_timing,
-    resolve_jobs,
-)
+from repro.sim.parallel import JobSpec, run_jobs
 
 #: The subset of apps shown in the motivation figure.
 FIG1_APPS = ("PR", "SSSP", "BC")
@@ -44,7 +36,7 @@ def fig1a() -> Table:
         columns=["app", "dataset", "t_nvm_ms", "t_dram_ms", "normalized"],
         notes=["paper: slowdowns of up to 10x, largest for gather-heavy apps"],
     )
-    prime_overall_grid("nvm_dram", FIG1_APPS, benchmark="fig1a")
+    prime_overall_grid("nvm_dram", FIG1_APPS)
     for app in FIG1_APPS:
         for ds in BENCH_DATASETS:
             cell = overall_results("nvm_dram", app, ds)
@@ -61,7 +53,7 @@ def fig1b() -> Table:
         columns=["app", "dataset", "t_dram_ms", "t_mcdram_p_ms", "normalized"],
         notes=["paper: up to ~3x; limited MCDRAM capacity caps the gain"],
     )
-    prime_overall_grid("mcdram_dram", FIG1_APPS, benchmark="fig1b")
+    prime_overall_grid("mcdram_dram", FIG1_APPS)
     for app in FIG1_APPS:
         for ds in BENCH_DATASETS:
             cell = overall_results("mcdram_dram", app, ds)
@@ -86,7 +78,7 @@ def fig5() -> Table:
         ],
         notes=["paper: 1.25x-8.4x improvement over the all-NVM baseline"],
     )
-    prime_overall_grid("nvm_dram", benchmark="fig5")
+    prime_overall_grid("nvm_dram")
     for app in BENCH_APPS:
         for ds in BENCH_DATASETS:
             cell = overall_results("nvm_dram", app, ds)
@@ -120,7 +112,7 @@ def fig6() -> Table:
             "datasets that exceed MCDRAM capacity"
         ],
     )
-    prime_overall_grid("mcdram_dram", benchmark="fig6")
+    prime_overall_grid("mcdram_dram")
     for app in BENCH_APPS:
         for ds in BENCH_DATASETS:
             cell = overall_results("mcdram_dram", app, ds)
@@ -160,7 +152,7 @@ def _data_ratio_table(platform_name: str, title: str, note: str) -> Table:
         columns=["app", "dataset", "data_ratio", "selected_KiB", "total_KiB"],
         notes=[note],
     )
-    prime_overall_grid(platform_name, benchmark=f"data_ratio[{platform_name}]")
+    prime_overall_grid(platform_name)
     for app in BENCH_APPS:
         for ds in BENCH_DATASETS:
             cell = overall_results(platform_name, app, ds)
@@ -221,30 +213,11 @@ def ratio_sweep(platform_name: str, datasets=BENCH_DATASETS, *, jobs=None) -> Se
             specs.append(
                 JobSpec(app=factory, platform=platform, flow="static", placement="fast", tag=ds)
             )
-    n_jobs = resolve_jobs(jobs)
-    pool = ExperimentPool(n_jobs)
-    start = time.perf_counter()
-    results = pool.run(specs)
-    elapsed = time.perf_counter() - start
+    results = run_jobs(specs, jobs)
     for spec, result in zip(specs, results):
         if spec.flow == "atmem":
             series.add_point(spec.tag, result.data_ratio, result.seconds)
         else:
             x = 1.0 if spec.placement == "fast" else 0.0
             series.add_point(spec.tag, x, result.seconds)
-    record_parallel_timing(
-        {
-            "benchmark": f"ratio_sweep[{platform_name}]",
-            "jobs": n_jobs,
-            "mode": pool.last_mode,
-            "cells": len(specs),
-            "scale": bench_scale(),
-            "wall_seconds": round(elapsed, 3),
-            "cache": {
-                "cold": pool.health.cold_jobs,
-                "warm": pool.health.warm_jobs,
-                "store": pool.health.store_jobs,
-            },
-        }
-    )
     return series

@@ -31,7 +31,7 @@ def table3() -> Table:
             "(slowdown = atmem_time/ideal_time - 1, shown as e.g. 0.25 = 25%)"
         ],
     )
-    prime_overall_grid("nvm_dram", benchmark="table3")
+    prime_overall_grid("nvm_dram")
     for app in BENCH_APPS:
         slowdowns = [
             overall_results("nvm_dram", app, ds).slowdown_vs_reference - 1.0
@@ -116,9 +116,7 @@ def overhead_analysis() -> Table:
             "amortize the one-time costs within a few iterations"
         ],
     )
-    prime_overall_grid(
-        "nvm_dram", datasets=("rmat24", "friendster"), benchmark="overhead_analysis"
-    )
+    prime_overall_grid("nvm_dram", datasets=("rmat24", "friendster"))
     for app in BENCH_APPS:
         for ds in ("rmat24", "friendster"):
             cell = overall_results("nvm_dram", app, ds)

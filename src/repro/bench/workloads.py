@@ -7,8 +7,7 @@ figure/table renders from the cache.
 
 Whole grids go through :func:`prime_overall_grid`, which fans the cells
 out across the :class:`repro.sim.parallel.ExperimentPool` (``REPRO_JOBS``
-workers, serial when 1) and records the measured wall-clock per batch in
-``BENCH_parallel.json``.  A cell job runs its three placements against one
+workers, serial when 1).  A cell job runs its three placements against one
 shared trace-cache entry, so the app's deterministic trace and LLC hit
 mask are computed once per (app, dataset) rather than once per run.
 
@@ -20,21 +19,13 @@ scaling tracks it automatically).
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.config import PlatformConfig, platform_by_name
 from repro.graph.datasets import DATASET_NAMES
-from repro.mem.trace import worker_byte_budget
 from repro.sim.experiment import AtMemRunResult, StaticRunResult
-from repro.sim.parallel import (
-    AppSpec,
-    ExperimentPool,
-    JobSpec,
-    record_parallel_timing,
-    resolve_jobs,
-)
+from repro.sim.parallel import AppSpec, JobSpec, run_jobs
 
 #: Apps in the order of the paper's figures.
 BENCH_APPS = ("BFS", "SSSP", "PR", "BC", "CC")
@@ -125,14 +116,10 @@ def prime_overall_grid(
     datasets: Iterable[str] = BENCH_DATASETS,
     *,
     jobs: int | None = None,
-    benchmark: str | None = None,
-) -> float:
+) -> None:
     """Compute (and cache) every missing cell of a grid, in parallel.
 
-    Returns the wall-clock seconds the batch took and appends a timing
-    record to ``BENCH_parallel.json`` so speedups are measured artifacts,
-    not claims.  Cached cells are skipped; a fully-cached grid costs
-    nothing and records nothing.
+    Cached cells are skipped; a fully-cached grid costs nothing.
     """
     pending = [
         (app, ds)
@@ -141,57 +128,13 @@ def prime_overall_grid(
         if (platform_name, app, ds) not in _OVERALL_CACHE
     ]
     if not pending:
-        return 0.0
-    from repro.obs.metrics import process_metrics
-
-    n_jobs = resolve_jobs(jobs)
-    pool = ExperimentPool(n_jobs)
-
-    def _priced(kind: str) -> float:
-        return float(
-            process_metrics().snapshot()["counters"].get(f"pricing.{kind}", 0.0)
-        )
-
-    profile_before = _priced("profile_cells")
-    replay_before = _priced("replay_cells")
-    start = time.perf_counter()
-    cells = pool.run([_cell_spec(platform_name, app, ds) for app, ds in pending])
-    elapsed = time.perf_counter() - start
-    # Worker counters reach the parent via the obs drain/absorb path, so
-    # the deltas describe the whole batch regardless of execution mode.
-    profile_runs = _priced("profile_cells") - profile_before
-    replay_runs = _priced("replay_cells") - replay_before
+        return
+    specs = [_cell_spec(platform_name, app, ds) for app, ds in pending]
+    cells = run_jobs(specs, jobs)
     for (app, ds), cell in zip(pending, cells):
         _OVERALL_CACHE[(platform_name, app, ds)] = OverallCell(
             baseline=cell.baseline, reference=cell.reference, atmem=cell.atmem
         )
-    record_parallel_timing(
-        {
-            "benchmark": benchmark or f"overall_grid[{platform_name}]",
-            "jobs": n_jobs,
-            "mode": pool.last_mode,
-            "cells": len(pending),
-            "scale": bench_scale(),
-            "wall_seconds": round(elapsed, 3),
-            "pricing": "profile" if profile_runs > 0 else "replay",
-            "priced_runs": {
-                "profile": int(profile_runs),
-                "replay": int(replay_runs),
-            },
-            "cache": {
-                "cold": pool.health.cold_jobs,
-                "warm": pool.health.warm_jobs,
-                "store": pool.health.store_jobs,
-            },
-            "pool": {
-                "cold_keys": pool.health.cold_keys,
-                "cold_admitted": pool.health.cold_admitted,
-                "worker_rss_bytes": pool.health.max_worker_rss_bytes,
-                "worker_bytes_budget": worker_byte_budget(),
-            },
-        }
-    )
-    return elapsed
 
 
 def overall_results(platform_name: str, app_name: str, dataset: str) -> OverallCell:

@@ -36,9 +36,6 @@ Data-plane knobs (flags export the matching environment variable):
 
 - ``--trace-store DIR`` (``REPRO_TRACE_STORE``) — persistent mmap store
   of traces and LLC hit masks, shared across workers and sessions;
-- ``--schedule {cache,fifo}`` (``REPRO_POOL_SCHEDULE``) — pool dispatch
-  policy: ``cache`` primes the store before fanning out, ``fifo`` is
-  plain submission order;
 - ``REPRO_CACHE_BYTES`` — combined disk budget over the trace store and
   the graph cache (``REPRO_GRAPH_CACHE``); ``REPRO_GRAPH_SHM=0``
   disables shared-memory graph segments.
@@ -201,20 +198,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     from repro.bench.report import emit
     from repro.faults.plan import FAULT_PLAN_ENV, parse_plan
-    from repro.sim.parallel import (
-        JOB_TIMEOUT_ENV,
-        JOBS_ENV,
-        PARALLEL_JSON_DEFAULT,
-        PARALLEL_JSON_ENV,
-    )
+    from repro.sim.parallel import JOB_TIMEOUT_ENV, JOBS_ENV
 
     if args.scale is not None:
         os.environ["REPRO_BENCH_SCALE"] = str(args.scale)
     if args.jobs is not None:
         os.environ[JOBS_ENV] = str(args.jobs)
-        # Arm wall-clock recording so parallel reproduction runs leave
-        # measured timings behind (BENCH_parallel.json unless overridden).
-        os.environ.setdefault(PARALLEL_JSON_ENV, PARALLEL_JSON_DEFAULT)
     if args.job_timeout is not None:
         os.environ[JOB_TIMEOUT_ENV] = str(args.job_timeout)
     if args.chaos is not None:
@@ -535,11 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
              "default: disabled)",
     )
     rep_p.add_argument(
-        "--schedule", choices=("cache", "fifo"), default=None,
-        help="pool dispatch policy (sets REPRO_POOL_SCHEDULE; default: cache "
-             "— prime the trace store, then fan out longest-first)",
-    )
-    rep_p.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a span timeline to PATH as JSONL (sets REPRO_TRACE; "
              "convert with `repro trace`)",
@@ -726,10 +710,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.cachebudget import TRACE_STORE_ENV
 
         os.environ[TRACE_STORE_ENV] = args.trace_store
-    if getattr(args, "schedule", None):
-        from repro.sim.parallel import SCHEDULE_ENV
-
-        os.environ[SCHEDULE_ENV] = args.schedule
     if getattr(args, "trace", None):
         from repro.obs.tracer import TRACE_ENV
 

@@ -14,7 +14,7 @@ scraper, ``repro top``, or ``curl`` can hit while the service runs:
 The providers are plain callables so the server stays decoupled from
 the service (and trivially testable).  The async scrape helper exists
 because the obvious ``urllib`` call would *block the event loop the
-server runs on* — in-process scrapes (bench_serve, serve_trace) must
+server runs on* — in-process scrapes (:func:`repro.serve.serve_trace`) must
 go through :func:`fetch`; a separate-process poller (``repro top``)
 can use whatever it likes.
 """

@@ -6,7 +6,8 @@ live-tenant set (it never departs a tenant it has not admitted), so the
 same seed always yields the same trace.  :func:`serve_trace` drives such
 a trace through a :class:`~repro.serve.service.PlacementService` inside
 ``asyncio.run`` and reports sustained placements/sec plus the decision-
-latency quantiles the benchmark (``benchmarks/bench_serve.py``) records.
+latency quantiles (the ``serve-churn`` workload of ``perfbench/`` drives
+the service the same way).
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ The profile path only engages when replay has nothing the histogram lost:
 no miss observer (profiling windows need the in-order miss stream), no
 TLB counting, and a profile that actually describes this trace.  Every
 priced run increments ``pricing.profile_cells`` or
-``pricing.replay_cells``; ``REPRO_PRICING=replay`` forces replay
-everywhere, and ``REPRO_VERIFY=1`` re-replays each profile-priced
-run and asserts the two costs agree (the parity oracle).
+``pricing.replay_cells``, and ``REPRO_VERIFY=1`` re-replays each
+profile-priced run and asserts the two costs agree (the parity oracle).
 
 The hit mask of step 1 is itself usually *derived* rather than simulated:
 the trace cache compiles a capacity-independent reuse profile — the
@@ -39,7 +38,6 @@ The same switch arms the matching mask parity oracle on that path (see
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Protocol
 
@@ -54,19 +52,10 @@ from repro.obs.tracer import span
 from repro.sim.metrics import RunCost
 from repro.sim.profilepack import TraceProfile
 
-#: Forces a pricing path: ``replay`` disables profile pricing process-wide.
-PRICING_ENV = "REPRO_PRICING"
-
 #: Relative tolerance of the parity oracle.  Profile pricing is designed
 #: to be bit-exact; the tolerance only keeps the oracle honest about its
 #: contract (the ISSUE asks for float tolerance, not bit equality).
 PARITY_RTOL = 1e-12
-
-
-def pricing_mode() -> str:
-    """``replay`` (forced) or ``auto`` from ``REPRO_PRICING``."""
-    raw = os.environ.get(PRICING_ENV, "").strip().lower()
-    return "replay" if raw == "replay" else "auto"
 
 
 class MissObserver(Protocol):
@@ -158,7 +147,6 @@ class TraceExecutor:
             profile is not None
             and miss_observer is None
             and not self.count_tlb
-            and pricing_mode() != "replay"
             and profile.matches(trace)
         )
         registry = process_metrics()

@@ -44,13 +44,11 @@ CPU count) and to the worker memory budget (``REPRO_WORKER_BYTES`` over
 the largest projected trace); when the clamp admits a single lane the
 parent primes keys in-process instead of paying fork and store
 round-trips for serialised work.  The warm remainder then fans out
-longest-expected-first.  ``REPRO_POOL_SCHEDULE=fifo`` restores plain
-submission order.  The parent also pre-builds every referenced dataset
-and publishes its CSR arrays as read-only shared-memory segments
+longest-expected-first.  The parent also pre-builds every referenced
+dataset and publishes its CSR arrays as read-only shared-memory segments
 (:mod:`repro.graph.shm`), released in a ``finally`` even when workers
 crash.  Per-job cache telemetry (cold / warm / warm-from-store), the
-admission decision, and peak worker RSS land in :class:`PoolHealth` and
-the ``BENCH_parallel.json`` records.
+admission decision, and peak worker RSS land in :class:`PoolHealth`.
 
 Determinism: every job runs :func:`execute_job`, which seeds NumPy's
 global RNG from the spec's content hash before executing, and all model
@@ -65,7 +63,6 @@ order (results are indexed by submission order; see
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import sys
@@ -81,7 +78,6 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -135,20 +131,10 @@ JOB_BACKOFF_ENV = "REPRO_JOB_BACKOFF"
 #: How long an injected ``pool.hang`` sleeps when the spec has no param.
 DEFAULT_HANG_SECONDS = 30.0
 
-#: Dispatch policy: ``cache`` (default, primer waves + longest-first)
-#: or ``fifo`` (plain submission order).
-SCHEDULE_ENV = "REPRO_POOL_SCHEDULE"
-
 #: CPU count the cold-admission clamp believes in (default: the machine's).
-#: Overridable so tests can exercise the multicore staged DAG on one core
-#: and the bench harness can pin a reproducible width.
+#: Overridable so a run can exercise the multicore staged DAG on one core
+#: or pin a reproducible width.
 POOL_CPUS_ENV = "REPRO_POOL_CPUS"
-
-#: Environment variable overriding where wall-clock timings are recorded.
-PARALLEL_JSON_ENV = "REPRO_PARALLEL_JSON"
-
-#: Default timing-record file (relative to the current directory).
-PARALLEL_JSON_DEFAULT = "BENCH_parallel.json"
 
 FLOWS = ("static", "atmem", "coarse", "cell", "multitenant")
 
@@ -166,18 +152,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
                 f"{JOBS_ENV} must be an integer, got {raw!r}"
             ) from None
     return 1
-
-
-def pool_schedule() -> str:
-    """The dispatch policy from ``REPRO_POOL_SCHEDULE`` (default ``cache``)."""
-    raw = os.environ.get(SCHEDULE_ENV, "").strip().lower()
-    if raw in ("", "cache"):
-        return "cache"
-    if raw == "fifo":
-        return "fifo"
-    raise ConfigurationError(
-        f"{SCHEDULE_ENV} must be 'cache' or 'fifo', got {raw!r}"
-    )
 
 
 def pool_cpus() -> int:
@@ -724,9 +698,9 @@ def _emit_worker_rss() -> None:
 
     The amount rides the obs blob home as a ``pool.worker_rss`` event and
     max-folds into :attr:`PoolHealth.max_worker_rss_bytes` — the evidence
-    behind the bench-row claim that chunked streaming folds keep workers
-    under ``REPRO_WORKER_BYTES``.  ``ru_maxrss`` is kilobytes on Linux
-    and bytes on macOS.
+    that chunked streaming folds keep workers under
+    ``REPRO_WORKER_BYTES``.  ``ru_maxrss`` is kilobytes on Linux and bytes
+    on macOS.
     """
     try:
         import resource
@@ -1047,8 +1021,6 @@ class ExperimentPool:
         dispatch keeps the full worker count, because warm cells stream
         artifacts from the store instead of materialising them.
         """
-        if pool_schedule() == "fifo":
-            return None
         store = process_trace_store()
         if store is None:
             return None
@@ -1206,16 +1178,15 @@ class ExperimentPool:
     def _dispatch_waves(self, jobs: list[_Job]) -> list[list[_Job]]:
         """Split the batch into dispatch waves.
 
-        Under the default ``cache`` schedule jobs go out
-        longest-expected-first (so the critical path starts early), and
-        when the persistent store is armed, a first wave runs exactly one
-        *primer* job per store-cold trace key: siblings sharing that key
-        then load the trace from the store instead of all recomputing it
-        side by side.  ``fifo`` (or a trivial batch) is one wave in
-        submission order.  Waves only order dispatch — results stay
-        indexed by submission order and are bit-identical regardless.
+        Jobs go out longest-expected-first (so the critical path starts
+        early), and when the persistent store is armed, a first wave runs
+        exactly one *primer* job per store-cold trace key: siblings
+        sharing that key then load the trace from the store instead of all
+        recomputing it side by side.  A trivial batch is one wave.  Waves
+        only order dispatch — results stay indexed by submission order and
+        are bit-identical regardless.
         """
-        if len(jobs) <= 1 or pool_schedule() == "fifo":
+        if len(jobs) <= 1:
             return [jobs]
         ordered = sorted(jobs, key=lambda j: (-j.spec.expected_cost(), j.index))
         store = process_trace_store()
@@ -1512,95 +1483,3 @@ class ExperimentPool:
 def run_jobs(specs: Sequence[JobSpec], jobs: int | None = None) -> list:
     """One-shot convenience: ``ExperimentPool(jobs).run(specs)``."""
     return ExperimentPool(jobs).run(specs)
-
-
-# ----------------------------------------------------------------------
-# wall-clock bookkeeping
-# ----------------------------------------------------------------------
-def parallel_json_path(path: str | Path | None = None) -> Path | None:
-    """Where harness wall-clock timings are recorded (``None``: disabled).
-
-    Recording is armed by an explicit path or by ``REPRO_PARALLEL_JSON``
-    (the benchmark harness and ``repro reproduce --jobs`` arm it); plain
-    unit-test runs leave no timing files behind.
-    """
-    if path is not None:
-        return Path(path)
-    env = os.environ.get(PARALLEL_JSON_ENV)
-    return Path(env) if env else None
-
-
-#: Stage timings every ``BENCH_parallel.json`` row carries, zero-filled
-#: when a stage never ran.  A missing key is indistinguishable from "not
-#: measured", and rows are diffed field-by-field across PRs — so the set
-#: of keys is part of the record's contract, not an accident of which
-#: code paths the run happened to take.
-CANONICAL_STAGES = (
-    "graph_build",
-    "trace_gen",
-    "hit_mask",
-    "mask_derive",
-    "reuse_build",
-    "reuse_extend",
-    "profile_build",
-    "pricing",
-)
-
-
-def stage_breakdown() -> dict[str, dict[str, float]]:
-    """Per-stage wall-clock totals accumulated so far in this process.
-
-    Every canonical stage (:data:`CANONICAL_STAGES`) is present — zeroed
-    when it never ran — plus any extra ``stage.*`` timing the process
-    observed.  The stages cover the expensive halves of a cell, so a slow
-    row in ``BENCH_parallel.json`` names its own bottleneck.  Wall clocks
-    are non-deterministic, which is why this lives next to
-    ``wall_seconds`` in the record rather than inside the deterministic
-    ``metrics`` snapshot.  Worker stage timings reach the parent through
-    the obs drain/absorb path, so pool runs include them.
-    """
-    registry = process_metrics()
-    breakdown = {
-        name: {"seconds": 0.0, "count": 0} for name in CANONICAL_STAGES
-    }
-    for name, timing in sorted(registry.timings.items()):
-        if name.startswith("stage."):
-            breakdown[name[len("stage."):]] = {
-                "seconds": round(timing.total, 6),
-                "count": timing.count,
-            }
-    return breakdown
-
-
-def record_parallel_timing(entry: dict, path: str | Path | None = None) -> Path | None:
-    """Append one timing record to ``BENCH_parallel.json`` (best effort).
-
-    The file holds a JSON list of records ``{"benchmark", "jobs", "cells",
-    "wall_seconds", ...}`` so speedups are measured, not asserted.  Every
-    record is stamped with the deterministic families of the process
-    metrics snapshot (counters, gauges, timing counts) under ``metrics``,
-    so a perf claim in a future PR carries its own evidence — cache hit
-    rates, tier traffic, and migration accounting travel with the wall
-    time they explain — plus the wall-clock :func:`stage_breakdown`
-    under ``stages``.
-    """
-    target = parallel_json_path(path)
-    if target is None:
-        return None
-    entry = dict(entry)
-    entry.setdefault("metrics", process_metrics().deterministic_snapshot())
-    entry.setdefault("stages", stage_breakdown())
-    records: list = []
-    if target.exists():
-        try:
-            existing = json.loads(target.read_text(encoding="utf-8"))
-            if isinstance(existing, list):
-                records = existing
-        except (OSError, json.JSONDecodeError):
-            records = []
-    records.append(entry)
-    try:
-        target.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
-    except OSError:
-        pass
-    return target

@@ -50,9 +50,9 @@ ArtifactSpec`:
 - **Write policy** — :meth:`TraceStore.should_persist` skips writes
   whose projected cost (from a process-wide EWMA of commit throughput)
   exceeds ``rebuild_seconds * 0.5``; ``REPRO_STORE_POLICY=always|
-  adaptive|never`` overrides.  Writes under 4 MiB always persist — the
-  policy stops multi-hundred-MB folds drowning the cold path in write
-  time, not tiny scales.  Throughput is measured *durably* (large
+  adaptive|never`` overrides (any other value raises).  Writes under
+  4 MiB always persist — the policy stops multi-hundred-MB folds
+  drowning the cold path in write time, not tiny scales.  Throughput is measured *durably* (large
   commits fsync before the rename, and a one-time 4 MiB fsynced probe
   precedes the first large decision): buffered writes land in the page
   cache at RAM speed and would teach the EWMA a bandwidth the disk
@@ -75,7 +75,7 @@ from typing import Callable, Hashable, Iterable, Iterator
 import numpy as np
 
 from repro.cachebudget import TRACE_STORE_ENV, enforce_cache_budget, touch_entry
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.faults.injector import InjectedWorkerCrash, fault_point
 from repro.faults.plan import SITE_STORE_LEASE_CRASH, SITE_STORE_TORN
 from repro.mem.trace import AccessTrace
@@ -108,6 +108,7 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 
 #: Write policy override: ``always`` | ``adaptive`` (default) | ``never``.
 STORE_POLICY_ENV = "REPRO_STORE_POLICY"
+STORE_POLICIES = ("always", "adaptive", "never")
 
 #: Writes at or below this size always persist (adaptive mode) — the
 #: policy targets multi-hundred-MB artifact folds, not tiny-scale tests.
@@ -142,6 +143,19 @@ def lease_timeout() -> float:
     return DEFAULT_LEASE_TIMEOUT
 
 
+def store_policy() -> str:
+    """The write policy from ``REPRO_STORE_POLICY`` (default ``adaptive``)."""
+    raw = os.environ.get(STORE_POLICY_ENV, "").strip().lower()
+    if not raw:
+        return "adaptive"
+    if raw in STORE_POLICIES:
+        return raw
+    raise ConfigurationError(
+        f"{STORE_POLICY_ENV} must be one of {'|'.join(STORE_POLICIES)}, "
+        f"got {raw!r}"
+    )
+
+
 class _WritePolicy:
     """Process-wide adaptive write-value policy.
 
@@ -172,7 +186,7 @@ class _WritePolicy:
     def should_persist(
         self, nbytes: int, rebuild_seconds: float | None
     ) -> bool:
-        mode = os.environ.get(STORE_POLICY_ENV, "adaptive")
+        mode = store_policy()
         if mode == "never":
             return False
         if mode != "adaptive" or rebuild_seconds is None:
@@ -244,7 +258,7 @@ class TraceStore:
         if (
             rebuild_seconds is not None
             and nbytes > SMALL_WRITE_BYTES
-            and os.environ.get(STORE_POLICY_ENV, "adaptive") == "adaptive"
+            and store_policy() == "adaptive"
         ):
             self._calibrate_policy()
         verdict = _WRITE_POLICY.should_persist(nbytes, rebuild_seconds)

@@ -77,6 +77,18 @@ class TestReproduceCommand:
         assert "Table 3" in out
         assert "regenerated 1 experiment(s)" in out
 
+    def test_reproduce_leaves_no_record_file(self, tmp_path, monkeypatch):
+        import repro.bench.workloads as workloads_mod
+
+        monkeypatch.setattr(workloads_mod, "_OVERALL_CACHE", {})
+        # main() exports both; monkeypatch restores them afterwards.
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "65536")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "table3", "--scale", "65536", "--jobs", "1"]) == 0
+        # Artifacts go to benchmarks/results; no timing record lands here.
+        assert list(tmp_path.iterdir()) == []
+
     def test_reproduce_unknown_experiment(self, capsys):
         assert main(["reproduce", "fig99"]) == 2
         assert "unknown experiments" in capsys.readouterr().out

@@ -10,11 +10,8 @@ Covers the contracts the rest of the harness now leans on:
 - :class:`repro.mem.telemetry.TierTraffic` utilization edge cases;
 - metrics snapshot determinism across two same-seed runs;
 - pool-health classification under the cache schedule with retries and
-  worker restarts, now merged from worker-buffered events;
-- the bench wall-clock regression gate.
+  worker restarts, now merged from worker-buffered events.
 """
-
-import json
 
 import pytest
 
@@ -48,7 +45,6 @@ from repro.sim.parallel import (
     JOB_BACKOFF_ENV,
     JOB_RETRIES_ENV,
     JOB_TIMEOUT_ENV,
-    SCHEDULE_ENV,
     AppSpec,
     ExperimentPool,
     JobSpec,
@@ -293,20 +289,6 @@ class TestMetricsRegistry:
         assert first == second
         assert first["counters"]  # the run actually recorded something
 
-    def test_bench_rows_embed_deterministic_snapshot(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.sim.parallel import record_parallel_timing
-
-        process_metrics().inc("executor.runs", 4)
-        target = tmp_path / "bench.json"
-        record_parallel_timing(
-            {"benchmark": "t", "jobs": 1, "wall_seconds": 0.1}, target
-        )
-        rows = json.loads(target.read_text())
-        assert rows[0]["metrics"]["counters"]["executor.runs"] == 4
-        assert "timings" not in rows[0]["metrics"]  # wall-clock stays out
-
 
 class TestDrainAbsorb:
     def test_round_trip_moves_all_three_families(self, monkeypatch, tmp_path):
@@ -375,7 +357,6 @@ class TestTierTraffic:
 # ----------------------------------------------------------------------
 class TestPoolHealthCacheSchedule:
     def _run(self, monkeypatch, tmp_path, plan=None, runs=1):
-        monkeypatch.setenv(SCHEDULE_ENV, "cache")
         from repro.cachebudget import TRACE_STORE_ENV
 
         monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
@@ -408,7 +389,6 @@ class TestPoolHealthCacheSchedule:
         from repro.faults import injected
 
         plan = FaultPlan((FaultSpec(SITE_POOL_CRASH, times=0),))
-        monkeypatch.setenv(SCHEDULE_ENV, "cache")
         from repro.cachebudget import TRACE_STORE_ENV
 
         monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
@@ -430,7 +410,6 @@ class TestPoolHealthCacheSchedule:
         from repro.faults import injected
 
         plan = FaultPlan((FaultSpec(SITE_POOL_EXIT, times=0),))
-        monkeypatch.setenv(SCHEDULE_ENV, "cache")
         from repro.cachebudget import TRACE_STORE_ENV
 
         monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
@@ -455,110 +434,3 @@ class TestPoolHealthCacheSchedule:
             "worker metrics should merge into the parent registry"
         )
         assert process_bus().count("pool.cache_use") == 2
-
-
-# ----------------------------------------------------------------------
-# bench regression gate
-# ----------------------------------------------------------------------
-class TestBenchRegressionGate:
-    def _row(self, benchmark="fig5", jobs=2, phase="", wall=1.0):
-        return {
-            "benchmark": benchmark,
-            "jobs": jobs,
-            "phase": phase,
-            "wall_seconds": wall,
-        }
-
-    def test_exact_key_match_flags_slowdown(self):
-        from repro.bench.regression import compare
-
-        fresh = [self._row(phase="warm-2", wall=2.0)]
-        base = [self._row(phase="warm-2", wall=1.0)]
-        (reg,) = compare(fresh, base, threshold=0.25)
-        assert reg.slowdown == pytest.approx(1.0)
-
-    def test_within_threshold_is_quiet(self):
-        from repro.bench.regression import compare
-
-        fresh = [self._row(wall=1.2)]
-        base = [self._row(wall=1.0)]
-        assert compare(fresh, base, threshold=0.25) == []
-
-    def test_phaseless_fresh_row_uses_slowest_baseline(self):
-        from repro.bench.regression import compare
-
-        fresh = [self._row(phase="", wall=2.0)]
-        base = [
-            self._row(phase="cold-2", wall=3.0),
-            self._row(phase="warm-2", wall=0.5),
-        ]
-        assert compare(fresh, base, threshold=0.25) == []
-
-    def test_unknown_benchmark_is_skipped(self):
-        from repro.bench.regression import compare
-
-        fresh = [self._row(benchmark="brand-new", wall=100.0)]
-        base = [self._row(wall=1.0)]
-        assert compare(fresh, base) == []
-
-    def test_render_table_lists_worst_first(self):
-        from repro.bench.regression import compare, render_table
-
-        fresh = [
-            self._row(benchmark="a", wall=2.0),
-            self._row(benchmark="b", wall=4.0),
-        ]
-        base = [
-            self._row(benchmark="a", wall=1.0),
-            self._row(benchmark="b", wall=1.0),
-        ]
-        table = render_table(compare(fresh, base))
-        assert "WARNING" in table
-        assert table.index("b ") < table.index("a ")
-
-    def test_all_clear_line_when_nothing_regressed(self):
-        from repro.bench.regression import render_table
-
-        assert "no stage" in render_table([])
-
-    def test_load_rows_tolerates_corruption(self, tmp_path):
-        from repro.bench.regression import load_rows
-
-        target = tmp_path / "x.json"
-        assert load_rows(target) == []
-        target.write_text("{not json")
-        assert load_rows(target) == []
-
-    def test_cold_parallel_slower_than_serial_warns_with_stages(self):
-        from repro.bench.regression import cold_parallel_warnings
-
-        rows = [
-            self._row(phase="serial", jobs=1, wall=10.0),
-            {
-                **self._row(phase="cold-2", wall=14.0),
-                "stages": {
-                    "trace_gen": {"seconds": 9.5, "count": 25},
-                    "pricing": {"seconds": 0.4, "count": 50},
-                },
-            },
-        ]
-        warnings = cold_parallel_warnings(rows)
-        assert len(warnings) == 2, warnings
-        assert "cold-2" in warnings[0] and "40% slower" in warnings[0]
-        assert "trace_gen +9.50s" in warnings[1]
-
-    def test_cold_parallel_faster_than_serial_is_quiet(self):
-        from repro.bench.regression import cold_parallel_warnings
-
-        rows = [
-            self._row(phase="serial", jobs=1, wall=10.0),
-            self._row(phase="cold-2", wall=8.0),
-            self._row(phase="warm-2", wall=1.0),
-        ]
-        assert cold_parallel_warnings(rows) == []
-
-    def test_cold_parallel_without_serial_baseline_is_skipped(self):
-        from repro.bench.regression import cold_parallel_warnings
-
-        rows = [self._row(phase="cold-2", wall=100.0)]
-        assert cold_parallel_warnings(rows) == []

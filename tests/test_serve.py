@@ -407,6 +407,7 @@ class TestJournalRecovery:
                     {
                         "name": t["name"],
                         "app": t.get("app"),
+                        "phase": t.get("phase", 0),
                         "placements": t["placements"],
                     }
                     for t in report["tenant_table"]

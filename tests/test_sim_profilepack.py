@@ -3,7 +3,7 @@
 The contract under test (DESIGN.md section 9): pricing a run from its
 compiled per-(phase, page) miss histogram is **bit-exact** with replay
 for every static-placement run, falls back to replay whenever replay
-still has a job (miss observers, TLB counting, ``REPRO_PRICING=replay``),
+still has a job (miss observers, TLB counting),
 and survives the store boundary (CRC rejection, rebuild) without ever
 perturbing committed figures.
 """
@@ -21,11 +21,7 @@ from repro.graph.datasets import dataset_by_name
 from repro.mem.cache import VERIFY_ENV
 from repro.mem.trace import AccessTrace
 from repro.obs.metrics import process_metrics
-from repro.sim.executor import (
-    PRICING_ENV,
-    TraceExecutor,
-    pricing_mode,
-)
+from repro.sim.executor import TraceExecutor
 from repro.sim.experiment import run_atmem, run_static
 from repro.sim.parallel import AppSpec
 from repro.sim.profilepack import (
@@ -169,15 +165,6 @@ def test_count_tlb_forces_replay():
     )
     assert counter("pricing.replay_cells") == before + 1
     assert cost.tlb_misses > 0
-
-
-def test_pricing_env_forces_replay(monkeypatch):
-    system, _, trace, hits, profile = eligibility_fixture()
-    monkeypatch.setenv(PRICING_ENV, "replay")
-    assert pricing_mode() == "replay"
-    before = counter("pricing.replay_cells")
-    TraceExecutor(system).run(trace, hits=hits, profile=profile)
-    assert counter("pricing.replay_cells") == before + 1
 
 
 def test_mismatched_profile_falls_back_to_replay():

@@ -25,7 +25,14 @@ from repro.sim.tracecache import TraceCache, llc_signature
 from repro.sim.reusepack import build_reuse_profile
 from repro.sim.artifacts import MASK, PROFILE, REUSE, SPECS, TRACE
 from repro.sim.profilepack import build_profile
-from repro.sim.tracestore import TRACE_ARRAY, TraceStore, process_trace_store
+from repro.errors import ConfigurationError
+from repro.sim.tracestore import (
+    STORE_POLICY_ENV,
+    TRACE_ARRAY,
+    TraceStore,
+    process_trace_store,
+    store_policy,
+)
 
 TINY_SCALE = 1 << 20
 
@@ -189,7 +196,7 @@ class TestReuseRoundtrip:
             "k1", profile.line_size, profile.n
         )
         assert loaded._f_at_gap is not None
-        for size_bytes in (16 << 10, 64 << 10):
+        for size_bytes in (16 << 10, 32 << 10, 64 << 10, 128 << 10):
             llc = WorkingSetCache(size_bytes)
             np.testing.assert_array_equal(
                 loaded.hit_mask_for(llc), profile.hit_mask_for(llc)
@@ -400,6 +407,23 @@ class TestBudget:
         store.save_trace("a", small_trace(seed=1))
         store.save_trace("b", small_trace(seed=2))
         assert store.has(TRACE, "a") and store.has(TRACE, "b")
+
+
+class TestWritePolicy:
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [("", "adaptive"), (" Adaptive ", "adaptive"), ("never", "never"), ("nevr", None)],
+    )
+    def test_store_policy_env(self, tmp_path, monkeypatch, raw, expected):
+        monkeypatch.setenv(STORE_POLICY_ENV, raw)
+        if expected is not None:
+            assert store_policy() == expected
+            return
+        # A typo must not silently fall through to persisting every write.
+        with pytest.raises(ConfigurationError, match=STORE_POLICY_ENV):
+            store_policy()
+        with pytest.raises(ConfigurationError):
+            TraceStore(tmp_path).should_persist(1)
 
 
 class TestProcessStore:

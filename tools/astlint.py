@@ -66,7 +66,6 @@ BROAD_NAMES = {"Exception", "BaseException"}
 PRINT_ALLOWED = {
     "cli.py",
     "bench/report.py",
-    "bench/regression.py",
 }
 
 #: file (relative to ``src/repro``) -> module names that must only be
