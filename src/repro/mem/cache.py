@@ -8,18 +8,23 @@ It serves two roles in the reproduction:
 2. The ATMem profiler samples every k-th miss address, modelling PEBS
    configured on an LLC-miss event (paper Section 5.1).
 
-Two implementations are provided:
+Three models are provided:
 
 - :class:`DirectMappedCache` — exact direct-mapped simulation, fully
   vectorised with NumPy (a stable sort groups accesses by set while
-  preserving program order inside each set).  This is the default for
-  benchmark-scale traces (millions of accesses).
+  preserving program order inside each set).
 - :class:`SetAssociativeCache` — exact N-way LRU simulation with a Python
-  per-access loop; used in tests and small studies to validate that the
-  direct-mapped approximation does not change experiment shapes.
+  per-set loop; used in tests and small studies to validate that the
+  approximations do not change experiment shapes.
+- :class:`WorkingSetCache` — the default LLC: Denning's working-set
+  approximation of a high-associativity LRU cache, built on per-access
+  reuse time gaps (:func:`reuse_time_gaps`).  That fold is one in-place
+  sort of packed ``(line, position)`` int64 keys, and it is shared with
+  the compiled reuse profiles of :mod:`repro.sim.reusepack`.
 
-Both keep their state across calls so a multi-phase trace is simulated as one
-continuous stream.
+The exact simulators keep their state across calls so a multi-phase trace
+is simulated as one continuous stream; the working-set model is evaluated
+per run.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ import os
 
 import numpy as np
 
-from repro.errors import ConfigurationError, TraceError
-from repro.mem.cachejit import lru_kernel, reuse_gap_kernel
+from repro.errors import ConfigurationError
 
 LINE_SHIFT = 6
 LINE_SIZE = 1 << LINE_SHIFT
@@ -39,10 +43,10 @@ LINE_SIZE = 1 << LINE_SHIFT
 #: exact and approximate models.
 GAP_COLD = np.iinfo(np.int64).max
 
-#: Arms every parity oracle when set (and not ``0``): kernel-folded
-#: reuse gaps and incremental reuse extensions are re-checked against
-#: the argsort refold, reuse-derived hit masks against the direct
-#: simulation, and profile-priced runs against replay.
+#: Arms every parity oracle when set (and not ``0``): chunked and
+#: incremental reuse folds are re-checked against a one-shot refold,
+#: reuse-derived hit masks against the direct simulation, and
+#: profile-priced runs against replay.
 VERIFY_ENV = "REPRO_VERIFY"
 
 
@@ -50,15 +54,58 @@ def verify_armed() -> bool:
     """Whether ``REPRO_VERIFY`` arms the parity oracles."""
     return os.environ.get(VERIFY_ENV, "") not in ("", "0")
 
-#: The dense last-seen table covers ``max - min + 1`` line slots; a
-#: stream whose line span exceeds this multiple of its length is too
-#: sparse for the table (the bump allocator makes real traces dense, so
-#: this only trips on synthetic adversaries) and folds via argsort.
+#: A last-seen table covers ``max - min + 1`` line slots; a stream whose
+#: line span exceeds this multiple of its length is too sparse for one
+#: (the bump allocator makes real traces dense, so this only trips on
+#: synthetic adversaries) and carries no table.
 _DENSE_SPAN_FACTOR = 8
 
+#: Bits of an int64 sort key available to ``(line - base, position)``.
+_KEY_BITS = 62
 
-def _argsort_reuse_gaps(lines: np.ndarray) -> np.ndarray:
-    """The vectorised O(N log N) reuse fold: one stable argsort."""
+
+def dense_span_fits(span: int, n: int) -> bool:
+    """Whether a last-seen table of ``span`` slots is dense enough for a
+    stream of ``n`` accesses (small spans always are)."""
+    return span <= max(1024, _DENSE_SPAN_FACTOR * n)
+
+
+def _packed_fold(
+    key: np.ndarray, base: int, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reuse fold as one unstable sort of packed unique keys.
+
+    ``key`` holds line numbers and is overwritten: it becomes
+    ``(line - base) << bits | position``, sorted, then masked down to
+    the positions.  Keys are unique, so the default (SIMD) sort puts
+    them in exactly the order a stable argsort of the lines would, and
+    sorted neighbours on one line differ by their reuse gap.  Returns
+    the gaps and the indices ``j`` where ``key[j]`` is a line's last
+    access (and ``key[j + 1]`` the next line's first).
+    """
+    n = key.size
+    gaps = np.arange(n, dtype=np.int64)
+    key -= base
+    key <<= bits
+    key |= gaps
+    key.sort()
+    step = key[1:] - key[:-1]
+    key &= (1 << bits) - 1
+    # Within a line the step is a position difference, at most the next
+    # position; across lines it exceeds that by at least 2**bits - n + 1.
+    bounds = np.flatnonzero(step > key[1:])
+    gaps[key[1:]] = step
+    del step
+    gaps[key[0]] = GAP_COLD
+    gaps[key[bounds + 1]] = GAP_COLD
+    return gaps, bounds
+
+
+def _argsort_fold(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable-argsort fold, for streams whose keys overflow an int64.
+
+    Returns the gaps and the position of each line's last access.
+    """
     n = lines.size
     gaps = np.full(n, GAP_COLD, dtype=np.int64)
     order = np.argsort(lines, kind="stable")
@@ -67,41 +114,12 @@ def _argsort_reuse_gaps(lines: np.ndarray) -> np.ndarray:
     gaps_sorted = np.full(n, GAP_COLD, dtype=np.int64)
     gaps_sorted[1:][same] = order[1:][same] - order[:-1][same]
     gaps[order] = gaps_sorted
-    return gaps
+    return gaps, order[np.append(np.flatnonzero(~same), n - 1)]
 
 
-def dense_table_span(lines: np.ndarray) -> tuple[int, int] | None:
-    """``(base, span)`` of a last-seen table for ``lines``, or ``None``.
-
-    ``None`` means the stream is too sparse for a dense table (span more
-    than :data:`_DENSE_SPAN_FACTOR` times the access count) and callers
-    must stay on the argsort path.
-    """
-    if lines.size == 0:
-        return None
-    base = int(lines.min())
-    span = int(lines.max()) - base + 1
-    if span > max(1024, _DENSE_SPAN_FACTOR * lines.size):
-        return None
-    return base, span
-
-
-def _kernel_reuse_gaps(lines: np.ndarray) -> np.ndarray | None:
-    """The O(N) last-seen fold, or ``None`` when it does not apply."""
-    kernel = reuse_gap_kernel()
-    if kernel is None:
-        return None
-    geometry = dense_table_span(lines)
-    if geometry is None:
-        return None
-    base, span = geometry
-    last_seen = np.full(span, -1, dtype=np.int64)
-    gaps = np.empty(lines.size, dtype=np.int64)
-    kernel(lines, base, last_seen, gaps, GAP_COLD, 0)
-    return gaps
-
-
-def reuse_time_gaps(addrs: np.ndarray, line_shift: int = LINE_SHIFT) -> np.ndarray:
+def reuse_time_gaps(
+    addrs: np.ndarray, line_shift: int = LINE_SHIFT, *, last_seen: bool = False
+):
     """Per-access reuse time gap at line granularity; ``GAP_COLD`` marks a
     first occurrence.
 
@@ -111,41 +129,40 @@ def reuse_time_gaps(addrs: np.ndarray, line_shift: int = LINE_SHIFT) -> np.ndarr
     they depend only on the address stream and the line granularity,
     which is what lets one fold serve every capacity of a sweep.
 
-    Two implementations with bit-identical output: when numba is
-    importable (and ``REPRO_JIT`` allows it), an O(N) single pass over a
-    dense last-seen table (:func:`repro.mem.cachejit.reuse_gaps_py`);
-    otherwise one stable argsort over line numbers (O(N log N)).
-    ``REPRO_VERIFY=1`` re-runs the argsort fold after every kernel
-    fold and raises :class:`~repro.errors.TraceError` on divergence
-    (``reuse.parity_checks`` / ``reuse.parity_failures`` metrics).
+    One in-place sort of packed ``(line - base, position)`` keys does the
+    work (O(N log N), vectorised); a stream whose line span and length
+    overflow 62 key bits falls back to a stable argsort of the lines.
+    Both give the same gaps bit for bit.
+
+    With ``last_seen`` the result is ``(gaps, state)``: ``state`` is the
+    fold's dense last-seen table ``(base, table)`` — ``table[line -
+    base]`` is the position of the last access to ``line``, ``-1`` if
+    never touched — or ``None`` when the stream is too sparse for one
+    (:func:`dense_span_fits`).  The table lets later folds carry on
+    from this one (:meth:`repro.sim.reusepack.ReuseProfile.extend`).
     """
     addrs = np.asarray(addrs, dtype=np.int64)
     n = addrs.size
     if n == 0:
-        return np.full(0, GAP_COLD, dtype=np.int64)
+        gaps = np.full(0, GAP_COLD, dtype=np.int64)
+        return (gaps, None) if last_seen else gaps
     lines = addrs >> line_shift
-    gaps = _kernel_reuse_gaps(lines)
-    if gaps is None:
-        return _argsort_reuse_gaps(lines)
-    if verify_armed():
-        _verify_reuse_gaps(gaps, lines)
-    return gaps
-
-
-def _verify_reuse_gaps(gaps: np.ndarray, lines: np.ndarray) -> None:
-    """The reuse parity oracle: the argsort fold must agree bit-for-bit."""
-    from repro.obs.metrics import process_metrics
-
-    registry = process_metrics()
-    registry.inc("reuse.parity_checks")
-    direct = _argsort_reuse_gaps(lines)
-    if not np.array_equal(gaps, direct):
-        registry.inc("reuse.parity_failures")
-        raise TraceError(
-            "last-seen reuse fold diverged from the argsort fold: "
-            f"{int(np.count_nonzero(gaps != direct))} of {gaps.size} "
-            "gaps differ"
-        )
+    base = int(lines.min())
+    span = int(lines.max()) - base + 1
+    bits = (n - 1).bit_length()
+    if (span - 1).bit_length() + bits > _KEY_BITS:
+        gaps, last = _argsort_fold(lines)
+    else:
+        gaps, bounds = _packed_fold(lines, base, bits)
+        # ``lines`` now holds positions in line order; a bound ends a line.
+        last = lines[np.append(bounds, n - 1)] if last_seen else None
+    if not last_seen:
+        return gaps
+    if not dense_span_fits(span, n):
+        return gaps, None
+    table = np.full(span, -1, dtype=np.int64)
+    table[(addrs[last] >> line_shift) - base] = last
+    return gaps, (base, table)
 
 
 def gap_window_curve(
@@ -267,12 +284,8 @@ class SetAssociativeCache:
     :class:`DirectMappedCache`) and replays each set's accesses in program
     order against plain Python ints — an order of magnitude faster than
     the naive per-access loop, which survives as
-    :meth:`access_reference` for parity testing.  When numba is
-    installed (optional — see :mod:`repro.mem.cachejit`) the per-set
-    replay runs as a compiled kernel over flat int64 state with
-    bit-identical semantics; without it the Python loop is used.
-    Intended for tests and validation studies on traces up to a few
-    million accesses.
+    :meth:`access_reference` for parity testing.  Intended for tests and
+    validation studies on traces up to a few million accesses.
     """
 
     def __init__(self, size_bytes: int, ways: int, line_size: int = LINE_SIZE) -> None:
@@ -318,37 +331,17 @@ class SetAssociativeCache:
         ends = np.concatenate((boundaries, [sorted_sets.size]))
         hits_sorted = np.empty(addrs.size, dtype=bool)
         ways = self.ways
-        kernel = lru_kernel()
-        if kernel is not None:
-            # Serialise only the touched sets into a compact (runs, ways)
-            # matrix, replay in compiled code, and write the LRU lists
-            # back — the Python lists stay the canonical state so the
-            # fallback path and access_reference stay interchangeable.
-            touched = sorted_sets[starts].tolist()
-            n_runs = starts.size
-            state = np.zeros((n_runs, ways), dtype=np.int64)
-            fill = np.zeros(n_runs, dtype=np.int64)
-            for row, set_id in enumerate(touched):
-                bucket = self._sets[set_id]
-                if bucket:
-                    fill[row] = len(bucket)
-                    state[row, : len(bucket)] = bucket
-            compact = np.repeat(np.arange(n_runs, dtype=np.int64), ends - starts)
-            kernel(compact, sorted_lines, starts, ends, state, fill, ways, hits_sorted)
-            for row, set_id in enumerate(touched):
-                self._sets[set_id] = state[row, : fill[row]].tolist()
-        else:
-            for start, end in zip(starts.tolist(), ends.tolist()):
-                bucket = self._sets[int(sorted_sets[start])]
-                for offset, line in enumerate(sorted_lines[start:end].tolist(), start):
-                    try:
-                        bucket.remove(line)
-                        hits_sorted[offset] = True
-                    except ValueError:
-                        hits_sorted[offset] = False
-                        if len(bucket) >= ways:
-                            bucket.pop(0)
-                    bucket.append(line)
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            bucket = self._sets[int(sorted_sets[start])]
+            for offset, line in enumerate(sorted_lines[start:end].tolist(), start):
+                try:
+                    bucket.remove(line)
+                    hits_sorted[offset] = True
+                except ValueError:
+                    hits_sorted[offset] = False
+                    if len(bucket) >= ways:
+                        bucket.pop(0)
+                bucket.append(line)
         hits = np.empty(addrs.size, dtype=bool)
         hits[order] = hits_sorted
         return hits

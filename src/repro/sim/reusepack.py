@@ -44,7 +44,7 @@ from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
     WorkingSetCache,
-    dense_table_span,
+    dense_span_fits,
     gap_window_curve,
     reuse_time_gaps,
     solve_window_curve,
@@ -176,19 +176,11 @@ class ReuseProfile:
                 _fold_state=self._fold_state,
             )
         shift = int(self.line_size).bit_length() - 1
-        lines = addrs >> shift
-        base_n = self.n
-        base_line, table = self._fold_state
-        # Intra-delta gaps; GAP_COLD marks first-in-delta touches.
-        delta_gaps = reuse_time_gaps(addrs, shift)
-        cold = np.nonzero(delta_gaps == GAP_COLD)[0]
-        if cold.size:
-            idx = lines[cold] - base_line
-            in_range = (idx >= 0) & (idx < table.size)
-            prev = np.full(cold.size, -1, dtype=np.int64)
-            prev[in_range] = table[idx[in_range]]
-            seen = prev >= 0
-            delta_gaps[cold[seen]] = base_n + cold[seen] - prev[seen]
+        delta_gaps, delta_state = reuse_time_gaps(addrs, shift, last_seen=True)
+        state = _join_fold(
+            self._fold_state, self.n, addrs, shift, delta_gaps, delta_state,
+            in_place=False,
+        )
         gaps = np.concatenate([np.asarray(self.gaps), delta_gaps])
         delta_sorted = np.sort(delta_gaps)
         positions = np.searchsorted(self.sorted_gaps, delta_sorted)
@@ -199,27 +191,8 @@ class ReuseProfile:
             gaps=gaps,
             sorted_gaps=sorted_gaps,
             line_size=self.line_size,
-            _fold_state=self._forwarded_state(lines, base_n),
+            _fold_state=state,
         )
-
-    def _forwarded_state(
-        self, lines: np.ndarray, base_n: int
-    ) -> tuple[int, np.ndarray] | None:
-        """The last-seen table grown over the delta's lines (a copy)."""
-        base_line, table = self._fold_state
-        new_base = min(base_line, int(lines.min()))
-        new_top = max(base_line + table.size, int(lines.max()) + 1)
-        if new_top - new_base > max(1024, 8 * (base_n + lines.size)):
-            return None  # delta too sparse: stop chaining, keep correctness
-        new_table = np.full(new_top - new_base, -1, dtype=np.int64)
-        offset = base_line - new_base
-        new_table[offset : offset + table.size] = table
-        np.maximum.at(
-            new_table,
-            lines - new_base,
-            np.arange(base_n, base_n + lines.size),
-        )
-        return new_base, new_table
 
     # ------------------------------------------------------------------
     # derived masks and miss ratios
@@ -279,23 +252,62 @@ class ReuseProfile:
         )
 
 
-def _fold_state_of(lines: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """The dense last-seen table after folding ``lines``, or ``None``.
+def _join_fold(
+    state: tuple[int, np.ndarray],
+    base_n: int,
+    addrs: np.ndarray,
+    shift: int,
+    gaps: np.ndarray,
+    delta_state: tuple[int, np.ndarray] | None,
+    *,
+    in_place: bool,
+) -> tuple[int, np.ndarray] | None:
+    """Join a delta's own fold onto the fold state of the stream before it.
 
-    Built vectorised (``np.maximum.at`` keeps the *latest* position per
-    line slot) so the state exists even when the fold itself ran on the
-    argsort path — extendability does not depend on numba.  ``None``
-    when the stream is too sparse for a dense table.
+    ``state`` is the last-seen table after the first ``base_n``
+    accesses; ``gaps``/``delta_state`` come from
+    ``reuse_time_gaps(addrs, shift, last_seen=True)`` over the delta
+    alone.  Delta first touches whose line the table has seen are
+    patched in ``gaps`` to their cross-boundary gap, and the table is
+    forwarded over the delta.  ``in_place`` lets the table be updated
+    where it lies when the delta stays inside its span (a streaming
+    fold owns its table; :meth:`ReuseProfile.extend` must not mutate
+    its base).  Returns the forwarded state, or ``None`` when the delta
+    carries no table or the joined span is too sparse for one — the
+    gaps are exact either way.
     """
-    geometry = dense_table_span(lines)
-    if geometry is None:
+    base_line, table = state
+    cold = np.flatnonzero(gaps == GAP_COLD)
+    if cold.size:
+        idx = (addrs[cold] >> shift) - base_line
+        in_range = (idx >= 0) & (idx < table.size)
+        prev = np.full(cold.size, -1, dtype=np.int64)
+        prev[in_range] = table[idx[in_range]]
+        seen = prev >= 0
+        gaps[cold[seen]] = base_n + cold[seen] - prev[seen]
+    if delta_state is None:
         return None
-    base, span = geometry
-    table = np.full(span, -1, dtype=np.int64)
-    np.maximum.at(
-        table, lines - base, np.arange(lines.size, dtype=np.int64)
-    )
-    return base, table
+    delta_line, delta_table = delta_state
+    low = min(base_line, delta_line)
+    top = max(base_line + table.size, delta_line + delta_table.size)
+    if not dense_span_fits(top - low, base_n + addrs.size):
+        return None
+    if in_place and low == base_line and top == base_line + table.size:
+        joined = table
+    else:
+        joined = np.full(top - low, -1, dtype=np.int64)
+        joined[base_line - low : base_line - low + table.size] = table
+    window = joined[delta_line - low : delta_line - low + delta_table.size]
+    touched = delta_table >= 0
+    window[touched] = delta_table[touched] + base_n
+    return low, joined
+
+
+def _line_shift(line_size: int) -> int:
+    """``log2(line_size)``; raises :class:`TraceError` unless a power of two."""
+    if line_size <= 0 or line_size & (line_size - 1):
+        raise TraceError(f"line size must be a power of two, got {line_size}")
+    return line_size.bit_length() - 1
 
 
 def build_reuse_profile(
@@ -303,22 +315,18 @@ def build_reuse_profile(
 ) -> ReuseProfile:
     """Fold one address stream into a :class:`ReuseProfile`.
 
-    One linear pass (or one vectorised stable argsort — see
-    :func:`repro.mem.cache.reuse_time_gaps`) plus one ``np.sort`` of the
-    gaps — paid once per trace and amortised over every LLC capacity
-    derived from the result.  With ``with_state`` (the default) the
-    profile also carries the fold's last-seen table so later phases can
-    :meth:`~ReuseProfile.extend` it; pass ``False`` for one-shot folds
-    that will never grow (saves the table's memory).
+    One packed-key sort (:func:`repro.mem.cache.reuse_time_gaps`) plus
+    one ``np.sort`` of the gaps — paid once per trace and amortised over
+    every LLC capacity derived from the result.  With ``with_state``
+    (the default) the profile also carries the fold's last-seen table so
+    later phases can :meth:`~ReuseProfile.extend` it; pass ``False`` for
+    one-shot folds that will never grow (saves the table's memory).
     """
-    if line_size <= 0 or line_size & (line_size - 1):
-        raise TraceError(f"line size must be a power of two, got {line_size}")
-    addrs = np.asarray(addrs, dtype=np.int64)
-    shift = line_size.bit_length() - 1
-    gaps = reuse_time_gaps(addrs, shift)
-    state = None
-    if with_state and addrs.size:
-        state = _fold_state_of(addrs >> shift)
+    shift = _line_shift(line_size)
+    if with_state:
+        gaps, state = reuse_time_gaps(addrs, shift, last_seen=True)
+    else:
+        gaps, state = reuse_time_gaps(addrs, shift), None
     return ReuseProfile(
         gaps=gaps,
         sorted_gaps=np.sort(gaps),
@@ -332,38 +340,48 @@ def fold_reuse_chunks(
 ) -> ReuseProfile:
     """Fold an address stream delivered in program-order chunks.
 
-    The streaming twin of :func:`build_reuse_profile`: the first
-    non-empty chunk seeds the profile and every later chunk arrives via
-    :meth:`ReuseProfile.extend` — bit-identical to the one-shot fold of
-    the concatenation (extend's contract), without ever materialising
-    the flat stream.  When a chunk is too sparse for the dense last-seen
-    table the chain stops carrying state (:attr:`~ReuseProfile.
-    can_extend` goes false) and the fold falls back to concatenating the
-    chunks seen so far and refolding once — correctness over memory in
-    the pathological case.  Chunks are retained as views, so the
-    streaming path allocates nothing beyond the fold's own rows.
+    The streaming twin of :func:`build_reuse_profile`, bit-identical to
+    the one-shot fold of the concatenation without ever materialising
+    the flat stream.  Each chunk is folded alone, its first touches are
+    patched from the last-seen table carried over the chunks before it
+    (the same join as :meth:`ReuseProfile.extend`), and the table moves
+    forward in place; the gap rows are concatenated and sorted once at
+    the end, so no chunk re-copies or re-merges the rows before it.
+    When a chunk or the joined span is too sparse for a dense table the
+    chain breaks and the fold concatenates the chunks and refolds once —
+    correctness over memory in the pathological case.  Chunks are
+    retained as views, so the streaming path allocates nothing beyond
+    the fold's own rows.
     """
-    profile: ReuseProfile | None = None
+    shift = _line_shift(line_size)
     seen: list[np.ndarray] = []
-    chained = True
+    parts: list[np.ndarray] = []
+    state: tuple[int, np.ndarray] | None = None
+    n = 0
     for chunk in chunks:
         chunk = np.ascontiguousarray(chunk, dtype=np.int64)
         if chunk.size == 0:
             continue
         seen.append(chunk)
-        if not chained:
-            continue
-        if profile is None:
-            profile = build_reuse_profile(chunk, line_size)
-        elif profile.can_extend:
-            profile = profile.extend(chunk)
-        else:
-            chained = False
-    if not seen:
-        return build_reuse_profile(np.empty(0, dtype=np.int64), line_size)
-    if not chained:
-        return build_reuse_profile(np.concatenate(seen), line_size)
-    return profile
+        if n and state is None:
+            continue  # chain broken: refold below
+        gaps, fold = reuse_time_gaps(chunk, shift, last_seen=True)
+        if n:
+            fold = _join_fold(state, n, chunk, shift, gaps, fold, in_place=True)
+        state = fold
+        parts.append(gaps)
+        n += chunk.size
+    if state is None:
+        flat = np.concatenate(seen) if seen else np.empty(0, dtype=np.int64)
+        return build_reuse_profile(flat, line_size)
+    gaps = np.concatenate(parts)
+    del parts
+    return ReuseProfile(
+        gaps=gaps,
+        sorted_gaps=np.sort(gaps),
+        line_size=line_size,
+        _fold_state=state,
+    )
 
 
 def validate_reuse(profile: ReuseProfile) -> None:

@@ -424,10 +424,11 @@ class TraceCache:
             )
             self.stats.bump("reuse_extends")
         elif _over_budget(trace):
-            # Streaming fold: seed on the first chunk, extend per chunk —
-            # bit-identical to the one-shot fold (extend's contract, and
-            # the verify oracle re-proves it below), without the flat
-            # all_addresses copy the worker budget forbids.
+            # Streaming fold: fold each chunk and carry the last-seen
+            # table across chunk boundaries — bit-identical to the
+            # one-shot fold (the verify oracle re-proves it below),
+            # without the flat all_addresses copy the worker budget
+            # forbids.
             profile, seconds = self._timed(
                 "build_reuse", REUSE.stage, key,
                 lambda: fold_reuse_chunks(

@@ -1,6 +1,6 @@
 """AST lint (tier-1 face of ``tools/astlint.py``).
 
-Six checks over every source file under ``src/``:
+Five checks over every source file under ``src/``:
 
 - no silent exception swallowing — a bare ``except:`` or an ``except
   Exception: pass`` turns an injected fault (or a real bug) into
@@ -17,9 +17,7 @@ Six checks over every source file under ``src/``:
 - instrumentation names follow the taxonomy — every literal name fed
   to ``inc``/``gauge``/``observe``/``span``/``instant``/``emit``/
   ``submission`` is lowercase dotted ``family.name`` with the family
-  registered in ``repro.obs.naming.FAMILIES``;
-- optional dependencies stay lazy — modules in ``LAZY_IMPORT_ONLY``
-  import them inside function bodies only.
+  registered in ``repro.obs.naming.FAMILIES``.
 
 The logic lives in ``tools/astlint.py`` so ``make lint`` and this test
 enforce exactly the same rules; the module is imported by file path
@@ -143,24 +141,6 @@ def test_unused_local_check_respects_global_declarations(tmp_path):
     assert astlint.unused_local_violations(sample) == []
 
 
-def test_sources_keep_optional_imports_lazy():
-    problems = []
-    for path in sorted(astlint.SRC.rglob("*.py")):
-        problems.extend(astlint.lazy_import_violations(path))
-    assert not problems, (
-        "optional dependencies imported at module level (resolve them "
-        "inside a function; see cachejit.lru_kernel):\n  "
-        + "\n  ".join(problems)
-    )
-
-
-def test_lazy_import_allowlist_is_tight():
-    """Every lazy-only file exists — no stale entries accumulating."""
-    repro_root = astlint.SRC / "repro"
-    for relative in astlint.LAZY_IMPORT_ONLY:
-        assert (repro_root / relative).is_file(), f"stale entry: {relative}"
-
-
 def test_sources_follow_instrumentation_taxonomy():
     problems = []
     for path in sorted(astlint.SRC.rglob("*.py")):
@@ -205,26 +185,3 @@ def test_naming_check_flags_bad_instrumentation_names(tmp_path, monkeypatch):
     report = tmp_path / "repro" / "cli.py"  # report surface is exempt
     report.write_text("def f(bus):\n    bus.emit('whatever text')\n")
     assert astlint.naming_violations(report) == []
-
-
-def test_lazy_import_check_flags_module_level_import(tmp_path, monkeypatch):
-    monkeypatch.setattr(astlint, "SRC", tmp_path)
-    monkeypatch.setattr(
-        astlint, "LAZY_IMPORT_ONLY", {"mod.py": {"numba"}}
-    )
-    sample = tmp_path / "repro" / "mod.py"
-    sample.parent.mkdir()
-    sample.write_text(
-        "import numba\n"                      # flagged: module level
-        "from numba import njit\n"            # flagged: module level
-        "import numpy\n"                      # fine: not lazy-only
-        "def resolver():\n"
-        "    import numba\n"                  # fine: inside a function
-        "    return numba\n"
-    )
-    problems = astlint.lazy_import_violations(sample)
-    assert len(problems) == 2, problems
-    assert all("`numba`" in p for p in problems)
-    other = tmp_path / "repro" / "other.py"
-    other.write_text("import numba\n")        # not a lazy-only file
-    assert astlint.lazy_import_violations(other) == []

@@ -10,27 +10,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError
 from repro.mem import cache as cache_module
 from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
-    VERIFY_ENV,
     DirectMappedCache,
     SetAssociativeCache,
-    _argsort_reuse_gaps,
-    dense_table_span,
+    dense_span_fits,
     reuse_time_gaps,
 )
-from repro.mem.cachejit import (
-    JIT_ENV,
-    jit_enabled,
-    lru_kernel,
-    lru_runs_py,
-    reuse_gap_kernel,
-    reuse_gaps_py,
-)
-from repro.obs.metrics import process_metrics
+
+
+def reference_reuse_gaps(addrs, line_shift=6):
+    """The reuse fold as one stable argsort of the line numbers."""
+    lines = np.asarray(addrs, dtype=np.int64) >> line_shift
+    n = lines.size
+    order = np.argsort(lines, kind="stable")
+    sorted_lines = lines[order]
+    same = sorted_lines[1:] == sorted_lines[:-1]
+    gaps_sorted = np.full(n, GAP_COLD, dtype=np.int64)
+    gaps_sorted[1:][same] = order[1:][same] - order[:-1][same]
+    gaps = np.empty(n, dtype=np.int64)
+    gaps[order] = gaps_sorted
+    return gaps
+
+
+def reference_last_seen(addrs, line_shift=6):
+    """``(base, table)``: the latest position per line via ``np.maximum.at``."""
+    lines = np.asarray(addrs, dtype=np.int64) >> line_shift
+    base = int(lines.min())
+    table = np.full(int(lines.max()) - base + 1, -1, dtype=np.int64)
+    np.maximum.at(table, lines - base, np.arange(lines.size, dtype=np.int64))
+    return base, table
 
 
 def reference_direct_mapped(addrs, size_bytes, line_size=LINE_SIZE):
@@ -205,184 +217,112 @@ class TestSetAssociativeCache:
         assert fast.access(addrs).tolist() == slow.access_reference(addrs).tolist()
 
 
-class TestJitKernel:
-    """The kernel replay must be bit-identical to the list buckets.
-
-    numba is optional (and absent here), so the kernel logic is driven
-    through its pure-Python body by forcing :func:`lru_kernel` to return
-    :func:`lru_runs_py` — the exact function numba would have compiled.
-    """
-
-    @pytest.fixture()
-    def forced_kernel(self, monkeypatch):
-        monkeypatch.setattr(cache_module, "lru_kernel", lambda: lru_runs_py)
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", " OFF "])
-    def test_env_disables_jit(self, monkeypatch, value):
-        monkeypatch.setenv(JIT_ENV, value)
-        assert not jit_enabled()
-        assert lru_kernel() is None
-
-    def test_env_default_allows_jit(self, monkeypatch):
-        monkeypatch.delenv(JIT_ENV, raising=False)
-        assert jit_enabled()
-        monkeypatch.setenv(JIT_ENV, "1")
-        assert jit_enabled()
-        # numba is not installed in this environment: the resolver must
-        # degrade to the interpreter fallback, never raise.
-        assert lru_kernel() is None or callable(lru_kernel())
-
-    def test_lru_within_set_via_kernel(self, forced_kernel):
-        cache = SetAssociativeCache(2 * LINE_SIZE, ways=2)
-        a, b, c = 0, LINE_SIZE, 2 * LINE_SIZE
-        hits = cache.access(np.array([a, b, a, c, b, a]))
-        assert hits.tolist() == [False, False, True, False, False, False]
-
-    @given(
-        addrs=st.lists(st.integers(0, 1 << 14), min_size=1, max_size=300),
-        ways=st.sampled_from([1, 2, 4]),
-        size_kb=st.sampled_from([1, 4]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_kernel_matches_reference(self, addrs, ways, size_kb):
-        arr = np.array(addrs, dtype=np.int64)
-        fast = SetAssociativeCache(size_kb * 1024, ways=ways)
-        slow = SetAssociativeCache(size_kb * 1024, ways=ways)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cache_module, "lru_kernel", lambda: lru_runs_py)
-            got = fast.access(arr)
-        assert got.tolist() == slow.access_reference(arr).tolist()
-
-    @given(addrs=st.lists(st.integers(0, 1 << 14), min_size=2, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_kernel_state_continuity(self, addrs):
-        arr = np.array(addrs, dtype=np.int64)
-        fast = SetAssociativeCache(2048, ways=2)
-        slow = SetAssociativeCache(2048, ways=2)
-        mid = len(arr) // 2
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cache_module, "lru_kernel", lambda: lru_runs_py)
-            got = np.concatenate(
-                [fast.access(arr[:mid]), fast.access(arr[mid:])]
-            )
-        expect = np.concatenate(
-            [slow.access_reference(arr[:mid]), slow.access_reference(arr[mid:])]
-        )
-        assert got.tolist() == expect.tolist()
-
-    def test_state_carries_between_kernel_and_fallback(self, monkeypatch):
-        # Python lists stay the canonical state: a stream split across a
-        # kernel call and a fallback call behaves like one whole stream.
-        rng = np.random.default_rng(11)
-        arr = rng.integers(0, 1 << 13, size=600)
-        mixed = SetAssociativeCache(2048, ways=4)
-        slow = SetAssociativeCache(2048, ways=4)
-        monkeypatch.setattr(cache_module, "lru_kernel", lambda: lru_runs_py)
-        first = mixed.access(arr[:300])
-        monkeypatch.setattr(cache_module, "lru_kernel", lambda: None)
-        second = mixed.access(arr[300:])
-        got = np.concatenate([first, second])
-        assert got.tolist() == slow.access_reference(arr).tolist()
-
-
 class TestReuseGapKernel:
-    """The O(N) last-seen fold must be bit-identical to the argsort fold.
+    """The packed-key reuse fold must be bit-identical to a stable argsort.
 
-    Like :class:`TestJitKernel`, numba is absent here, so the kernel
-    path is driven through its pure-Python body by forcing
-    :func:`reuse_gap_kernel` to return :func:`reuse_gaps_py` — the exact
-    function numba would have compiled.
+    The fold sorts unique ``(line - base) << bits | position`` keys with
+    the default unstable sort; :func:`reference_reuse_gaps` is the
+    stable-argsort fold it replaces, and :func:`reference_last_seen` the
+    ``np.maximum.at`` table its ``last_seen`` state replaces.
     """
 
-    @pytest.fixture()
-    def forced_kernel(self, monkeypatch):
-        monkeypatch.setattr(
-            cache_module, "reuse_gap_kernel", lambda: reuse_gaps_py
-        )
-
-    def test_kernel_resolver_degrades_without_numba(self, monkeypatch):
-        monkeypatch.delenv(JIT_ENV, raising=False)
-        assert reuse_gap_kernel() is None or callable(reuse_gap_kernel())
-        monkeypatch.setenv(JIT_ENV, "0")
-        assert reuse_gap_kernel() is None
-
-    def test_first_touches_are_cold(self, forced_kernel):
+    def test_first_touches_are_cold(self):
         addrs = np.array([0, LINE_SIZE, 2 * LINE_SIZE], dtype=np.int64)
         assert reuse_time_gaps(addrs).tolist() == [GAP_COLD] * 3
 
-    def test_repeat_gap_counts_accesses(self, forced_kernel):
+    def test_repeat_gap_counts_accesses(self):
         # a . . a  ->  the second touch of `a` has gap 3.
         addrs = np.array([0, 64, 128, 0], dtype=np.int64) * LINE_SIZE
         gaps = reuse_time_gaps(addrs)
         assert gaps.tolist() == [GAP_COLD, GAP_COLD, GAP_COLD, 3]
 
-    def test_empty_and_single_access(self, forced_kernel):
+    def test_empty_and_single_access(self):
         assert reuse_time_gaps(np.empty(0, dtype=np.int64)).size == 0
+        gaps, state = reuse_time_gaps(
+            np.empty(0, dtype=np.int64), last_seen=True
+        )
+        assert gaps.size == 0 and state is None
         single = reuse_time_gaps(np.array([4096], dtype=np.int64))
         assert single.tolist() == [GAP_COLD]
+        gaps, (base, table) = reuse_time_gaps(
+            np.array([4096], dtype=np.int64), last_seen=True
+        )
+        assert gaps.tolist() == [GAP_COLD]
+        assert base == 4096 >> 6 and table.tolist() == [0]
 
-    @given(addrs=st.lists(st.integers(0, 1 << 14), min_size=0, max_size=400))
+    @given(
+        addrs=st.lists(
+            st.one_of(st.integers(0, 1 << 14), st.integers(0, 1 << 40)),
+            min_size=0,
+            max_size=400,
+        )
+    )
     @settings(max_examples=80, deadline=None)
     def test_kernel_matches_argsort_fold(self, addrs):
         arr = np.array(addrs, dtype=np.int64)
+        assert np.array_equal(reuse_time_gaps(arr), reference_reuse_gaps(arr))
+
+    @given(
+        pool=st.lists(
+            st.integers(0, (1 << 63) - 1), min_size=1, max_size=40
+        ),
+        picks=st.lists(st.integers(0, 1 << 10), min_size=40, max_size=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_stream_falls_back_to_argsort(self, pool, picks):
+        # The stream spans 57 line bits and needs at least 6 position
+        # bits: the packed keys cannot fit an int64, so the argsort fold
+        # must run — and agree with the reference.
+        ends = [0, (1 << 63) - 1]
+        arr = np.array(
+            ends + [pool[i % len(pool)] for i in picks], dtype=np.int64
+        )
+        calls = []
+        fallback = cache_module._argsort_fold
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
-                cache_module, "reuse_gap_kernel", lambda: reuse_gaps_py
+                cache_module,
+                "_argsort_fold",
+                lambda lines: calls.append(lines.size) or fallback(lines),
             )
-            got = reuse_time_gaps(arr)
-        assert np.array_equal(got, _argsort_reuse_gaps(arr >> 6))
+            gaps, state = reuse_time_gaps(arr, last_seen=True)
+        assert calls == [arr.size]
+        assert state is None
+        assert np.array_equal(gaps, reference_reuse_gaps(arr))
 
-    def test_sparse_stream_falls_back_to_argsort(self, monkeypatch):
-        # Span >> access count: the dense table does not apply, and the
-        # resolved kernel must never be invoked.
-        def _explode(*args):
-            raise AssertionError("kernel invoked for a sparse stream")
-
-        monkeypatch.setattr(
-            cache_module, "reuse_gap_kernel", lambda: _explode
-        )
-        addrs = np.array([0, 1 << 40, 0], dtype=np.int64)
-        assert dense_table_span(addrs >> 6) is None
-        gaps = reuse_time_gaps(addrs)
-        assert gaps.tolist() == [GAP_COLD, GAP_COLD, 2]
+    @given(
+        addrs=st.lists(
+            st.one_of(st.integers(0, 1 << 16), st.integers(0, 1 << 30)),
+            min_size=1,
+            max_size=300,
+        ),
+        line_shift=st.sampled_from([0, 3, 6]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_last_seen_table_matches_maximum_at(self, addrs, line_shift):
+        arr = np.array(addrs, dtype=np.int64)
+        gaps, state = reuse_time_gaps(arr, line_shift, last_seen=True)
+        assert np.array_equal(gaps, reference_reuse_gaps(arr, line_shift))
+        lines = arr >> line_shift
+        span = int(lines.max()) - int(lines.min()) + 1
+        if not dense_span_fits(span, arr.size):
+            assert state is None
+            return
+        base, table = reference_last_seen(arr, line_shift)
+        assert state[0] == base
+        assert np.array_equal(state[1], table)
 
     def test_dense_span_geometry(self):
-        assert dense_table_span(np.empty(0, dtype=np.int64)) is None
-        # Small spans are always dense (the 1024-slot floor).
-        base, span = dense_table_span(np.array([7, 9], dtype=np.int64))
-        assert (base, span) == (7, 3)
-
-    def test_parity_oracle_passes_on_honest_kernel(
-        self, forced_kernel, monkeypatch
-    ):
-        monkeypatch.setenv(VERIFY_ENV, "1")
-        counters = process_metrics().counters
-        checks = counters.get("reuse.parity_checks", 0.0)
-        failures = counters.get("reuse.parity_failures", 0.0)
-        rng = np.random.default_rng(5)
-        reuse_time_gaps(rng.integers(0, 1 << 16, size=2_000))
-        assert counters["reuse.parity_checks"] == checks + 1
-        assert counters.get("reuse.parity_failures", 0.0) == failures
-
-    def test_parity_oracle_raises_on_divergence(self, monkeypatch):
-        def _broken(lines, base, last_seen, gaps, gap_cold, start):
-            reuse_gaps_py(lines, base, last_seen, gaps, gap_cold, start)
-            gaps[-1] = 1  # sabotage one gap
-
-        monkeypatch.setattr(
-            cache_module, "reuse_gap_kernel", lambda: _broken
+        # Small spans are always dense (the 1024-slot floor) ...
+        assert dense_span_fits(1024, 1)
+        assert not dense_span_fits(1025, 1)
+        # ... larger ones may cover up to 8 slots per access.
+        assert dense_span_fits(8 * 4096, 4096)
+        assert not dense_span_fits(8 * 4096 + 1, 4096)
+        lines = np.array([7, 9], dtype=np.int64)
+        _, (base, table) = reuse_time_gaps(lines, 0, last_seen=True)
+        assert (base, table.tolist()) == (7, [0, -1, 1])
+        _, state = reuse_time_gaps(
+            np.array([0, 1 << 40], dtype=np.int64), 0, last_seen=True
         )
-        monkeypatch.setenv(VERIFY_ENV, "1")
-        counters = process_metrics().counters
-        failures = counters.get("reuse.parity_failures", 0.0)
-        addrs = np.array([0, LINE_SIZE, 0], dtype=np.int64)
-        with pytest.raises(TraceError, match="diverged"):
-            reuse_time_gaps(addrs)
-        assert counters["reuse.parity_failures"] == failures + 1
-
-    def test_verify_off_by_default(self, forced_kernel, monkeypatch):
-        monkeypatch.delenv(VERIFY_ENV, raising=False)
-        counters = process_metrics().counters
-        checks = counters.get("reuse.parity_checks", 0.0)
-        reuse_time_gaps(np.array([0, 0], dtype=np.int64))
-        assert counters.get("reuse.parity_checks", 0.0) == checks
+        assert state is None

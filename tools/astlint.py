@@ -1,6 +1,6 @@
 """AST lint over ``src/repro``: exception hygiene and output discipline.
 
-Six checks, all pure ``ast`` walks (no third-party linter):
+Five checks, all pure ``ast`` walks (no third-party linter):
 
 - **No silent exception swallowing.**  A bare ``except:`` (which also
   catches ``KeyboardInterrupt``/``SystemExit``) or an ``except
@@ -40,13 +40,6 @@ Six checks, all pure ``ast`` walks (no third-party linter):
   The report-surface files in :data:`PRINT_ALLOWED` are exempt — their
   ``emit`` is the artifact writer, not the event bus.
 
-- **Optional dependencies stay lazy.**  Modules in
-  :data:`LAZY_IMPORT_ONLY` (``repro.mem.cachejit``'s ``numba`` today)
-  must import their optional dependency *inside a function body*, never
-  at module level — a top-level import would make the whole package
-  unimportable on the baked container image, where the dependency is
-  absent by design and the interpreter fallbacks are the product.
-
 Run standalone (``make lint`` / ``python tools/astlint.py``) or through
 the tier-1 test ``tests/test_lint_exceptions.py``, which imports this
 module by path and asserts all checks come back clean.
@@ -67,13 +60,6 @@ PRINT_ALLOWED = {
     "cli.py",
     "bench/report.py",
 }
-
-#: file (relative to ``src/repro``) -> module names that must only be
-#: imported inside function bodies (lazy optional dependencies).
-LAZY_IMPORT_ONLY = {
-    "mem/cachejit.py": {"numba"},
-}
-
 
 def _rel(path: Path) -> Path:
     """``path`` relative to the source root, or as-is outside it."""
@@ -241,53 +227,6 @@ def unused_local_violations(path: Path) -> list[str]:
     return problems
 
 
-def _imported_modules(node: ast.stmt):
-    """Top-level module names an import statement binds."""
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            yield alias.name.split(".")[0]
-    elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-        yield node.module.split(".")[0]
-
-
-def lazy_import_violations(path: Path) -> list[str]:
-    """Module-level imports of dependencies declared lazy-only.
-
-    Walks every import statement and flags the ones naming a
-    :data:`LAZY_IMPORT_ONLY` module unless the statement sits inside a
-    (possibly nested) function body — the resolver idiom.  Class bodies
-    and module scope both execute at import time, so both are flagged.
-    """
-    repro_root = SRC / "repro"
-    try:
-        relative = path.relative_to(repro_root).as_posix()
-    except ValueError:
-        return []
-    lazy_only = LAZY_IMPORT_ONLY.get(relative)
-    if not lazy_only:
-        return []
-    tree = ast.parse(path.read_text(), filename=str(path))
-    inside_function: set[int] = set()
-    for func in ast.walk(tree):
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for node in ast.walk(func):
-                inside_function.add(id(node))
-    problems = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if id(node) in inside_function:
-            continue
-        for module in _imported_modules(node):
-            if module in lazy_only:
-                problems.append(
-                    f"{_rel(path)}:{node.lineno}: module-level import of "
-                    f"optional dependency `{module}` — resolve it lazily "
-                    "inside a function (see lru_kernel)"
-                )
-    return problems
-
-
 #: Call names whose literal first argument is an instrumentation name.
 METRIC_NAME_CALLS = {
     "inc", "gauge", "observe", "span", "instant", "emit", "submission",
@@ -367,7 +306,6 @@ def run_lint(root: Path = SRC) -> list[str]:
         problems.extend(print_violations(path))
         problems.extend(fire_and_forget_task_violations(path))
         problems.extend(unused_local_violations(path))
-        problems.extend(lazy_import_violations(path))
         problems.extend(naming_violations(path))
     return problems
 
