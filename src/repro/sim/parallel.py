@@ -33,17 +33,14 @@ pool restarts for post-run inspection.
 
 The pool is **cache-aware**: before fanning out it derives a dispatch
 plan from the jobs' trace keys and the persistent trace store
-(:mod:`repro.sim.tracestore`).  Store-cold keys go through the **cold
-pipeline** first: each key is decomposed into a *trace* stage (build the
-raw trace and land it in the store) and a *fold* stage (load it back as
-a shared mmap and derive the reuse / mask / profile artifacts), chained
-completion-driven so a key's fold starts the moment its trace lands and
-its cells dispatch store-warm right after.  Cold-stage concurrency is
-**admission-clamped** to the machine (``REPRO_POOL_CPUS``, default the
-CPU count) and to the worker memory budget (``REPRO_WORKER_BYTES`` over
-the largest projected trace); when the clamp admits a single lane the
-parent primes keys in-process instead of paying fork and store
-round-trips for serialised work.  The warm remainder then fans out
+(:mod:`repro.sim.tracestore`).  Store-cold keys are **primed** first:
+one worker stage per key builds the trace, saves it to the store, and
+derives the hit mask and page profile from it, so the key's cells
+dispatch store-warm.  Priming concurrency is **admission-clamped** to
+the CPUs this process may run on and to the worker memory budget
+(``REPRO_WORKER_BYTES`` over the largest projected trace).  Priming is
+best effort: a key whose stage fails is rebuilt by its cells under the
+store's single-flight lease.  The cells then fan out
 longest-expected-first.  The parent also pre-builds every referenced
 dataset and publishes its CSR arrays as read-only shared-memory segments
 (:mod:`repro.graph.shm`), released in a ``finally`` even when workers
@@ -131,11 +128,6 @@ JOB_BACKOFF_ENV = "REPRO_JOB_BACKOFF"
 #: How long an injected ``pool.hang`` sleeps when the spec has no param.
 DEFAULT_HANG_SECONDS = 30.0
 
-#: CPU count the cold-admission clamp believes in (default: the machine's).
-#: Overridable so a run can exercise the multicore staged DAG on one core
-#: or pin a reproducible width.
-POOL_CPUS_ENV = "REPRO_POOL_CPUS"
-
 FLOWS = ("static", "atmem", "coarse", "cell", "multitenant")
 
 
@@ -155,24 +147,16 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 
 def pool_cpus() -> int:
-    """How many CPUs cold stages may assume (``REPRO_POOL_CPUS`` override).
+    """How many CPUs priming may assume: this process's CPU affinity.
 
-    Worker *count* is a user choice; cold-stage *concurrency* is an
+    Worker *count* is a user choice; priming *concurrency* is an
     admission decision — priming jobs are CPU- and memory-bound, so
-    running more of them than there are cores only adds contention.
+    running more of them than there are usable cores only adds
+    contention.  ``taskset`` narrows the affinity, and so the clamp.
     """
-    raw = os.environ.get(POOL_CPUS_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{POOL_CPUS_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if value > 0:
-            return value
-        raise ConfigurationError(f"{POOL_CPUS_ENV} must be >= 1, got {value}")
-    return os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # no affinity API (macOS)
 
 
 # ----------------------------------------------------------------------
@@ -615,11 +599,10 @@ def _pool_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
     Observability contract: the worker's obs state is **reset at entry**
     (fork-inherited parent buffers must not double-ship) and **drained at
     exit** into the payload's final element — events, metric deltas, and
-    spans — which the parent absorbs in ``_settle``.  The ``ok`` payload
-    also carries the job's cache-use classification (cold / store / warm)
-    as both a tuple element and a buffered ``pool.cache_use`` event, so
-    parent-side health accounting comes from worker-buffered events
-    rather than parent mutation.
+    spans — which the parent absorbs in ``_settle``.  The job's cache-use
+    classification (cold / store / warm) rides home as a buffered
+    ``pool.cache_use`` event, so parent-side health accounting comes from
+    worker-buffered events rather than parent mutation.
 
     ``ctx`` is the submitting span's context dict (when tracing is on):
     activated on the fresh tracer, it re-parents every span this job
@@ -659,7 +642,7 @@ def _pool_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
             _emit_worker_rss()
             blob = drain_all()
             _flush_worker_sidecar(blob)
-            return ("ok", result, kind, blob)
+            return ("ok", result, blob)
     except Exception as exc:  # noqa: BLE001 — re-raised with spec in parent
         blob = drain_all()
         _flush_worker_sidecar(blob)
@@ -733,72 +716,33 @@ def _registered_app(spec: JobSpec):
     return app, system
 
 
-def _stage_build_trace(
-    spec: JobSpec, cache: TraceCache | None = None, *, handoff: bool = True
-) -> None:
-    """DAG stage 1: build one cold key's trace and land it in the store.
+def prime_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> None:
+    """Prime one store-cold key: build its trace and fold its artifacts.
 
-    With ``handoff`` (the DAG default) the explicit ``save_trace`` is
-    coordination, not economics: the fold stage may run in a different
-    worker, so the trace must be on disk whatever the adaptive write
-    policy would have chosen.  (``TraceStore.save_*`` are unconditional;
-    the policy lives in the cache's save gates.)  The single-lane serial
-    primer passes ``handoff=False`` — build and fold share one cache, so
-    persisting the raw trace is pure warm-start economics and is left to
-    the policy inside ``cache.trace`` (skipping a multi-GB write the
-    workers can rebuild in milliseconds is exactly its job).
+    Four steps in one process: build the trace; save it to the store
+    whatever the write policy says, because the key's cells run in other
+    processes; derive the LLC hit mask (folding the reuse profile on the
+    way); derive the page miss profile.  The cache persists the derived
+    artifacts under the write policy, so the key's cells dispatch
+    store-warm afterwards.
     """
     cache = process_trace_cache() if cache is None else cache
     key = spec.trace_key()
-    app, _ = _registered_app(spec)
+    app, system = _registered_app(spec)
     trace = cache.trace(key, app.run_once)
     store = cache.store
-    if handoff and store is not None and not store.has(TRACE, key):
+    if store is not None and not store.has(TRACE, key):
         store.save_trace(key, trace)
-
-
-def _stage_fold_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> None:
-    """DAG stage 2: derive one cold key's fold artifacts from its trace.
-
-    Loads the trace back (a shared mmap when stage 1 persisted it in this
-    store, a rebuild otherwise) and folds the reuse profile, LLC hit
-    mask, and page miss profile through the cache, which persists each
-    one under the adaptive write policy.  After this stage the key's
-    cells dispatch store-warm.
-    """
-    cache = process_trace_cache() if cache is None else cache
-    key = spec.trace_key()
-
-    def builder():
-        app, _ = _registered_app(spec)
-        return app.run_once()
-
-    system = spec.platform.build_system()
-    trace = cache.trace(key, builder)
     hits = cache.hit_mask(key, system.llc, trace)
     cache.profile(key, system.llc, trace, hits)
 
 
-def prime_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> None:
-    """Build one spec's full artifact lattice in the current process.
-
-    Equivalent to running both DAG stages back to back; the single-lane
-    cold path uses it to prime keys in-parent before fanning cells out.
-    Both stages share ``cache``, so no store handoff is forced — the
-    adaptive write policy decides which artifacts are worth persisting.
-    """
-    _stage_build_trace(spec, cache, handoff=False)
-    _stage_fold_artifacts(spec, cache)
-
-
-def _stage_entry(
-    stage: str, spec: JobSpec, attempt: int = 0, ctx: dict | None = None
-):
-    """Worker-side wrapper for one priming stage (mirrors ``_pool_entry``).
+def _stage_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
+    """Worker-side wrapper for one key's priming (mirrors ``_pool_entry``).
 
     Same obs contract — reset at entry, drain into the payload — and the
     same never-raise rule, but no pool fault sites: priming is best
-    effort, so a failed stage is reported and *not* retried (the key's
+    effort, so a failed prime is reported and *not* retried (the key's
     cells rebuild whatever is missing).
     """
     reset_all()
@@ -809,18 +753,14 @@ def _stage_entry(
             with span(
                 "pool.stage",
                 cat="pool",
-                stage=stage,
                 tag=spec.tag or spec.flow,
                 attempt=attempt,
             ):
-                if stage == "trace":
-                    _stage_build_trace(spec)
-                else:
-                    _stage_fold_artifacts(spec)
+                prime_artifacts(spec)
             _emit_worker_rss()
             blob = drain_all()
             _flush_worker_sidecar(blob)
-            return ("ok", None, None, blob)
+            return ("ok", None, blob)
     except Exception as exc:  # noqa: BLE001 — reported best-effort in parent
         blob = drain_all()
         _flush_worker_sidecar(blob)
@@ -832,13 +772,11 @@ def _stage_entry(
 
 @dataclass
 class _ColdPlan:
-    """Store-cold keys to prime, and how wide the cold stages may run."""
+    """Store-cold keys to prime, and how many primes may run at once."""
 
     #: One representative (heaviest) job per store-cold trace key.
     jobs_by_key: dict
-    #: Projected peak resident bytes of the largest single priming job.
-    projected_bytes: int
-    #: Cold-stage concurrency after the admission clamp.
+    #: Priming concurrency after the admission clamp.
     admitted: int
 
 
@@ -882,11 +820,6 @@ class ExperimentPool:
         #: (kept after release, so tests can assert they were unlinked).
         self.last_segments: list[str] = []
         self._executor: ProcessPoolExecutor | None = None
-        #: Trace keys whose artifact lattice the cold pipeline completed
-        #: this run.  Tracked separately from the store's trace entry because
-        #: the adaptive write policy may prime a key without persisting
-        #: its raw trace.
-        self._primed_keys: set = set()
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> list:
@@ -894,7 +827,6 @@ class ExperimentPool:
         specs = list(specs)
         self.health = PoolHealth()
         self.last_segments = []
-        self._primed_keys = set()
         if not specs:
             self.last_mode = "empty"
             return []
@@ -980,46 +912,38 @@ class ExperimentPool:
         retries = job_retries()
         max_restarts = retries + 2
         plan = self._cold_plan(jobs, workers)
-        if plan is not None and plan.admitted <= 1:
-            # One admitted cold lane: a separate process would do the same
-            # serial work with fork and store round-trips on top, so the
-            # parent primes the keys directly — and because workers fork
-            # from this process, the freshly calibrated write policy (and
-            # the hottest cache entries) are inherited copy-on-write.
-            self._prime_serially(plan)
         try:
             self._executor = self._make_executor(workers)
         except (OSError, ValueError, PermissionError):
             return
         self.last_mode = f"parallel[{workers}]"
         try:
-            if plan is not None and plan.admitted > 1:
-                if not self._drive_dag(plan, workers, timeout):
-                    return
-            for wave in self._dispatch_waves(jobs):
-                if not self._drive_wave(
-                    wave, results, done, workers, timeout, retries, max_restarts
-                ):
-                    return
+            if plan is not None and not self._prime(plan, workers, timeout):
+                return
+            ordered = sorted(jobs, key=lambda j: (-j.spec.expected_cost(), j.index))
+            self._drive_wave(
+                ordered, results, done, workers, timeout, retries, max_restarts
+            )
         finally:
             if self._executor is not None:
                 self._kill_executor(self._executor)
                 self._executor = None
 
     def _cold_plan(self, jobs: list[_Job], workers: int) -> _ColdPlan | None:
-        """Derive the cold pipeline's plan: which keys, and how wide.
+        """Derive the priming plan: which keys, and how many at once.
 
         A key is *cold* when the store has no entry for it at all
         (:meth:`repro.sim.tracestore.TraceStore.has_entry`) — a key with
         any committed artifact was primed by an earlier run, and whatever
         the write policy left out is rebuild-cheap by construction.
 
-        Cold stages hold a whole trace plus its fold state resident, so
-        admitted concurrency is clamped to the machine (:func:`pool_cpus`)
-        and to the worker memory budget (``REPRO_WORKER_BYTES`` over the
-        largest projected trace).  The clamp governs only priming — cell
-        dispatch keeps the full worker count, because warm cells stream
-        artifacts from the store instead of materialising them.
+        A prime holds a whole trace plus its fold state resident, so
+        admitted concurrency is clamped to the usable CPUs
+        (:func:`pool_cpus`) and to the worker memory budget
+        (``REPRO_WORKER_BYTES`` over the largest projected trace).  The
+        clamp governs only priming — cell dispatch keeps the full worker
+        count, because warm cells stream artifacts from the store instead
+        of materialising them.
         """
         store = process_trace_store()
         if store is None:
@@ -1031,7 +955,7 @@ class ExperimentPool:
             if spec.app is None:
                 continue
             key = spec.trace_key()
-            if key in cold or key in self._primed_keys or store.has_entry(key):
+            if key in cold or store.has_entry(key):
                 continue
             cold[key] = job
         if not cold:
@@ -1055,110 +979,57 @@ class ExperimentPool:
             f"budget {budget >> 20} MiB)",
             source="pool",
         )
-        return _ColdPlan(
-            jobs_by_key=cold, projected_bytes=projected, admitted=admitted
-        )
+        return _ColdPlan(jobs_by_key=cold, admitted=admitted)
 
-    def _prime_serially(self, plan: _ColdPlan) -> None:
-        """Prime every cold key in-parent when admission allows one lane.
+    def _prime(self, plan: _ColdPlan, workers: int, timeout: float | None) -> bool:
+        """Prime every store-cold key, one worker stage per key.
 
-        Uses a throwaway single-entry cache so the parent's resident set
-        stays one key deep — the artifacts' home is the store, and the
-        point of the exercise is keeping peak RSS bounded.  Priming is
-        best effort: a failed key is noted and left for its cells to
-        rebuild.
-        """
-        cache = TraceCache(max_traces=1)
-        with span("pool.prime_serial", cat="pool", keys=len(plan.jobs_by_key)):
-            for key, job in plan.jobs_by_key.items():
-                try:
-                    prime_artifacts(job.spec, cache)
-                except Exception as exc:  # noqa: BLE001 — best-effort priming
-                    process_bus().emit(
-                        "pool.note",
-                        f"serial prime failed for job {job.index} "
-                        f"({type(exc).__name__}: {exc}); cells will rebuild",
-                        source="pool",
-                    )
-                    continue
-                self._primed_keys.add(key)
-
-    def _drive_dag(
-        self, plan: _ColdPlan, workers: int, timeout: float | None
-    ) -> bool:
-        """Prime store-cold keys through the staged trace → fold DAG.
-
-        Each key's trace stage builds and persists the raw trace; its
-        fold stage is submitted the moment that trace lands
-        (completion-driven, no cross-key barrier), loads it back as a
-        shared mmap, and derives the reuse / mask / profile artifacts.
-        In-flight stages are bounded by the admission clamp, not the
-        worker count, and fold stages are submitted ahead of queued trace
-        stages so finished keys free their memory early.
-
-        Priming is *best effort*: a failed stage means only that the
-        key's cells rebuild the artifacts themselves, so any pool-level
-        failure (dead pool, stage timeout) abandons the remaining DAG
-        rather than spending the wave machinery's retry budget.
+        At most ``plan.admitted`` primes are in flight; the rest queue
+        heaviest-first and go out as earlier ones finish.  Priming is
+        *best effort*: a failed prime means only that the key's cells
+        rebuild its artifacts under the store's single-flight lease, so
+        any pool-level failure (dead pool, prime timeout) abandons the
+        remaining primes rather than spending the cells' retry budget.
         ``False`` means the executor could not be revived and the batch
         should fall back to the serial path.
         """
-        queue: list[tuple[str, Any, _Job]] = [
-            ("trace", key, job) for key, job in plan.jobs_by_key.items()
-        ]
+        queue = list(plan.jobs_by_key.values())
         pending: dict = {}
-        with span(
-            "pool.prime_dag",
-            cat="pool",
-            keys=len(plan.jobs_by_key),
-            admitted=plan.admitted,
-        ):
+        with span("pool.prime", cat="pool", keys=len(queue), admitted=plan.admitted):
             while queue or pending:
                 while queue and len(pending) < plan.admitted:
-                    stage, key, job = queue.pop(0)
+                    job = queue.pop(0)
                     try:
                         future = self._executor.submit(
-                            _stage_entry, stage, job.spec, job.attempt,
-                            _submission_ctx(job),
+                            _stage_entry, job.spec, job.attempt, _submission_ctx(job)
                         )
                     except (RuntimeError, BrokenProcessPool):
-                        return self._abandon_dag("stage submit failed", workers)
-                    pending[future] = (stage, key, job)
+                        return self._abandon_priming("prime submit failed", workers)
+                    pending[future] = job
                 finished, _ = wait(
                     pending, timeout=timeout, return_when=FIRST_COMPLETED
                 )
                 if not finished:
-                    return self._abandon_dag(
-                        f"stage exceeded {timeout}s", workers
-                    )
+                    return self._abandon_priming(f"prime exceeded {timeout}s", workers)
                 for future in finished:
-                    stage, key, job = pending.pop(future)
+                    job = pending.pop(future)
                     try:
                         payload = future.result(timeout=0)
                     except (BrokenProcessPool, CancelledError, OSError) as exc:
-                        return self._abandon_dag(
-                            f"pool died mid-stage ({type(exc).__name__})",
-                            workers,
+                        return self._abandon_priming(
+                            f"pool died mid-prime ({type(exc).__name__})", workers
                         )
-                    blob = payload[-1] if isinstance(payload[-1], dict) else None
-                    if blob is not None:
-                        absorb_all(blob)
+                    absorb_all(payload[-1])
                     if payload[0] != "ok":
                         process_bus().emit(
                             "pool.note",
-                            f"prime stage {stage!r} failed for job "
-                            f"{job.index} ({payload[1]}: {payload[2]}); "
-                            "cells will rebuild",
+                            f"priming failed for job {job.index} "
+                            f"({payload[1]}: {payload[2]}); cells will rebuild",
                             source="pool",
                         )
-                        continue
-                    if stage == "trace":
-                        queue.insert(0, ("fold", key, job))
-                    else:
-                        self._primed_keys.add(key)
         return True
 
-    def _abandon_dag(self, reason: str, workers: int) -> bool:
+    def _abandon_priming(self, reason: str, workers: int) -> bool:
         """Give up priming but keep the batch alive on a fresh executor."""
         process_bus().emit(
             "pool.note",
@@ -1175,47 +1046,6 @@ class ExperimentPool:
             return False
         return True
 
-    def _dispatch_waves(self, jobs: list[_Job]) -> list[list[_Job]]:
-        """Split the batch into dispatch waves.
-
-        Jobs go out longest-expected-first (so the critical path starts
-        early), and when the persistent store is armed, a first wave runs
-        exactly one *primer* job per store-cold trace key: siblings
-        sharing that key then load the trace from the store instead of all
-        recomputing it side by side.  A trivial batch is one wave.  Waves
-        only order dispatch — results stay indexed by submission order and
-        are bit-identical regardless.
-        """
-        if len(jobs) <= 1:
-            return [jobs]
-        ordered = sorted(jobs, key=lambda j: (-j.spec.expected_cost(), j.index))
-        store = process_trace_store()
-        if store is None:
-            return [ordered]
-        primers: list[_Job] = []
-        rest: list[_Job] = []
-        primed: set = set()
-        for job in ordered:
-            key = job.spec.trace_key()
-            if (
-                job.spec.app is None
-                or key in primed
-                or key in self._primed_keys
-                or store.has_entry(key)
-            ):
-                rest.append(job)
-                continue
-            primed.add(key)
-            primers.append(job)
-        if not primers or not rest:
-            return [ordered]
-        process_bus().emit(
-            "pool.note",
-            f"priming store for {len(primers)} cold trace key(s) before fan-out",
-            source="pool",
-        )
-        return [primers, rest]
-
     def _drive_wave(
         self,
         wave: list[_Job],
@@ -1225,8 +1055,8 @@ class ExperimentPool:
         timeout: float | None,
         retries: int,
         max_restarts: int,
-    ) -> bool:
-        """Run one wave to completion; ``False`` defers to the serial path."""
+    ) -> None:
+        """Run the cells to completion; an early return leaves the rest serial."""
         while not all(done[job.index] for job in wave):
             pending = [job for job in wave if not done[job.index]]
             futures = {
@@ -1286,7 +1116,7 @@ class ExperimentPool:
                     "finishing remaining jobs serially",
                     source="pool",
                 )
-                return False
+                return
             try:
                 self._executor = self._make_executor(workers)
             except (OSError, ValueError, PermissionError):
@@ -1296,8 +1126,7 @@ class ExperimentPool:
                     "finishing remaining jobs serially",
                     source="pool",
                 )
-                return False
-        return True
+                return
 
     def _settle(
         self, job: _Job, payload: tuple, results: list, done: list[bool], retries: int
@@ -1310,17 +1139,10 @@ class ExperimentPool:
         even when the same worker process served many jobs or died in
         between — each job drains its own delta at the worker side.
         """
-        blob = payload[-1] if isinstance(payload[-1], dict) else None
-        if blob is not None:
-            absorb_all(blob)
+        absorb_all(payload[-1])
         if payload[0] == "ok":
             results[job.index] = payload[1]
             done[job.index] = True
-            if blob is None:
-                # Legacy payload without an obs blob: classify directly.
-                self.health.tally_cache_use(
-                    payload[2] if len(payload) > 2 else None
-                )
             return
         kind, message, worker_tb = payload[1], payload[2], payload[3]
         job.attempt += 1

@@ -41,7 +41,7 @@ ArtifactSpec`:
 - **Leases** — cross-process single-flight (:meth:`TraceStore.
   single_flight`): the first worker to reach a cold artifact creates
   ``.lease-<what>`` with ``O_EXCL`` and builds it; contenders wait
-  (bounded by ``REPRO_LEASE_TIMEOUT``) and *adopt* the committed result.
+  (bounded by ``LEASE_TIMEOUT_S``, 30 s) and *adopt* the committed result.
   A lease whose pid is dead — or that outlived the timeout — is stale
   and reclaimed, so a crashed primer never wedges the pipeline (the
   ``store.lease_crash`` chaos case).  Leases are advisory: losing one
@@ -103,8 +103,7 @@ STORE_COUNTERS = (
 )
 
 #: Seconds before a lease with a live-looking file is considered stale.
-LEASE_TIMEOUT_ENV = "REPRO_LEASE_TIMEOUT"
-DEFAULT_LEASE_TIMEOUT = 30.0
+LEASE_TIMEOUT_S = 30.0
 
 #: Write policy override: ``always`` | ``adaptive`` (default) | ``never``.
 STORE_POLICY_ENV = "REPRO_STORE_POLICY"
@@ -126,21 +125,6 @@ _TMP_SEQ = 0
 #: Lease files held by this *process* (shared across handles so two
 #: in-process store views never reclaim each other's live lease).
 _HELD: set[Path] = set()
-
-
-def lease_timeout() -> float:
-    """Seconds before a lease is presumed abandoned (env-tunable)."""
-    raw = os.environ.get(LEASE_TIMEOUT_ENV)
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise TraceError(
-                f"{LEASE_TIMEOUT_ENV} must be a number, got {raw!r}"
-            ) from None
-        if value > 0:
-            return value
-    return DEFAULT_LEASE_TIMEOUT
 
 
 def store_policy() -> str:
@@ -311,7 +295,7 @@ class TraceStore:
 
         ``True`` means this process now holds the lease and must
         :meth:`release_lease` when its fold commits (or fails).  A lease
-        held by a *dead* pid — or older than ``REPRO_LEASE_TIMEOUT`` —
+        held by a *dead* pid — or older than :data:`LEASE_TIMEOUT_S` —
         is stale and reclaimed before retrying.  An unwritable store
         degrades to ``True`` without a lease file: single-flight is an
         optimisation, never a correctness gate.
@@ -389,7 +373,7 @@ class TraceStore:
         """
         path = self._lease_path(key, what)
         deadline = time.monotonic() + (
-            lease_timeout() if timeout is None else timeout
+            LEASE_TIMEOUT_S if timeout is None else timeout
         )
         self.stats.bump("lease_waits")
         with span("store.lease_wait", cat="store", entry=path.parent.name):
@@ -449,8 +433,8 @@ class TraceStore:
             return True  # holder is dead
         except PermissionError:
             # Alive under another uid; fall through to the age check.
-            return (time.time() - mtime) > lease_timeout()
-        return (time.time() - mtime) > lease_timeout()
+            return (time.time() - mtime) > LEASE_TIMEOUT_S
+        return (time.time() - mtime) > LEASE_TIMEOUT_S
 
     def _reclaim_lease(self, path: Path) -> None:
         self.stats.bump("lease_reclaims")

@@ -93,3 +93,26 @@ class TestCliDocumentation:
         available = set(sub.choices)
         for cmd in ("run", "datasets", "sweep", "migrate", "reproduce", "summary"):
             assert cmd in available
+
+
+class TestEnvKnobs:
+    def test_documented_env_vars_are_read_by_the_source(self):
+        """A ``REPRO_*`` name in the docs must be a string literal in ``src/``.
+
+        Docstrings and comments do not count: a knob is read only where
+        its name is a value the code passes to the environment lookup.
+        """
+        read = set()
+        for path in (REPO / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+        unread = [
+            f"{doc}: {name}"
+            for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+            for name in sorted(
+                set(re.findall(r"REPRO_[A-Z_]+", (REPO / doc).read_text("utf-8")))
+            )
+            if name not in read
+        ]
+        assert not unread, f"documented knobs nothing reads: {unread}"

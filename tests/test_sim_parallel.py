@@ -4,8 +4,12 @@ import dataclasses
 
 import pytest
 
+from repro.cachebudget import TRACE_STORE_ENV
 from repro.config import nvm_dram_testbed
 from repro.errors import ConfigurationError
+from repro.faults.chaos import committed_figures
+from repro.sim import parallel
+from repro.sim.artifacts import TRACE
 from repro.sim.parallel import (
     AppSpec,
     ExperimentJobError,
@@ -68,6 +72,66 @@ class TestParitySerialVsParallel:
         for spec, result in zip(specs, results):
             direct = execute_job(spec)
             assert result.atmem.seconds == direct.atmem.seconds, spec.tag
+
+
+def _cold_specs(platform):
+    """Four tiny cells over three trace keys; the BFS/twitter key is shared."""
+    bfs = AppSpec.make("BFS", "twitter", scale=TINY)
+    pr = AppSpec.make("PR", "rmat24", scale=TINY)
+    cc = AppSpec.make("CC", "twitter", scale=TINY)
+    return [
+        JobSpec(app=bfs, platform=platform, flow="cell", placement="fast"),
+        JobSpec(app=bfs, platform=platform, flow="static", placement="fast"),
+        JobSpec(app=pr, platform=platform, flow="atmem"),
+        JobSpec(app=cc, platform=platform, flow="coarse"),
+    ]
+
+
+class TestColdPriming:
+    """A cold store-armed 2-worker pass primes each key once, then matches serial."""
+
+    def _serial(self, monkeypatch, specs):
+        monkeypatch.delenv(TRACE_STORE_ENV, raising=False)
+        return [committed_figures(r) for r in ExperimentPool(1).run(specs)]
+
+    def _cold_pool(self, monkeypatch, tmp_path, specs):
+        monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
+        pool = ExperimentPool(2)
+        figures = [committed_figures(r) for r in pool.run(specs)]
+        if not pool.last_mode.startswith("parallel"):
+            pytest.skip("pool fell back to serial on this host")
+        return pool, figures
+
+    def test_store_armed_pool_matches_serial(self, monkeypatch, tmp_path, platform):
+        specs = _cold_specs(platform)
+        serial = self._serial(monkeypatch, specs)
+        pool, figures = self._cold_pool(monkeypatch, tmp_path, specs)
+        assert figures == serial
+        keys = {spec.trace_key() for spec in specs}
+        assert pool.health.cold_keys == len(keys) == 3, pool.health.as_dict()
+        store = parallel.process_trace_store()
+        for key in keys:
+            assert store.has(TRACE, key), key
+
+    def test_failed_priming_is_rebuilt_by_the_cells(
+        self, monkeypatch, tmp_path, platform
+    ):
+        specs = _cold_specs(platform)
+        serial = self._serial(monkeypatch, specs)
+        real_prime = parallel.prime_artifacts
+
+        def flaky_prime(spec, cache=None):
+            if spec.app.app == "PR":
+                raise RuntimeError("injected priming failure")
+            real_prime(spec, cache)
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(parallel, "prime_artifacts", flaky_prime)
+        pool, figures = self._cold_pool(monkeypatch, tmp_path, specs)
+        assert figures == serial
+        health = pool.health
+        assert any("priming failed" in note for note in health.notes), health.notes
+        assert health.retries == 0, health.as_dict()
 
 
 class TestErrorPropagation:
