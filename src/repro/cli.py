@@ -11,9 +11,6 @@ Subcommands:
   every injected fault was survived with fault-free results;
 - ``trace`` — convert a recorded JSONL span trace to Chrome trace-event
   JSON loadable in ``chrome://tracing`` / https://ui.perfetto.dev;
-  ``--merge`` folds per-worker sidecar files into one causal tree;
-- ``top`` — poll a running service's exposition endpoint
-  (``repro serve --expose``) and render a live per-tenant SLO/burn view;
 - ``stats`` — pretty-print the metrics snapshot the last experiment
   command left behind;
 - ``store`` — inventory verbs over a persistent trace store:
@@ -252,12 +249,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.events,
         seed=args.seed,
         deadline_s=args.deadline,
-        latency_slo_s=args.slo,
     )
     config = ServiceConfig(
         platform=platform_by_name(args.platform, scale=args.scale),
         journal_root=Path(args.journal) if args.journal else None,
-        expose_port=args.expose,
     )
     report = serve_trace(jobs, config, kill_after=args.kill_after)
     statuses = ", ".join(
@@ -281,17 +276,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         print(f"    {tenant['name']}: {app.get('app', '?')}/"
               f"{app.get('dataset', '?')} fast_bytes={fast}")
-    for tenant, snap in sorted(report["health"].get("slo", {}).items()):
-        alert = f" ALERT={snap['alert']}" if snap.get("alert") else ""
-        print(f"  slo {tenant}: burn={snap['burn']:.2f} "
-              f"latency_attainment={snap['latency']['attainment']:.3f} "
-              f"admission_attainment={snap['admission']['attainment']:.3f}"
-              f"{alert}")
-    exposition = report.get("exposition")
-    if exposition is not None:
-        print(f"  exposition: scraped {len(exposition['metrics'])} series "
-              f"from 127.0.0.1:{exposition['port']} "
-              "(/metrics /health /slo; watch with `repro top`)")
     corruptions = report["health"]["journal_corruptions"]
     if corruptions:
         print(f"  journal corruption(s) tolerated: {len(corruptions)}")
@@ -324,54 +308,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
               "`repro reproduce ... --trace PATH` first")
         return 1
     out = Path(args.out) if args.out else src.with_suffix(".json")
-    if args.merge:
-        import json
-
-        from repro.obs.tracer import merge_trace_files, to_chrome, worker_sidecars
-
-        sidecars = worker_sidecars(src)
-        payload = to_chrome(merge_trace_files(src))
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        print(f"merged {len(sidecars)} worker sidecar(s) into {src.name}: "
-              f"wrote {len(payload['traceEvents'])} trace event(s) to {out} "
-              "(load in chrome://tracing or https://ui.perfetto.dev)")
-        return 0
     count = export_chrome(src, out)
     print(f"wrote {count} trace event(s) to {out} "
           "(load in chrome://tracing or https://ui.perfetto.dev)")
-    return 0
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live per-tenant SLO/burn view of a running placement service."""
-    import json
-    import time
-    import urllib.error
-    import urllib.request
-
-    def _get(path: str) -> dict:
-        url = f"http://{args.host}:{args.port}{path}"
-        with urllib.request.urlopen(url, timeout=5.0) as response:
-            return json.loads(response.read().decode("utf-8"))
-
-    from repro.obs.exposition import render_top
-
-    iterations = 1 if args.once else args.iterations
-    shown = 0
-    while iterations is None or shown < iterations:
-        try:
-            frame = render_top(_get("/health"), _get("/slo"))
-        except (urllib.error.URLError, OSError) as exc:
-            print(f"cannot reach placement service at "
-                  f"{args.host}:{args.port}: {exc}")
-            return 1
-        if shown and sys.stdout.isatty():
-            print("\x1b[2J\x1b[H", end="")
-        print(frame)
-        shown += 1
-        if iterations is None or shown < iterations:
-            time.sleep(args.interval)
     return 0
 
 
@@ -575,42 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-after", type=int, default=None, metavar="N",
         help="simulate a crash (no drain, no checkpoint) after N jobs",
     )
-    serve_p.add_argument(
-        "--slo", type=float, default=None, metavar="SECONDS",
-        help="per-tenant decision-latency SLO target fed to the error-"
-             "budget engine (default: fall back to --deadline, then 1s)",
-    )
-    serve_p.add_argument(
-        "--expose", type=int, default=None, nargs="?", const=0, metavar="PORT",
-        help="serve /metrics, /health and /slo on PORT while the trace "
-             "runs (0 or bare flag picks an ephemeral port)",
-    )
     serve_p.set_defaults(func=cmd_serve)
-
-    top_p = sub.add_parser(
-        "top", help="live per-tenant SLO/burn view of a running service"
-    )
-    top_p.add_argument(
-        "--host", default="127.0.0.1",
-        help="exposition host (default: 127.0.0.1)",
-    )
-    top_p.add_argument(
-        "--port", type=int, required=True,
-        help="exposition port (printed by `repro serve --expose`)",
-    )
-    top_p.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="refresh period (default: 2s)",
-    )
-    top_p.add_argument(
-        "--iterations", type=int, default=None, metavar="N",
-        help="stop after N frames (default: run until interrupted)",
-    )
-    top_p.add_argument(
-        "--once", action="store_true",
-        help="render a single frame and exit (same as --iterations 1)",
-    )
-    top_p.set_defaults(func=cmd_top)
 
     trace_p = sub.add_parser(
         "trace", help="convert a JSONL span trace to Chrome/Perfetto JSON"
@@ -626,11 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--out", default=None, metavar="PATH",
         help="output file (default: the trace path with a .json suffix)",
-    )
-    trace_p.add_argument(
-        "--merge", action="store_true",
-        help="fold per-worker sidecar files (TRACE.wPID) into the export "
-             "so cross-process spans land in one causal tree",
     )
     trace_p.set_defaults(func=cmd_trace)
 

@@ -235,11 +235,6 @@ def seed_matrix() -> tuple[ChaosCase, ...]:
             FaultPlan(seed=119),
             kind="serve-kill",
         ),
-        ChaosCase(
-            "serve-burn-shed",
-            FaultPlan(seed=120),
-            kind="serve-burn",
-        ),
     )
 
 
@@ -1232,133 +1227,6 @@ def _run_serve_kill_case(
     return outcome
 
 
-def _run_serve_burn_case(
-    case: ChaosCase, platform: PlatformConfig
-) -> ChaosOutcome:
-    """Budget-aware shedding refuses the fastest-burning tenant first.
-
-    The victim torches its admission error budget with a run of
-    already-expired measures (every one a broken promise in its rolling
-    window), then an overload burst arrives with ``budget_aware``
-    shedding armed.  The contract: once any shed tier is active, the
-    victim's submissions are refused with the typed ``shed-burn`` reason
-    while the healthy bystander is never budget-shed, the victim's burn
-    is surfaced in ``health()``, and the quiet measures afterwards
-    produce figures bit-identical to a burst-free reference run.
-    """
-    from repro.serve import (
-        OP_ADMIT,
-        OP_MEASURE,
-        AdmissionRejected,
-        PlacementService,
-        QoS,
-        ShedPolicy,
-        TenantJob,
-    )
-
-    outcome = ChaosOutcome(case=case.name)
-    reference = _serve_pair_reference(platform)
-    outcome.reference = reference
-    apps = _serve_apps()
-    config = _serve_config(
-        platform,
-        shed=ShedPolicy(
-            queue_limit=16,
-            skip_optimize_at=0.125,
-            stale_at=0.5,
-            reject_at=0.95,
-            budget_aware=True,
-            burn_threshold=1.0,
-        ),
-    )
-
-    async def _script() -> tuple[dict, list[str], str, int]:
-        service = PlacementService(config, clock=_StepClock())
-        await service.start()
-        for name in ("steady", "victim"):
-            await service.submit(TenantJob(OP_ADMIT, name, app=apps[name]))
-        expired = QoS(deadline_s=0.0)
-        burn_statuses = [
-            (
-                await service.submit(
-                    TenantJob(OP_MEASURE, "victim", qos=expired)
-                )
-            ).status
-            for _ in range(3)
-        ]
-
-        async def _try(job):
-            try:
-                return await service.submit(job)
-            except AdmissionRejected as exc:
-                return exc
-
-        burst = await asyncio.gather(
-            *[
-                _try(
-                    TenantJob(
-                        OP_MEASURE, "steady" if i % 2 == 0 else "victim"
-                    )
-                )
-                for i in range(10)
-            ]
-        )
-        shed_burn = sum(
-            1
-            for r in burst
-            if isinstance(r, AdmissionRejected) and r.reason == "shed-burn"
-        )
-        steady_rejected = sum(
-            1
-            for i, r in enumerate(burst)
-            if i % 2 == 0 and isinstance(r, AdmissionRejected)
-        )
-        burn = service.slo.burn_of("victim")
-        health = service.health()
-        results = {}
-        for name in ("steady", "victim"):
-            measured = await service.submit(TenantJob(OP_MEASURE, name))
-            results[name] = measured.result
-        figures = _serve_figures(service, results)
-        violations = service.host.system.check_consistency()
-        await service.stop()
-        notes = (
-            f"warm-up statuses={burn_statuses}; victim burn={burn:.1f}; "
-            f"burst of 10: shed-burn={shed_burn} "
-            f"steady_rejected={steady_rejected}"
-        )
-        if set(burn_statuses) != {"expired"}:
-            violations = list(violations) + [
-                "warm-up jobs did not all expire"
-            ]
-        if not shed_burn:
-            violations = list(violations) + [
-                "overload never shed the budget-burning tenant"
-            ]
-        if steady_rejected:
-            violations = list(violations) + [
-                "budget-aware shed rejected the healthy bystander"
-            ]
-        victim_slo = health.get("slo", {}).get("victim")
-        if victim_slo is None or victim_slo["burn"] < 1.0:
-            violations = list(violations) + [
-                "victim burn rate not surfaced in health()"
-            ]
-        return figures, violations, notes, shed_burn
-
-    with _watching("serve.shed"), injected(case.plan):
-        figures, violations, notes, shed_burn = asyncio.run(_script())
-    outcome.completed = True
-    outcome.figures = figures
-    outcome.fired = shed_burn
-    outcome.consistent = not violations
-    outcome.identical = figures_identical(figures, reference)
-    outcome.detail = notes + (
-        "; audit clean" if outcome.consistent else f"; {violations}"
-    )
-    return outcome
-
-
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
@@ -1398,8 +1266,6 @@ def run_case(
         return _run_serve_shed_case(case, platform)
     if case.kind == "serve-kill":
         return _run_serve_kill_case(case, platform)
-    if case.kind == "serve-burn":
-        return _run_serve_burn_case(case, platform)
     return _run_runtime_case(case, platform)
 
 

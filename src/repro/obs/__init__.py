@@ -2,20 +2,16 @@
 
 Three primitives with one shipping contract:
 
-- :mod:`repro.obs.tracer` — nested timed spans with causal span
-  contexts (:mod:`repro.obs.context`), JSONL output, Chrome / Perfetto
-  timeline export, gated by ``REPRO_TRACE`` / ``--trace``;
+- :mod:`repro.obs.tracer` — nested timed spans, JSONL output, Chrome /
+  Perfetto timeline export, gated by ``REPRO_TRACE`` / ``--trace``;
 - :mod:`repro.obs.metrics` — counters/gauges/timing accumulators,
   snapshotted atomically at run end and embedded in bench rows;
 - :mod:`repro.obs.bus` — publish/subscribe events that replace the
   bespoke RuntimeEvent lists, parent-side PoolHealth mutation, and
   chaos-report dict shaping.
 
-Plus the serving-side layers built on them: :mod:`repro.obs.slo`
-(per-tenant error budgets and burn rates), :mod:`repro.obs.exposition`
-(the live ``/metrics`` + ``/health`` + ``/slo`` endpoint), and
-:mod:`repro.obs.naming` (the instrumentation name taxonomy astlint
-enforces).
+Plus :mod:`repro.obs.naming`, the instrumentation name taxonomy
+astlint enforces.
 
 All primitives separate *worker* state from *parent* state the same
 way: ``drain()`` empties the worker-side buffer into a picklable batch
@@ -23,8 +19,7 @@ that rides home in the job payload, and ``absorb()``/``merge()`` folds
 it in parent-side, so cross-process accounting is exact even with
 retries and pool restarts.  Each drained blob carries a unique
 ``blob_id`` and :func:`absorb_all` refuses to fold the same blob twice
-— a retry that re-delivers a payload (or a sidecar re-absorbed after a
-merge) cannot double-count.
+— a retry that re-delivers a payload cannot double-count.
 """
 
 import itertools
@@ -37,7 +32,6 @@ from repro.obs.bus import (
     process_bus,
     reset_process_bus,
 )
-from repro.obs.context import NO_PARENT, SpanContext, derive_id, root_context
 from repro.obs.metrics import (
     LatencyTracker,
     MetricsRegistry,
@@ -52,16 +46,12 @@ from repro.obs.tracer import (
     Tracer,
     export_chrome,
     instant,
-    merge_records,
-    merge_trace_files,
     process_tracer,
     read_jsonl,
     reset_process_tracer,
-    sidecar_path,
     span,
     to_chrome,
     tracing_enabled,
-    worker_sidecars,
 )
 
 __all__ = [
@@ -70,10 +60,6 @@ __all__ = [
     "emit",
     "process_bus",
     "reset_process_bus",
-    "NO_PARENT",
-    "SpanContext",
-    "derive_id",
-    "root_context",
     "LatencyTracker",
     "MetricsRegistry",
     "default_snapshot_path",
@@ -85,16 +71,12 @@ __all__ = [
     "Tracer",
     "export_chrome",
     "instant",
-    "merge_records",
-    "merge_trace_files",
     "process_tracer",
     "read_jsonl",
     "reset_process_tracer",
-    "sidecar_path",
     "span",
     "to_chrome",
     "tracing_enabled",
-    "worker_sidecars",
 ]
 
 #: Monotonic per-process counter making blob ids unique within a pid.

@@ -26,14 +26,13 @@ FAMILIES: dict[str, str] = {
     "fault": "injected-fault span markers (repro.faults)",
     "faults": "injected-fault counters (repro.faults)",
     "mask": "hit-mask parity audits (repro.mem.cache)",
-    "migration": "page-migration accounting (repro.mem.migrate)",
-    "phase": "runtime phase lifecycle (repro.sim.runtime)",
+    "migration": "page-migration accounting (repro.core.migration)",
+    "phase": "runtime phase lifecycle (repro.core.runtime, repro.sim.experiment)",
     "pool": "process-pool engine (repro.sim.parallel)",
-    "pricing": "tier-pricing parity audits (repro.mem.pricing)",
+    "pricing": "tier-pricing parity audits (repro.sim.executor)",
     "reuse": "reuse-profile parity audits (repro.sim.reusepack)",
     "serve": "placement-service lifecycle (repro.serve.service)",
-    "shm": "shared-memory dataset plane (repro.sim.shm)",
-    "slo": "error budgets and burn rates (repro.obs.slo)",
+    "shm": "shared-memory dataset plane (repro.graph.shm)",
     "stage": "per-stage wall timings (repro.sim)",
     "store": "trace-store persistence (repro.sim.tracestore)",
     "tenant": "multi-tenant host lifecycle (repro.sim.multitenant)",

@@ -25,16 +25,6 @@ event-bus contract.
 ``repro trace --perfetto run.trace`` converts the JSONL into Chrome
 trace-event JSON (``{"traceEvents": [...]}`` with ``ph: "X"`` complete
 events) loadable in ``chrome://tracing`` or https://ui.perfetto.dev.
-
-Causality (PR 9): every record carries ``trace_id``/``span_id``/
-``parent_id`` from :mod:`repro.obs.context`.  A submitter mints a child
-context per submission (:meth:`Tracer.submission`), ships it across the
-process boundary, and the receiver activates it
-(:meth:`Tracer.activate` at worker entry, :meth:`Tracer.attach` around
-a served job) so remote spans re-parent under the submitting span.
-Workers additionally flush their spans to a ``<trace>.w<pid>`` sidecar
-file; ``repro trace --merge`` folds primary + sidecars into one
-deduplicated, deterministically ordered export.
 """
 
 from __future__ import annotations
@@ -46,8 +36,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
-
-from repro.obs.context import SpanContext, root_context
 
 #: Environment variable holding the JSONL output path; truthy == enabled.
 TRACE_ENV = "REPRO_TRACE"
@@ -86,10 +74,7 @@ _NULL_SPAN = _NullSpan()
 class _Span:
     """A live span: records close time and attributes on ``__exit__``."""
 
-    __slots__ = (
-        "tracer", "name", "cat", "start_us", "depth", "attrs", "tid",
-        "ctx", "parent_id",
-    )
+    __slots__ = ("tracer", "name", "cat", "start_us", "depth", "attrs", "tid")
 
     def __init__(
         self, tracer: "Tracer", name: str, cat: str, attrs: dict
@@ -99,7 +84,6 @@ class _Span:
         self.cat = cat
         self.attrs = attrs
         self.tid = threading.get_ident()
-        self.ctx, self.parent_id = tracer._enter(name)
         self.depth = tracer._push()
         self.start_us = time.perf_counter() * 1e6
 
@@ -123,14 +107,10 @@ class _Span:
                 "pid": os.getpid(),
                 "tid": self.tid,
                 "depth": self.depth,
-                "trace_id": self.ctx.trace_id,
-                "span_id": self.ctx.span_id,
-                "parent_id": self.parent_id,
                 "args": self.attrs,
             }
         )
         self.tracer._pop()
-        self.tracer._exit()
         return False
 
 
@@ -142,103 +122,6 @@ class Tracer:
         self.records: list[dict] = []
         self._depth = threading.local()
         self._lock = threading.Lock()
-        self._root: SpanContext | None = None
-        self._child_seq: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # causal context (PR 9)
-    # ------------------------------------------------------------------
-    def activate(self, ctx: SpanContext | None) -> None:
-        """Install ``ctx`` as this tracer's root (worker entry).
-
-        Every span opened afterwards — outside any :meth:`attach` —
-        chains up to ``ctx``, so a forked worker's spans become children
-        of the parent-side submission span that shipped the context.
-        """
-        self._root = ctx
-
-    def current_context(self) -> SpanContext:
-        """The context new spans will parent under (stack top or root)."""
-        stack = getattr(self._depth, "ctx", None)
-        if stack:
-            return stack[-1]
-        if self._root is None:
-            self._root = root_context("proc", os.getpid())
-        return self._root
-
-    def _mint(self, name: str) -> tuple[SpanContext, SpanContext]:
-        """(parent, deterministic child) for a new span named ``name``."""
-        parent = self.current_context()
-        with self._lock:
-            ordinal = self._child_seq.get(parent.span_id, 0)
-            self._child_seq[parent.span_id] = ordinal + 1
-        return parent, parent.child(name, ordinal)
-
-    def _enter(self, name: str) -> tuple[SpanContext, int]:
-        parent, ctx = self._mint(name)
-        stack = getattr(self._depth, "ctx", None)
-        if stack is None:
-            stack = self._depth.ctx = []
-        stack.append(ctx)
-        return ctx, parent.span_id
-
-    def _exit(self) -> None:
-        stack = getattr(self._depth, "ctx", None)
-        if stack:
-            stack.pop()
-
-    @contextmanager
-    def attach(self, ctx: SpanContext | None) -> Iterator[None]:
-        """Re-parent spans opened in this block under a foreign ``ctx``.
-
-        The serve-side half of the propagation contract: the service
-        wraps each job's execution in ``attach(entry.ctx)`` so runtime
-        spans chain to that job's submission span.  ``ctx=None`` (or
-        tracing off) is a no-op.
-        """
-        if not self.enabled or ctx is None:
-            yield
-            return
-        stack = getattr(self._depth, "ctx", None)
-        if stack is None:
-            stack = self._depth.ctx = []
-        stack.append(ctx)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    def submission(
-        self, name: str, cat: str = "repro", **attrs
-    ) -> SpanContext | None:
-        """Mint a child context and record the submission instant.
-
-        Returns the fresh context to ship with the submitted work (pool
-        job payload, ``TenantJob`` entry); the remote side activates or
-        attaches it so its spans become this instant's children.
-        Returns ``None`` when tracing is off — callers ship nothing.
-        """
-        if not self.enabled:
-            return None
-        parent, ctx = self._mint(name)
-        self._record(
-            {
-                "name": name,
-                "cat": cat,
-                "ts": time.perf_counter() * 1e6,
-                "dur": 0.0,
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-                "depth": getattr(self._depth, "value", 0),
-                "trace_id": ctx.trace_id,
-                "span_id": ctx.span_id,
-                "parent_id": parent.span_id,
-                "args": attrs,
-                "instant": True,
-                "submit": True,
-            }
-        )
-        return ctx
 
     # ------------------------------------------------------------------
     # span lifecycle
@@ -253,7 +136,6 @@ class Tracer:
         """Record a zero-duration marker (fault fired, rollback, ...)."""
         if not self.enabled:
             return
-        parent, ctx = self._mint(name)
         self._record(
             {
                 "name": name,
@@ -263,9 +145,6 @@ class Tracer:
                 "pid": os.getpid(),
                 "tid": threading.get_ident(),
                 "depth": getattr(self._depth, "value", 0),
-                "trace_id": ctx.trace_id,
-                "span_id": ctx.span_id,
-                "parent_id": parent.span_id,
                 "args": attrs,
                 "instant": True,
             }
@@ -377,78 +256,6 @@ def export_chrome(jsonl_path: str | Path, out_path: str | Path) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=1), encoding="utf-8")
     return len(payload["traceEvents"])
-
-
-# ----------------------------------------------------------------------
-# worker sidecars + deterministic merge (PR 9)
-# ----------------------------------------------------------------------
-def sidecar_path(primary: str | Path, pid: int | None = None) -> Path:
-    """The per-worker span sidecar next to the primary trace file.
-
-    Workers append here *before* returning their payload, so spans
-    survive a worker that is killed after the job but before the parent
-    absorbs the blob — the merge picks them up and dedupe handles the
-    double-counting when the blob did make it home.
-    """
-    primary = Path(primary)
-    return primary.with_name(f"{primary.name}.w{pid or os.getpid()}")
-
-
-def worker_sidecars(primary: str | Path) -> list[Path]:
-    """All worker sidecar files beside ``primary``, sorted by name."""
-    primary = Path(primary)
-    if not primary.parent.exists():
-        return []
-    return sorted(primary.parent.glob(primary.name + ".w*"))
-
-
-def append_jsonl(path: str | Path, records: Iterable[dict]) -> Path:
-    """Append span records to ``path`` in the canonical JSONL form."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return target
-
-
-def merge_records(*batches: Iterable[dict]) -> list[dict]:
-    """Merge span batches into one deduplicated, deterministic list.
-
-    Dedupe is by canonical JSON identity — a span that reached the
-    parent both via the payload blob *and* via its sidecar collapses to
-    one record.  Order is (trace_id, ts, span_id, name): stable across
-    merges regardless of which file contributed which record.
-    """
-    seen: set[str] = set()
-    merged: list[dict] = []
-    for batch in batches:
-        for record in batch:
-            key = json.dumps(record, sort_keys=True)
-            if key in seen:
-                continue
-            seen.add(key)
-            merged.append(record)
-    merged.sort(
-        key=lambda r: (
-            int(r.get("trace_id", 0)),
-            float(r.get("ts", 0.0)),
-            int(r.get("span_id", 0)),
-            str(r.get("name", "")),
-        )
-    )
-    return merged
-
-
-def merge_trace_files(primary: str | Path) -> list[dict]:
-    """Primary trace + every worker sidecar, merged deterministically."""
-    primary = Path(primary)
-    batches = []
-    if primary.exists():
-        batches.append(read_jsonl(primary))
-    for sidecar in worker_sidecars(primary):
-        batches.append(read_jsonl(sidecar))
-    return merge_records(*batches)
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,9 @@ a **stream** of tenant jobs against it:
 - :mod:`repro.serve.arrivals` — seeded arrival traces and the
   synchronous driver the benchmark and chaos matrix share.
 
-The service also feeds the telemetry stack in :mod:`repro.obs`: every
-outcome lands in per-tenant SLO error budgets (:mod:`repro.obs.slo`,
-journalled for warm restarts), jobs carry causal span contexts across
-the submit boundary (:mod:`repro.obs.context`), and ``expose_port``
-turns on the live ``/metrics`` + ``/health`` + ``/slo`` endpoint
-(:mod:`repro.obs.exposition`) that ``repro top`` and the serve
-benchmark scrape.
+Each served job runs inside a ``serve.job`` span and emits ``serve.*``
+bus events; :meth:`~repro.serve.service.PlacementService.health`
+reports the outcome counters and decision-latency quantiles.
 """
 
 from repro.serve.arrivals import default_roster, generate_arrivals, serve_trace

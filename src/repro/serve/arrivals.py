@@ -13,7 +13,6 @@ the service the same way).
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import time
 
@@ -58,7 +57,6 @@ def generate_arrivals(
     max_live: int = 3,
     deadline_s: float | None = None,
     reserve_fast_bytes: int = 0,
-    latency_slo_s: float | None = None,
 ) -> list[TenantJob]:
     """A seeded, self-consistent stream of tenant jobs.
 
@@ -70,11 +68,7 @@ def generate_arrivals(
     """
     rng = random.Random(seed)
     roster = roster or default_roster()
-    qos = QoS(
-        deadline_s=deadline_s,
-        reserve_fast_bytes=reserve_fast_bytes,
-        latency_slo_s=latency_slo_s,
-    )
+    qos = QoS(deadline_s=deadline_s, reserve_fast_bytes=reserve_fast_bytes)
     live: list[str] = []
     next_id = 0
     jobs: list[TenantJob] = []
@@ -140,14 +134,6 @@ def serve_trace(
                 )
         wall = time.perf_counter() - start
         tenant_table = service.tenant_table()
-        exposition = None
-        if service.exposition_port is not None and not killed:
-            # Scrape the *live* endpoint (async — a blocking HTTP client
-            # here would deadlock the loop the server runs on) so the
-            # report's SLO/burn figures provably came over the wire.
-            exposition = await _scrape_exposition(
-                config.expose_host, service.exposition_port
-            )
         health = await service.stop() if not killed else service.health()
         placements = sum(
             1
@@ -164,23 +150,9 @@ def serve_trace(
             "outcomes": outcomes,
             "tenant_table": tenant_table,
             "health": health,
-            "exposition": exposition,
         }
 
     return asyncio.run(_drive())
-
-
-async def _scrape_exposition(host: str, port: int) -> dict:
-    """Pull ``/metrics`` and ``/slo`` off a running exposition server."""
-    from repro.obs.exposition import fetch, parse_prometheus
-
-    metrics_text = await fetch(host, port, "/metrics")
-    slo = json.loads(await fetch(host, port, "/slo"))
-    return {
-        "port": port,
-        "metrics": parse_prometheus(metrics_text),
-        "slo": slo,
-    }
 
 
 def _status_counts(outcomes: list[JobOutcome]) -> dict[str, int]:

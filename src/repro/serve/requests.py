@@ -77,23 +77,18 @@ class QoS:
     :class:`~repro.errors.CapacityError` deep inside a migration pass).
     ``deadline_s`` is a relative budget from submission; ``None`` means
     no deadline.  ``allow_stale`` opts the job into the "serve stale
-    placement" degradation tier under overload.  ``latency_slo_s`` is
-    the *accounted* (not enforced) decision-latency target feeding the
-    tenant's SLO error budget (:mod:`repro.obs.slo`); ``None`` falls
-    back to ``deadline_s``, then to the engine default.
+    placement" degradation tier under overload.
     """
 
     reserve_fast_bytes: int = 0
     deadline_s: float | None = None
     allow_stale: bool = True
-    latency_slo_s: float | None = None
 
     def to_json(self) -> dict:
         return {
             "reserve_fast_bytes": self.reserve_fast_bytes,
             "deadline_s": self.deadline_s,
             "allow_stale": self.allow_stale,
-            "latency_slo_s": self.latency_slo_s,
         }
 
     @classmethod
@@ -102,7 +97,6 @@ class QoS:
             reserve_fast_bytes=int(payload.get("reserve_fast_bytes", 0)),
             deadline_s=payload.get("deadline_s"),
             allow_stale=bool(payload.get("allow_stale", True)),
-            latency_slo_s=payload.get("latency_slo_s"),
         )
 
 

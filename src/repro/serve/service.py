@@ -29,10 +29,11 @@ end to end:
    and resumes with a bit-identical tenant table and canonical
    placements.
 
-The event vocabulary (``serve.*`` on the process bus) and the
-:meth:`PlacementService.health` endpoint — ``PoolHealth``-style counters
-plus p50/p99 decision latency — make every one of those paths observable
-and chaos-testable (:mod:`repro.faults.chaos`).
+The event vocabulary (``serve.*`` on the process bus), one ``serve.job``
+span per served job, and :meth:`PlacementService.health` —
+``PoolHealth``-style counters plus p50/p99 decision latency, read
+in-process — make every one of those paths observable and
+chaos-testable (:mod:`repro.faults.chaos`).
 """
 
 from __future__ import annotations
@@ -49,11 +50,8 @@ from repro.core.runtime import AtMemRuntime, RuntimeConfig
 from repro.errors import ConsistencyError, ReproError
 from repro.mem.address_space import PAGE_SIZE
 from repro.obs.bus import emit
-from repro.obs.context import SpanContext, root_context
-from repro.obs.exposition import ExpositionServer, render_prometheus
-from repro.obs.metrics import LatencyTracker, process_metrics
-from repro.obs.slo import SLOEngine
-from repro.obs.tracer import process_tracer, span
+from repro.obs.metrics import LatencyTracker
+from repro.obs.tracer import span
 from repro.serve.journal import ServiceJournal
 from repro.serve.requests import (
     OP_ADMIT,
@@ -82,22 +80,14 @@ class ShedPolicy:
     With the defaults, a queue at half capacity stops re-optimizing
     (``skip-optimize``), at three quarters serves stale results to jobs
     that allow it (``stale``), and at ``reject_at`` refuses new work
-    outright; the queue bound itself is the final backstop.
-
-    ``budget_aware`` adds an SLO-driven tier: once *any* shedding is
-    active (level >= 1), jobs from tenants whose error-budget burn rate
-    (:mod:`repro.obs.slo`) is at or above ``burn_threshold`` are
-    rejected first — the tenants consuming their budget fastest are the
-    ones overload hurts least by refusing, since their objective is
-    already lost for the window.  Departs are never shed.
+    outright; the queue bound itself is the final backstop.  Departs
+    are never shed.
     """
 
     queue_limit: int = 64
     skip_optimize_at: float = 0.5
     stale_at: float = 0.75
     reject_at: float = 1.0
-    budget_aware: bool = False
-    burn_threshold: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -123,11 +113,6 @@ class ServiceConfig:
     seed: int = 0
     #: Run a full consistency audit after every mutating op.
     audit: bool = True
-    #: ``None`` — no exposition endpoint; ``0`` — bind an ephemeral
-    #: loopback port (read it back from ``exposition_port``); ``>0`` —
-    #: bind that port.
-    expose_port: int | None = None
-    expose_host: str = "127.0.0.1"
 
 
 @dataclass
@@ -148,8 +133,6 @@ class _Entry:
     submitted: float
     deadline_at: float | None
     shed_level: int
-    #: The job's submission span context (``None`` when tracing is off).
-    ctx: SpanContext | None = None
 
 
 _STOP = object()
@@ -185,15 +168,6 @@ class PlacementService:
         self.counters: dict[str, int] = {}
         self.latency = LatencyTracker()
         self.recovered_tenants = 0
-        #: Per-tenant SLO error budgets, fed by every settled outcome
-        #: and submit-time rejection; shares the service clock so burn
-        #: rates are step-clock testable.
-        self.slo = SLOEngine(clock=clock)
-        self.exposition: ExpositionServer | None = None
-        #: The bound ``/metrics`` port once :meth:`start` has run with
-        #: ``config.expose_port`` set.
-        self.exposition_port: int | None = None
-        self._trace_root: SpanContext | None = None
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -216,19 +190,6 @@ class PlacementService:
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop()
         )
-        if process_tracer().enabled:
-            # Seed-derived root: a killed-and-recovered service re-joins
-            # the same trace, so one causal tree spans the restart.
-            self._trace_root = root_context("serve", self.config.seed)
-        if self.config.expose_port is not None:
-            self.exposition = ExpositionServer(
-                metrics=self._metrics_text,
-                health=self.health,
-                slo=self.slo.snapshot,
-                host=self.config.expose_host,
-                port=self.config.expose_port,
-            )
-            self.exposition_port = await self.exposition.start()
 
     async def stop(self) -> dict:
         """Drain the queue, settle every job, checkpoint, and stop."""
@@ -237,9 +198,6 @@ class PlacementService:
             await self._queue.put(_STOP)
             await self._dispatcher
             self._dispatcher = None
-        if self.exposition is not None:
-            await self.exposition.stop()
-            self.exposition = None
         if self.journal is not None and not self._killed:
             self.journal.checkpoint(self._snapshot_state())
         return self.health()
@@ -254,9 +212,6 @@ class PlacementService:
         """
         self._stopped = True
         self._killed = True
-        if self.exposition is not None:
-            self.exposition.close_nowait()
-            self.exposition = None
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             self._dispatcher = None
@@ -282,24 +237,17 @@ class PlacementService:
         if self._stopped or self._queue is None:
             raise AdmissionRejected("stopped", "service is not accepting work")
         now = self.clock()
-        try:
-            self._check_breaker(job, now)
-            depth = self._queue.qsize()
-            shed_level = self._shed_level(depth)
-            if job.op != OP_DEPART and shed_level >= 3:
-                self._count("rejected.shed")
-                emit("serve.shed", detail=f"reject {job.tenant}",
-                     source="serve", level=3)
-                raise AdmissionRejected(
-                    "shed", f"queue depth {depth} reached the reject tier"
-                )
-            self._check_burn_shed(job, shed_level)
-            self._check_op(job)
-        except AdmissionRejected:
-            # Submit-time refusals spend the tenant's admission budget —
-            # the service broke (or declined) its promise either way.
-            self.slo.record_rejection(job.tenant, job.qos)
-            raise
+        self._check_breaker(job, now)
+        depth = self._queue.qsize()
+        shed_level = self._shed_level(depth)
+        if job.op != OP_DEPART and shed_level >= 3:
+            self._count("rejected.shed")
+            emit("serve.shed", detail=f"reject {job.tenant}",
+                 source="serve", level=3)
+            raise AdmissionRejected(
+                "shed", f"queue depth {depth} reached the reject tier"
+            )
+        self._check_op(job)
         entry = _Entry(
             job=job,
             future=asyncio.get_running_loop().create_future(),
@@ -310,7 +258,6 @@ class PlacementService:
                 else None
             ),
             shed_level=shed_level,
-            ctx=self._submission_ctx(job),
         )
         if shed_level > 0 and job.op != OP_DEPART:
             self._count(f"shed.level{shed_level}")
@@ -320,50 +267,11 @@ class PlacementService:
             self._queue.put_nowait(entry)
         except asyncio.QueueFull:
             self._count("rejected.queue-full")
-            self.slo.record_rejection(job.tenant, job.qos)
             raise AdmissionRejected(
                 "queue-full",
                 f"request queue at its {self.config.shed.queue_limit} limit",
             ) from None
         return await entry.future
-
-    def _submission_ctx(self, job: TenantJob) -> SpanContext | None:
-        """Record this job's submission instant under the service root.
-
-        The returned context rides on the queue entry; ``_serve``
-        attaches it so every span the job opens — phase transitions,
-        migrations, store loads — chains up to this instant, and the
-        merged export shows one causal tree per ``TenantJob``.
-        """
-        tracer = process_tracer()
-        if not tracer.enabled or self._trace_root is None:
-            return None
-        with tracer.attach(self._trace_root):
-            return tracer.submission(
-                "serve.submit", cat="serve", tenant=job.tenant, op=job.op
-            )
-
-    def _check_burn_shed(self, job: TenantJob, shed_level: int) -> None:
-        """The budget-aware shed tier (opt-in via ``ShedPolicy``)."""
-        shed = self.config.shed
-        if (
-            not shed.budget_aware
-            or job.op == OP_DEPART
-            or shed_level < 1
-        ):
-            return
-        burn = self.slo.burn_of(job.tenant)
-        if burn >= shed.burn_threshold:
-            self._count("rejected.shed-burn")
-            emit(
-                "serve.shed", detail=f"burn {job.tenant}", source="serve",
-                level=shed_level, burn=round(burn, 4),
-            )
-            raise AdmissionRejected(
-                "shed-burn",
-                f"tenant {job.tenant!r} burning at {burn:.2f}x its error "
-                f"budget under overload (threshold {shed.burn_threshold})",
-            )
 
     def _check_breaker(self, job: TenantJob, now: float) -> None:
         breaker = self._breakers.get(job.tenant)
@@ -419,21 +327,14 @@ class PlacementService:
             entry = await self._queue.get()
             if entry is _STOP:
                 break
-            outcome = self._serve(entry)
+            job = entry.job
+            with span("serve.job", cat="serve", tenant=job.tenant, op=job.op):
+                outcome = self._serve(entry)
             if not entry.future.done():
                 entry.future.set_result(outcome)
             await asyncio.sleep(0)  # let submitters observe settlement
 
     def _serve(self, entry: _Entry) -> JobOutcome:
-        """Serve one entry inside its submission's causal context."""
-        with process_tracer().attach(entry.ctx):
-            with span(
-                "serve.job", cat="serve",
-                tenant=entry.job.tenant, op=entry.job.op,
-            ):
-                return self._serve_in_context(entry)
-
-    def _serve_in_context(self, entry: _Entry) -> JobOutcome:
         job = entry.job
         try:
             self._require_deadline(entry)
@@ -459,9 +360,6 @@ class PlacementService:
             self._breaker_failure(job.tenant)
             outcome = self._outcome(entry, STATUS_FAILED, detail=str(exc))
         self.latency.observe(outcome.latency_s)
-        self.slo.record_outcome(
-            job.tenant, outcome.status, outcome.latency_s, qos=job.qos
-        )
         return outcome
 
     def _require_deadline(self, entry: _Entry) -> None:
@@ -624,7 +522,7 @@ class PlacementService:
                     ),
                 }
             )
-        return {"tenants": tenants, "slo": self.slo.to_json()}
+        return {"tenants": tenants}
 
     def _app_of(self, tenant: str) -> dict | None:
         app_spec = self._tenant_apps.get(tenant)
@@ -636,10 +534,6 @@ class PlacementService:
         assert self.journal is not None and self.host is not None
         state, records = self.journal.load()
         tenants: list[dict] = list(state.get("tenants", [])) if state else []
-        if state and state.get("slo"):
-            # Lifetime SLO totals continue across the restart; rolling
-            # windows restart empty by design (see repro.obs.slo).
-            self.slo.restore(state["slo"])
         for record in records:
             op = record.get("op")
             name = record.get("tenant")
@@ -779,42 +673,7 @@ class PlacementService:
             "journal_corruptions": (
                 list(self.journal.corruptions) if self.journal else []
             ),
-            "slo": self.slo.snapshot(),
         }
-
-    def _metrics_text(self) -> str:
-        """The ``/metrics`` body: process registry + service series."""
-        latency = self.latency.summary()
-        samples: list[tuple[str, dict, float]] = [
-            ("serve.queue_depth", {}, float(
-                self._queue.qsize() if self._queue else 0
-            )),
-            ("serve.resident_tenants", {}, float(
-                len(self.host.tenants) if self.host else 0
-            )),
-            ("serve.decision_latency_p50_seconds", {}, latency["p50"]),
-            ("serve.decision_latency_p99_seconds", {}, latency["p99"]),
-            ("serve.decisions", {}, float(latency["count"])),
-        ]
-        for key, value in sorted(self.counters.items()):
-            samples.append(("serve.jobs", {"outcome": key}, float(value)))
-        for tenant, entry in self.slo.snapshot().items():
-            for kind in ("latency", "admission"):
-                labels = {"tenant": tenant, "slo": kind}
-                samples.append(
-                    ("slo.burn_rate", labels, entry[kind]["burn_long"])
-                )
-                samples.append(
-                    ("slo.attainment", labels, entry[kind]["attainment"])
-                )
-                samples.append(
-                    (
-                        "slo.budget_remaining",
-                        labels,
-                        entry[kind]["budget_remaining"],
-                    )
-                )
-        return render_prometheus(process_metrics().snapshot(), samples)
 
 
 def canonical_placements(

@@ -93,15 +93,8 @@ from repro.graph import shm as graph_shm
 from repro.mem.trace import worker_byte_budget
 from repro.obs import absorb_all, drain_all, reset_all
 from repro.obs.bus import Event, process_bus
-from repro.obs.context import SpanContext
 from repro.obs.metrics import process_metrics
-from repro.obs.tracer import (
-    append_jsonl,
-    process_tracer,
-    sidecar_path,
-    span,
-    trace_path,
-)
+from repro.obs.tracer import span
 from repro.sim.artifacts import TRACE
 from repro.sim.experiment import (
     AtMemRunResult,
@@ -562,29 +555,7 @@ def _classify_cache_use(
     return "warm"
 
 
-def _flush_worker_sidecar(blob: dict) -> None:
-    """Persist a worker's drained spans to its per-pid sidecar file.
-
-    The payload blob is the primary channel home, but a worker killed
-    after the job (or a parent that dies before absorbing) loses it —
-    the sidecar survives on disk and ``repro trace --merge`` folds it
-    back in, deduplicating against whatever the blob delivered.
-    """
-    spans = blob.get("spans") if blob else None
-    if not spans:
-        return
-    primary = trace_path()
-    if primary is None:
-        return
-    try:
-        append_jsonl(sidecar_path(primary), spans)
-    except OSError as exc:
-        process_bus().emit(
-            "pool.note", f"span sidecar write failed: {exc}", source="pool"
-        )
-
-
-def _pool_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
+def _pool_entry(spec: JobSpec, attempt: int = 0):
     """Worker-side wrapper: never lets an exception cross unpickled.
 
     ``attempt`` is the parent-tracked retry number; it scopes the
@@ -602,16 +573,11 @@ def _pool_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
     spans — which the parent absorbs in ``_settle``.  The job's cache-use
     classification (cold / store / warm) rides home as a buffered
     ``pool.cache_use`` event, so parent-side health accounting comes from
-    worker-buffered events rather than parent mutation.
-
-    ``ctx`` is the submitting span's context dict (when tracing is on):
-    activated on the fresh tracer, it re-parents every span this job
-    opens under the parent-side ``pool.submit`` instant, so the merged
-    export renders one causal tree per figure cell across the fork.
+    worker-buffered events rather than parent mutation.  A worker's
+    spans therefore come home only through the blob: a worker killed
+    before it returns loses them, and the retry records its own.
     """
     reset_all()
-    if ctx is not None:
-        process_tracer().activate(SpanContext.from_dict(ctx))
     try:
         with job_context(attempt=attempt, tag=spec.tag):
             fired = fault_point(SITE_POOL_EXIT, tag=spec.tag, detail="worker exit")
@@ -640,37 +606,12 @@ def _pool_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
             )
             process_metrics().inc(f"pool.{kind}_jobs")
             _emit_worker_rss()
-            blob = drain_all()
-            _flush_worker_sidecar(blob)
-            return ("ok", result, blob)
+            return ("ok", result, drain_all())
     except Exception as exc:  # noqa: BLE001 — re-raised with spec in parent
-        blob = drain_all()
-        _flush_worker_sidecar(blob)
         return (
             "err", type(exc).__name__, str(exc), traceback.format_exc(),
-            blob,
+            drain_all(),
         )
-
-
-def _submission_ctx(job: "_Job") -> dict | None:
-    """Mint and record the causal context for one job submission.
-
-    Records a ``pool.submit`` instant (a child of whatever span is
-    active — the dispatch span on the parallel path) and returns its
-    context as a picklable dict for :func:`_pool_entry` to activate.
-    ``None`` when tracing is off, so nothing extra crosses the fork.
-    """
-    tracer = process_tracer()
-    if not tracer.enabled:
-        return None
-    ctx = tracer.submission(
-        "pool.submit",
-        cat="pool",
-        tag=job.spec.tag or job.spec.flow,
-        index=job.index,
-        attempt=job.attempt,
-    )
-    return ctx.as_dict() if ctx is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -737,7 +678,7 @@ def prime_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> None:
     cache.profile(key, system.llc, trace, hits)
 
 
-def _stage_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
+def _stage_entry(spec: JobSpec, attempt: int = 0):
     """Worker-side wrapper for one key's priming (mirrors ``_pool_entry``).
 
     Same obs contract — reset at entry, drain into the payload — and the
@@ -746,8 +687,6 @@ def _stage_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
     cells rebuild whatever is missing).
     """
     reset_all()
-    if ctx is not None:
-        process_tracer().activate(SpanContext.from_dict(ctx))
     try:
         with job_context(attempt=attempt, tag=spec.tag):
             with span(
@@ -758,15 +697,11 @@ def _stage_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
             ):
                 prime_artifacts(spec)
             _emit_worker_rss()
-            blob = drain_all()
-            _flush_worker_sidecar(blob)
-            return ("ok", None, blob)
+            return ("ok", None, drain_all())
     except Exception as exc:  # noqa: BLE001 — reported best-effort in parent
-        blob = drain_all()
-        _flush_worker_sidecar(blob)
         return (
             "err", type(exc).__name__, str(exc), traceback.format_exc(),
-            blob,
+            drain_all(),
         )
 
 
@@ -1000,9 +935,7 @@ class ExperimentPool:
                 while queue and len(pending) < plan.admitted:
                     job = queue.pop(0)
                     try:
-                        future = self._executor.submit(
-                            _stage_entry, job.spec, job.attempt, _submission_ctx(job)
-                        )
+                        future = self._executor.submit(_stage_entry, job.spec, job.attempt)
                     except (RuntimeError, BrokenProcessPool):
                         return self._abandon_priming("prime submit failed", workers)
                     pending[future] = job
@@ -1060,9 +993,7 @@ class ExperimentPool:
         while not all(done[job.index] for job in wave):
             pending = [job for job in wave if not done[job.index]]
             futures = {
-                self._executor.submit(
-                    _pool_entry, job.spec, job.attempt, _submission_ctx(job)
-                ): job
+                self._executor.submit(_pool_entry, job.spec, job.attempt): job
                 for job in pending
             }
             failure = None
@@ -1253,19 +1184,13 @@ class ExperimentPool:
                     f"injected hang in job {spec.tag or spec.flow!r} detected "
                     f"(serial, attempt {job.attempt})"
                 )
-            tracer = process_tracer()
-            ctx_dict = _submission_ctx(job)
-            submit_ctx = (
-                SpanContext.from_dict(ctx_dict) if ctx_dict is not None else None
-            )
-            with tracer.attach(submit_ctx):
-                with span(
-                    "pool.job",
-                    cat="pool",
-                    tag=spec.tag or spec.flow,
-                    attempt=job.attempt,
-                ):
-                    return execute_job(spec)
+            with span(
+                "pool.job",
+                cat="pool",
+                tag=spec.tag or spec.flow,
+                attempt=job.attempt,
+            ):
+                return execute_job(spec)
 
     # ------------------------------------------------------------------
     def _backoff(self, attempt: int) -> None:

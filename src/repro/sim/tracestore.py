@@ -522,8 +522,8 @@ class TraceStore:
         ``TraceStore.save_*`` are unconditional; the write policy lives
         in the cache's save gate (:meth:`should_persist`).
         """
-        array_path, sidecar_path = self._paths(spec, key, sub)
-        if sidecar_path.exists():
+        array_path, json_path = self._paths(spec, key, sub)
+        if json_path.exists():
             return False
         entry = array_path.parent
         chunks, shape, record = spec.encode(artifact, sub)
@@ -540,7 +540,7 @@ class TraceStore:
                     "sub": _as_json(sub),
                     "crc32": crc,
                 }
-                self._commit_json(sidecar_path, sidecar)
+                self._commit_json(json_path, sidecar)
         except OSError:
             return False  # a full/read-only disk degrades to no caching
         self.stats.bump(f"{spec.kind}_saves")
@@ -555,9 +555,9 @@ class TraceStore:
         is parsed inside one guard, so a malformed, corrupt or stale
         artifact is rejected — never raised to the caller.
         """
-        array_path, sidecar_path = self._paths(spec, key, sub)
+        array_path, json_path = self._paths(spec, key, sub)
         entry = array_path.parent
-        sidecar = self._read_json(sidecar_path)
+        sidecar = self._read_json(json_path)
         if sidecar is None:
             return None
         with span("store.load", cat="store", kind=spec.kind, entry=entry.name):
@@ -571,7 +571,7 @@ class TraceStore:
                 if expected is not None and not spec.fits(artifact, expected):
                     raise TraceError("artifact describes another trace")
             except (KeyError, TypeError, ValueError, TraceError) as exc:
-                return self._reject(array_path, sidecar_path, f"{spec.kind}: {exc}")
+                return self._reject(array_path, json_path, f"{spec.kind}: {exc}")
         self.stats.bump(f"{spec.kind}_loads")
         touch_entry(entry)
         return artifact
@@ -695,11 +695,11 @@ class TraceStore:
             self._verified.add(path)
         return array
 
-    def _reject(self, array_path: Path, sidecar_path: Path, reason: str) -> None:
+    def _reject(self, array_path: Path, json_path: Path, reason: str) -> None:
         """Drop one artifact pair that failed validation; caller rebuilds."""
         self.stats.bump("rejects")
         emit("store.reject", reason, source="store", entry=array_path.parent.name)
-        for path in (sidecar_path, array_path):
+        for path in (json_path, array_path):
             self._verified.discard(path)
             try:
                 path.unlink()

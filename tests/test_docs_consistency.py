@@ -6,6 +6,7 @@ quickstart snippet runs, every example is a runnable script with a
 docstring and a main(), and the CLI help lists what the README promises.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -93,6 +94,65 @@ class TestCliDocumentation:
         available = set(sub.choices)
         for cmd in ("run", "datasets", "sweep", "migrate", "reproduce", "summary"):
             assert cmd in available
+
+    def test_documented_commands_and_flags_exist(self):
+        """Every ``repro`` command line in the docs parses against the CLI.
+
+        A mention is ``python -m repro.cli CMD [SUB]`` or an inline
+        `` `repro CMD [SUB]` ``.  CMD must be a registered subcommand; a
+        nested parser (``store``) also checks SUB, where ``ls|rm|stat``
+        names several.  Every ``--flag`` between the mention and the
+        next one on the same line must be an option of that parser.
+        """
+        from repro.cli import build_parser
+
+        docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        docs += [str(p.relative_to(REPO)) for p in sorted((REPO / "docs").glob("*.md"))]
+        mention = re.compile(r"python -m repro\.cli\s+|`repro\s+")
+        flag = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+        root = build_parser()
+        problems = []
+        for doc in docs:
+            lines = (REPO / doc).read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, 1):
+                starts = [m.end() for m in mention.finditer(line)]
+                for start, end in zip(starts, starts[1:] + [len(line)]):
+                    segment = line[start:end]
+                    where = f"{doc}:{lineno}: {segment.strip()!r}"
+                    tokens = segment.replace("`", " ").split()
+                    parsers, problem = _resolve(root, tokens)
+                    if problem:
+                        problems.append(f"{where}: {problem}")
+                        continue
+                    for option in flag.findall(segment):
+                        if any(option not in p._option_string_actions for p in parsers):
+                            problems.append(f"{where}: no option {option}")
+        assert not problems, "\n".join(problems)
+
+
+def _subcommands(parser) -> dict:
+    """A parser's subcommand table (empty when it takes none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _resolve(root, tokens) -> tuple[list, str]:
+    """The parser(s) a documented ``CMD [SUB[|SUB...]]`` names."""
+    if not tokens:
+        return [], "no subcommand"
+    command = _subcommands(root).get(tokens[0])
+    if command is None:
+        return [], f"unknown subcommand {tokens[0]!r}"
+    verbs = _subcommands(command)
+    if not verbs or len(tokens) < 2 or tokens[1].startswith("-"):
+        return [command], ""
+    names = re.split(r"[|/]", tokens[1])
+    unknown = [name for name in names if name not in verbs]
+    if unknown:
+        return [], f"unknown {tokens[0]} verb(s) {unknown}"
+    return [verbs[name] for name in names], ""
 
 
 class TestEnvKnobs:

@@ -24,7 +24,9 @@ enforce exactly the same rules; the module is imported by file path
 because ``tools/`` is deliberately not a package.
 """
 
+import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "astlint.py"
@@ -153,11 +155,17 @@ def test_sources_follow_instrumentation_taxonomy():
 
 
 def test_naming_families_table_is_sorted_and_shaped():
-    """The registry itself obeys the shape it enforces."""
-    families = list(astlint._naming().FAMILIES)
+    """The registry obeys the shape it enforces and names real owners."""
+    table = astlint._naming().FAMILIES
+    families = list(table)
     assert families == sorted(families)
     for family in families:
         assert astlint._naming().check_name(f"{family}.sample") is None
+    for family, note in table.items():
+        owners = re.fullmatch(r"[^()]+\(([^()]+)\)", note)
+        assert owners, f"{family}: owner note {note!r} names no module"
+        for module in owners.group(1).split(", "):
+            importlib.import_module(module)
 
 
 def test_naming_check_flags_bad_instrumentation_names(tmp_path, monkeypatch):

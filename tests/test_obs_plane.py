@@ -10,8 +10,12 @@ Covers the contracts the rest of the harness now leans on:
 - :class:`repro.mem.telemetry.TierTraffic` utilization edge cases;
 - metrics snapshot determinism across two same-seed runs;
 - pool-health classification under the cache schedule with retries and
-  worker restarts, now merged from worker-buffered events.
+  worker restarts, now merged from worker-buffered events;
+- idempotent absorb — a worker obs blob delivered twice folds once.
 """
+
+import json
+import os
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.faults import (
     SITE_POOL_EXIT,
     FaultPlan,
     FaultSpec,
+    injected,
     reset,
 )
 from repro.mem.telemetry import TierTraffic
@@ -41,6 +46,7 @@ from repro.obs.tracer import (
     span,
     to_chrome,
 )
+from repro.serve import ServiceConfig, generate_arrivals, serve_trace
 from repro.sim.parallel import (
     JOB_BACKOFF_ENV,
     JOB_RETRIES_ENV,
@@ -89,6 +95,15 @@ def _atmem_specs():
         )
         for app in ("PR", "BFS")
     ]
+
+
+def _config(**kw) -> ServiceConfig:
+    kw.setdefault("platform", nvm_dram_testbed(scale=512))
+    return ServiceConfig(**kw)
+
+
+def _by_name(records, name):
+    return [r for r in records if r.get("name") == name]
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +256,48 @@ class TestTracerParity:
                 "worker job spans should carry worker pids"
             )
 
+    def test_retried_job_span_comes_home_in_the_blob(self, tmp_path, monkeypatch):
+        target = tmp_path / "retry.trace"
+        monkeypatch.setenv(TRACE_ENV, str(target))
+        plan = FaultPlan((FaultSpec(SITE_POOL_CRASH, times=0),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        reset_all()
+        pool = ExperimentPool(2)
+        with injected(plan):
+            pool.run(_atmem_specs())
+        assert pool.health.retries >= 1
+        process_tracer().flush(target)
+        jobs = _by_name(read_jsonl(target), "pool.job")
+        retried = [r for r in jobs if r["args"]["attempt"] >= 1]
+        assert retried, "the retried job's span never came home"
+        if pool.last_mode.startswith("parallel"):
+            assert {r["pid"] for r in retried} != {os.getpid()}
+        # The blob is the only channel home: no per-worker side files.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["retry.trace"]
+
+    def test_tracing_off_keeps_serve_results_identical(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = generate_arrivals(12, seed=17)
+
+        def fingerprint(report):
+            return json.dumps(
+                {
+                    "statuses": report["statuses"],
+                    "table": [
+                        {"name": t["name"], "placements": t["placements"]}
+                        for t in report["tenant_table"]
+                    ],
+                },
+                sort_keys=True,
+            )
+
+        off = fingerprint(serve_trace(jobs, _config()))
+        monkeypatch.setenv(TRACE_ENV, str(tmp_path / "on.trace"))
+        reset_all()
+        on = fingerprint(serve_trace(jobs, _config()))
+        assert off == on
+
 
 # ----------------------------------------------------------------------
 # metrics
@@ -310,6 +367,32 @@ class TestDrainAbsorb:
     def test_absorb_tolerates_empty_blob(self):
         absorb_all({})
         absorb_all(None)
+
+
+class TestIdempotentAbsorb:
+    def test_blob_absorbed_at_most_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TRACE_ENV, str(tmp_path / "blob.trace"))
+        reset_all()
+        process_metrics().inc("pool.warm_jobs")
+        with process_tracer().span("pool.job", cat="pool"):
+            pass
+        blob = drain_all()
+        assert blob["blob_id"]
+        assert absorb_all(blob) is True
+        assert absorb_all(blob) is False
+        snapshot = process_metrics().snapshot()
+        assert snapshot["counters"]["pool.warm_jobs"] == 1
+        assert len(_by_name(process_tracer().records, "pool.job")) == 1
+
+    def test_blob_without_id_always_folds(self):
+        blob = {"events": [], "metrics": {"counters": {"pool.retries": 1}}}
+        assert absorb_all(blob) is True
+        assert absorb_all(blob) is True
+        assert process_metrics().snapshot()["counters"]["pool.retries"] == 2
+
+    def test_empty_blob_is_a_noop(self):
+        assert absorb_all({}) is False
+        assert absorb_all(None) is False
 
 
 # ----------------------------------------------------------------------

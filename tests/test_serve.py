@@ -459,6 +459,52 @@ class TestJournalRecovery:
         assert fresh.corruptions
 
 
+    def test_checkpoint_with_retired_slo_fields_still_recovers(self, tmp_path):
+        # Older checkpoints carried an "slo" error-budget block and a
+        # per-job QoS "latency_slo_s"; recovery ignores both.
+        jobs = [
+            TenantJob(OP_ADMIT, "a", app=_app(), qos=QoS(reserve_fast_bytes=4096)),
+            TenantJob(OP_ADMIT, "b", app=_app("BFS")),
+            TenantJob(OP_PHASE_CHANGE, "a"),
+        ]
+        table = serve_trace(jobs, _config(), clock=StepClock())["tenant_table"]
+        assert [t["name"] for t in table] == ["a", "b"]
+        written = json.loads(json.dumps(table))
+        for tenant in written:
+            tenant["qos"]["latency_slo_s"] = 0.25
+        budget = {"total": 3, "bad": 1}
+        policy = {
+            "latency_target_s": 0.25, "latency_objective": 0.99,
+            "admission_objective": 0.999, "window_s": 60.0,
+            "short_window_s": 5.0, "fast_burn": 14.4, "slow_burn": 6.0,
+        }
+        ServiceJournal(tmp_path).checkpoint(
+            {
+                "tenants": written,
+                "slo": {
+                    "a": {"policy": policy, "latency": budget, "admission": budget}
+                },
+            }
+        )
+
+        async def _run():
+            service = PlacementService(
+                _config(journal_root=tmp_path), clock=StepClock()
+            )
+            await service.start()
+            recovered = service.tenant_table()
+            health = await service.stop()
+            return recovered, health
+
+        recovered, health = asyncio.run(_run())
+        for tenant in written:
+            del tenant["qos"]["latency_slo_s"]
+        assert recovered == written
+        assert health["counters"]["recoveries"] == 1
+        assert health["resident_tenants"] == 2
+        assert not health["journal_corruptions"]
+
+
 class TestPhaseRecovery:
     """Phase counters are journaled and restored bit-exact on recovery."""
 

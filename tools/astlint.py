@@ -32,7 +32,7 @@ Five checks, all pure ``ast`` walks (no third-party linter):
 
 - **Instrumentation names follow the taxonomy.**  Every literal name
   passed to ``inc``/``gauge``/``observe``/``span``/``instant``/
-  ``emit``/``submission`` must be a lowercase dotted ``family.name``
+  ``emit`` must be a lowercase dotted ``family.name``
   whose family is registered in :data:`repro.obs.naming.FAMILIES` —
   one table, one shape, so dashboards never have to union spelling
   variants.  F-string names are pinned by their leading literal family
@@ -228,9 +228,7 @@ def unused_local_violations(path: Path) -> list[str]:
 
 
 #: Call names whose literal first argument is an instrumentation name.
-METRIC_NAME_CALLS = {
-    "inc", "gauge", "observe", "span", "instant", "emit", "submission",
-}
+METRIC_NAME_CALLS = {"inc", "gauge", "observe", "span", "instant", "emit"}
 
 _NAMING = None
 
