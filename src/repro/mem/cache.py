@@ -19,8 +19,10 @@ Three models are provided:
 - :class:`WorkingSetCache` — the default LLC: Denning's working-set
   approximation of a high-associativity LRU cache, built on per-access
   reuse time gaps (:func:`reuse_time_gaps`).  That fold is one in-place
-  sort of packed ``(line, position)`` int64 keys, and it is shared with
-  the compiled reuse profiles of :mod:`repro.sim.reusepack`.
+  sort of packed ``(line, position)`` int64 keys, and the window solve
+  (:func:`window_threshold`) is an integer search over the sorted gaps;
+  both are shared with the compiled reuse profiles of
+  :mod:`repro.sim.reusepack`.
 
 The exact simulators keep their state across calls so a multi-phase trace
 is simulated as one continuous stream; the working-set model is evaluated
@@ -29,6 +31,8 @@ per run.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 
 import numpy as np
@@ -165,45 +169,43 @@ def reuse_time_gaps(
     return gaps, (base, table)
 
 
-def gap_window_curve(
-    sorted_gaps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums and window-function samples of ascending float64 gaps.
+#: Above this many accesses the int64 prefix of the finite gaps (each
+#: smaller than the stream length) could overflow.
+_MAX_SOLVE_ACCESSES = math.isqrt(int(GAP_COLD))
 
-    Returns ``(prefix, f_at_gap)`` where ``prefix[k]`` is the sum of the
-    ``k`` smallest gaps and ``f_at_gap[k] = f(g_k)`` samples the
-    piecewise-linear window function ``f(W) = sum_i min(gap_i, W)`` at
-    the k-th gap value.  Both are capacity-independent, so one curve
-    prices every LLC size (see :func:`solve_window_curve`).
+
+def window_threshold(sorted_gaps: np.ndarray, capacity_lines: int) -> int | None:
+    """The largest reuse gap that hits a working-set LLC of ``capacity_lines``.
+
+    ``f(W) = sum_i min(gap_i, W)`` is piecewise linear and increasing;
+    the window W* solves ``f(W*) = capacity * T`` and an access hits iff
+    its gap is at most W*.  Gaps are integers, so the solve needs only
+    ``floor(W*)``, and ``GAP_COLD`` sorts last, so it never reads a gap
+    past the first cold one.  On the int64 prefix ``P`` of the ascending
+    finite gaps, ``f(g_k) = P[k] + g_k * (T - 1 - k)``; the first ``k``
+    with ``f(g_k) >= capacity * T`` is a binary search of O(log T)
+    scalar reads, and ``(capacity * T - P[k - 1]) // (T - k)`` is the
+    threshold.  Returns ``None`` when the whole footprint fits (every
+    reuse hits).  The hit mask is ``gaps <= threshold``, an int64
+    compare.
     """
-    t = sorted_gaps.size
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_gaps)))
-    remaining = t - 1 - np.arange(t, dtype=np.float64)
-    f_at_gap = prefix[1:] + sorted_gaps * remaining
-    return prefix, f_at_gap
+    t = int(sorted_gaps.size)
+    target = int(capacity_lines) * t
+    assert t <= _MAX_SOLVE_ACCESSES and target < GAP_COLD, (
+        f"window solve over {t} accesses at {capacity_lines} lines "
+        "overflows int64"
+    )
+    cold = int(np.searchsorted(sorted_gaps, GAP_COLD))
+    prefix = np.cumsum(sorted_gaps[:cold], dtype=np.int64)
 
+    def f(k: int) -> int:
+        return int(prefix[k]) + int(sorted_gaps[k]) * (t - 1 - k)
 
-def solve_window_curve(
-    prefix: np.ndarray, f_at_gap: np.ndarray, capacity_lines: int
-) -> float:
-    """Solve ``f(W*) = capacity * T`` on a precomputed curve in O(log T).
-
-    The closed form of :meth:`WorkingSetCache.solve_window`, split from
-    the per-trace sort so a cached curve answers any capacity without
-    re-sorting.  Returns ``inf`` when the whole footprint fits.
-    """
-    t = f_at_gap.size
-    if t == 0:
-        return float("inf")
-    target = float(capacity_lines) * t
-    k = int(np.searchsorted(f_at_gap, target, side="left"))
+    k = bisect.bisect_left(range(cold), target, key=f)
     if k >= t:
-        return float("inf")
-    # Solve prefix[k] + W * (t - k) = target on [g[k-1], g[k]].
-    denom = t - k
-    if denom <= 0:
-        return float("inf")
-    return (target - prefix[k]) / denom
+        return None
+    below = int(prefix[k - 1]) if k else 0
+    return (target - below) // (t - k)
 
 
 def _check_geometry(size_bytes: int, line_size: int) -> int:
@@ -406,24 +408,13 @@ class WorkingSetCache:
         occurrence (see :func:`reuse_time_gaps`)."""
         return reuse_time_gaps(addrs, self._line_shift)
 
-    def solve_window(self, gaps: np.ndarray) -> float:
-        """The window W* with average working-set size = cache capacity.
-
-        ``f(W) = sum_i min(gap_i, W)`` is piecewise linear and increasing;
-        solve ``f(W) = C * T`` on the sorted gaps in closed form.  Returns
-        ``inf`` when the whole footprint fits (every reuse hits).
-        """
-        sorted_gaps = np.sort(gaps).astype(np.float64)
-        prefix, f_at_gap = gap_window_curve(sorted_gaps)
-        return solve_window_curve(prefix, f_at_gap, self.capacity_lines)
-
     def hit_mask(self, addrs: np.ndarray) -> np.ndarray:
         """Boolean hit mask for one full run's address stream."""
         addrs = np.asarray(addrs, dtype=np.int64)
         if addrs.size == 0:
             return np.empty(0, dtype=bool)
         gaps = self.reuse_gaps(addrs)
-        window = self.solve_window(gaps)
-        if np.isinf(window):
+        threshold = window_threshold(np.sort(gaps), self.capacity_lines)
+        if threshold is None:
             return gaps < GAP_COLD
-        return gaps <= window
+        return gaps <= threshold

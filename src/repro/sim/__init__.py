@@ -11,8 +11,9 @@
 - :mod:`repro.sim.tracecache` — content-keyed cache reusing deterministic
   traces and LLC hit masks across placements and sweep points.
 - :mod:`repro.sim.reusepack` — compiled reuse profiles: one
-  capacity-independent fold per trace from which every working-set LLC
-  geometry's hit mask (and miss-ratio curve) derives in O(log N).
+  capacity-independent fold per trace, stored as two int64 gap rows,
+  from which every working-set LLC geometry's hit mask (and miss-ratio
+  curve) derives by one integer threshold solve.
 - :mod:`repro.sim.profilepack` — compiled miss profiles: per-(phase,
   page) histograms that price placements in O(pages) without replay.
 - :mod:`repro.sim.tracestore` — persistent content-keyed store sharing

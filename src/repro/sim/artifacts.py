@@ -149,16 +149,16 @@ REUSE = ArtifactSpec(
     kind="reuse",
     version=reusepack.REUSE_FORMAT,
     stage="stage.reuse_build",
-    dtype=np.dtype(np.float64),
+    dtype=np.dtype(np.int64),
     digest=lambda line_size: llc_digest(("reuse", int(line_size))),
-    # Gap rows (int64 bit patterns) plus the window curve, float64
-    # [4, n + 1]: a loaded profile answers every capacity with no float
-    # work (see repro.sim.reusepack.reuse_to_columnar).
+    # The program-order and ascending gap rows, int64 [2, n]: every
+    # capacity's threshold solves from the sorted row at load time (see
+    # repro.sim.reusepack.reuse_to_columnar).
     encode=_encode_columnar(reusepack.reuse_to_columnar),
-    layout=lambda sidecar: (4, sidecar_int(sidecar, "n") + 1),
+    layout=lambda sidecar: (2, sidecar_int(sidecar, "n")),
     decode=reusepack.reuse_from_columnar,
     fits=lambda profile, n: profile.n == n,
-    nbytes=lambda profile: 32 * (profile.n + 1),
+    nbytes=lambda profile: 16 * profile.n,
 )
 
 #: The lattice, in dependency order.

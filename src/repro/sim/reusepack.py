@@ -11,22 +11,19 @@ profile therefore holds
 - ``gaps`` — per-access reuse time gaps in program order (the output of
   :func:`repro.mem.cache.reuse_time_gaps`, with
   :data:`repro.mem.cache.GAP_COLD` marking first occurrences), and
-- ``sorted_gaps`` — the same gaps ascending, and
-- the window curve (prefix sums + ``f(W)`` samples), persisted with the
-  gap rows since artifact v2 so store-loaded profiles skip the
-  per-process float64 cast+cumsum entirely.
+- ``sorted_gaps`` — the same gaps ascending:
 
-From the cached curve any capacity's working-set window W\\* solves in
-O(log N) (:func:`repro.mem.cache.solve_window_curve` — no re-sort), and
-the hit mask for any LLC geometry is one vectorised compare
-``gaps <= W*``.  A whole fig9/fig10 capacity sweep derives all its
-masks from *one* O(N log N) fold over the trace, and miss-ratio curves
-come for free from the sorted gaps.
+two int64 rows, 16 bytes per access in memory and in the store.  From
+the sorted row any capacity's hit threshold solves with one int64
+prefix sum and a binary search (:func:`repro.mem.cache.window_threshold`
+— no re-sort), and the hit mask for any LLC geometry is one vectorised
+int64 compare ``gaps <= threshold``.  A whole fig9/fig10 capacity sweep
+derives all its masks from *one* O(N log N) fold over the trace, and
+miss-ratio curves come from a ``searchsorted`` on the sorted gaps.
 
-Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` performs
-the *identical* float64 operations as
-:meth:`repro.mem.cache.WorkingSetCache.hit_mask` (same sort → float64
-cast → prefix curve → closed-form solve → compare), so derived masks
+Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` calls the
+same :func:`~repro.mem.cache.window_threshold` on the same sorted gaps
+as :meth:`repro.mem.cache.WorkingSetCache.hit_mask`, so derived masks
 are indistinguishable from direct ones.  The direct path remains the
 parity oracle — ``REPRO_VERIFY=1`` makes
 :class:`repro.sim.tracecache.TraceCache` recompute every derived mask
@@ -45,17 +42,14 @@ from repro.mem.cache import (
     LINE_SIZE,
     WorkingSetCache,
     dense_span_fits,
-    gap_window_curve,
     reuse_time_gaps,
-    solve_window_curve,
+    window_threshold,
 )
 from repro.mem.trace import AccessTrace
 
-#: Columnar layout version; part of the stored file name (repro.sim.artifacts).
-#: v2 added the window-curve columns (``prefix``/``f_at_gap`` float64) so
-#: a store-loaded profile answers ``window()``/``hit_mask()`` without the
-#: per-process cast+cumsum; a v1 file has another name and is never read.
-REUSE_FORMAT = 2
+#: Columnar layout version; part of the stored file name (repro.sim.artifacts),
+#: so a file of another version is never read.
+REUSE_FORMAT = 3
 
 
 def derivable(llc) -> bool:
@@ -71,14 +65,12 @@ def derivable(llc) -> bool:
 
 @dataclass
 class ReuseProfile:
-    """Per-access reuse gaps plus the sorted-gap window curve.
+    """Per-access reuse gaps in program order and ascending.
 
-    The window curve (``prefix``/``f_at_gap`` float64 arrays) either
-    arrives pre-computed — a v2 store entry persists it, so a loaded
-    profile answers ``window()``/``hit_mask()`` with zero per-process
-    float work — or is materialised lazily after an in-process fold and
-    cached on the instance.  The float64 view of the sorted gaps (used
-    only for miss-ratio counting) stays lazy in both cases.
+    The two int64 rows are all a profile holds: every capacity's hit
+    threshold solves from ``sorted_gaps`` on demand, so nothing else is
+    cached per profile, whether it was folded here or loaded from the
+    store.
 
     ``_fold_state`` optionally carries the fold's dense last-seen table
     (``(base_line, table)``, global stream positions, ``-1`` = never
@@ -92,9 +84,6 @@ class ReuseProfile:
     gaps: np.ndarray  # int64 [n], program order; GAP_COLD = first touch
     sorted_gaps: np.ndarray  # int64 [n], ascending
     line_size: int = LINE_SIZE
-    _sorted_f: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _prefix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _f_at_gap: np.ndarray | None = field(default=None, repr=False, compare=False)
     _fold_state: tuple[int, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -114,28 +103,6 @@ class ReuseProfile:
         return self.n == trace.total_accesses
 
     # ------------------------------------------------------------------
-    # the cached window curve
-    # ------------------------------------------------------------------
-    def _sorted_float(self) -> np.ndarray:
-        if self._sorted_f is None:
-            self._sorted_f = self.sorted_gaps.astype(np.float64)
-        return self._sorted_f
-
-    def _curve(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._f_at_gap is None:
-            # Identical to WorkingSetCache.solve_window's preamble:
-            # ascending gaps cast to float64, then the prefix curve.
-            self._prefix, self._f_at_gap = gap_window_curve(
-                self._sorted_float()
-            )
-        return self._prefix, self._f_at_gap
-
-    def window(self, capacity_lines: int) -> float:
-        """The working-set window W* for one capacity, in O(log N)."""
-        prefix, f_at_gap = self._curve()
-        return solve_window_curve(prefix, f_at_gap, capacity_lines)
-
-    # ------------------------------------------------------------------
     # incremental phase extension
     # ------------------------------------------------------------------
     @property
@@ -150,11 +117,12 @@ class ReuseProfile:
         over the delta alone (gap = position difference, invariant under
         the shared ``base_n`` offset), delta accesses whose line was
         last seen in the base stream are patched from the carried
-        last-seen table, and the sorted row is a searchsorted merge —
-        bit-identical to ``np.sort`` of the concatenation, without the
-        O((N+d) log (N+d)) re-sort.  The base profile is never mutated
-        (it stays cached under its own key); the result carries its own
-        forwarded table so extensions chain per phase.
+        last-seen table, and the sorted row is one stable sort of the
+        two ascending rows end to end, which timsort merges as two runs
+        in O(N + d) — bit-identical to ``np.sort`` of the concatenation,
+        without the O((N+d) log (N+d)) re-sort.  The base profile is
+        never mutated (it stays cached under its own key); the result
+        carries its own forwarded table so extensions chain per phase.
 
         Raises :class:`TraceError` when the profile has no fold state
         (store-loaded profiles don't) — callers should check
@@ -170,9 +138,6 @@ class ReuseProfile:
                 gaps=self.gaps,
                 sorted_gaps=self.sorted_gaps,
                 line_size=self.line_size,
-                _sorted_f=self._sorted_f,
-                _prefix=self._prefix,
-                _f_at_gap=self._f_at_gap,
                 _fold_state=self._fold_state,
             )
         shift = int(self.line_size).bit_length() - 1
@@ -182,10 +147,9 @@ class ReuseProfile:
             in_place=False,
         )
         gaps = np.concatenate([np.asarray(self.gaps), delta_gaps])
-        delta_sorted = np.sort(delta_gaps)
-        positions = np.searchsorted(self.sorted_gaps, delta_sorted)
-        sorted_gaps = np.insert(
-            np.asarray(self.sorted_gaps), positions, delta_sorted
+        sorted_gaps = np.sort(
+            np.concatenate([self.sorted_gaps, np.sort(delta_gaps)]),
+            kind="stable",
         )
         return ReuseProfile(
             gaps=gaps,
@@ -201,14 +165,12 @@ class ReuseProfile:
         """Boolean hit mask for a working-set LLC of ``capacity_lines``.
 
         Bit-exact with :meth:`WorkingSetCache.hit_mask` on the same
-        address stream — the same window solve, the same compares.
+        address stream — the same threshold solve, the same compares.
         """
-        if self.n == 0:
-            return np.empty(0, dtype=bool)
-        window = self.window(capacity_lines)
-        if np.isinf(window):
+        threshold = window_threshold(self.sorted_gaps, capacity_lines)
+        if threshold is None:
             return self.gaps < GAP_COLD
-        return self.gaps <= window
+        return self.gaps <= threshold
 
     def hit_mask_for(self, llc) -> np.ndarray:
         """Derive ``llc.hit_mask(...)`` without touching the trace.
@@ -233,14 +195,13 @@ class ReuseProfile:
         n = self.n
         if n == 0:
             return 0.0
-        window = self.window(capacity_lines)
-        if np.isinf(window):
+        threshold = window_threshold(self.sorted_gaps, capacity_lines)
+        if threshold is None:
             # Only cold misses: every finite gap hits.
-            hits = int(np.searchsorted(self.sorted_gaps, GAP_COLD, side="left"))
+            hits = int(np.searchsorted(self.sorted_gaps, GAP_COLD))
         else:
-            # Mirrors the float64 `gaps <= window` compare of hit_mask.
             hits = int(
-                np.searchsorted(self._sorted_float(), window, side="right")
+                np.searchsorted(self.sorted_gaps, threshold, side="right")
             )
         return 1.0 - hits / n
 
@@ -417,43 +378,6 @@ def validate_reuse(profile: ReuseProfile) -> None:
         raise TraceError("cold-miss counts disagree between reuse rows")
     if n_cold == 0:
         raise TraceError("a non-empty trace must have at least one cold miss")
-    _validate_curve(profile)
-
-
-def _validate_curve(profile: ReuseProfile) -> None:
-    """Cheap invariants of an attached (persisted) window curve.
-
-    Deliberately O(1) beyond shape checks: the CRC at the store boundary
-    guards content, and re-deriving the curve here would pay exactly the
-    cast+cumsum that persisting it exists to avoid.  The endpoint
-    identities (``prefix[0] = 0``, ``f(g_last) = prefix[n]``, and the
-    last prefix step equalling the largest gap) catch layout and
-    row-ordering mistakes without touching the interior.
-    """
-    prefix, f_at_gap = profile._prefix, profile._f_at_gap
-    if prefix is None and f_at_gap is None:
-        return
-    if prefix is None or f_at_gap is None:
-        raise TraceError("reuse curve rows must be attached together")
-    n = profile.n
-    if prefix.shape != (n + 1,) or f_at_gap.shape != (n,):
-        raise TraceError(
-            f"reuse curve rows have shapes {prefix.shape}/{f_at_gap.shape}, "
-            f"expected ({n + 1},)/({n},)"
-        )
-    if prefix.dtype != np.float64 or f_at_gap.dtype != np.float64:
-        raise TraceError("reuse curve rows must be float64")
-    if n == 0:
-        if prefix[0] != 0.0:
-            raise TraceError("empty reuse curve must start at zero")
-        return
-    last_gap = float(profile.sorted_gaps[-1])
-    if (
-        prefix[0] != 0.0
-        or f_at_gap[-1] != prefix[-1]
-        or prefix[-1] != prefix[-2] + last_gap
-    ):
-        raise TraceError("reuse curve endpoints disagree with the gap rows")
 
 
 # ----------------------------------------------------------------------
@@ -462,50 +386,21 @@ def _validate_curve(profile: ReuseProfile) -> None:
 def reuse_to_columnar(profile: ReuseProfile) -> tuple[np.ndarray, dict]:
     """Split a reuse profile into one dense array plus a JSON record.
 
-    Artifact v2 is one ``float64 [4, n + 1]`` array:
-
-    ======  =======================  ==========================
-    row     columns ``[:n]``         trailing column
-    ======  =======================  ==========================
-    0       ``gaps`` (int64 bits)    zero padding
-    1       ``sorted_gaps`` (bits)   zero padding
-    2       ``prefix[:n]``           ``prefix[n]``
-    3       ``f_at_gap``             zero padding
-    ======  =======================  ==========================
-
-    The gap rows keep their exact int64 bit patterns via ``.view``
-    (``GAP_COLD`` does not survive a float64 *value* cast); the curve
-    rows are genuine float64.  Persisting the curve costs 2x the v1
-    bytes but removes the per-process cast+cumsum from every store-warm
-    ``window()``/``hit_mask()`` — which is the whole point of the v2
-    artifact.
+    Artifact v3 is one ``int64 [2, n]`` array: row 0 holds ``gaps`` in
+    program order, row 1 ``sorted_gaps``; the record carries ``n`` and
+    the line size.
     """
-    n = profile.n
-    prefix, f_at_gap = profile._curve()
-    packed = np.zeros((4, n + 1), dtype=np.float64)
-    packed[0, :n] = np.ascontiguousarray(
-        profile.gaps, dtype=np.int64
-    ).view(np.float64)
-    packed[1, :n] = np.ascontiguousarray(
-        profile.sorted_gaps, dtype=np.int64
-    ).view(np.float64)
-    packed[2, :] = prefix
-    packed[3, :n] = f_at_gap
-    record = {
-        "n": n,
-        "line_size": int(profile.line_size),
-    }
-    return packed, record
+    record = {"n": profile.n, "line_size": int(profile.line_size)}
+    return np.stack((profile.gaps, profile.sorted_gaps)), record
 
 
 def reuse_from_columnar(stacked: np.ndarray, record: dict) -> ReuseProfile:
     """Rebuild (and validate) a reuse profile from its serialized halves.
 
     ``stacked`` may be a read-only mmap view; the gap rows stay
-    zero-copy int64 bit-views into its (C-contiguous) row slices, and
-    the curve rows attach pre-computed so no float work happens at load.
-    Raises :class:`TraceError` on any structural defect, so callers can
-    reject the store entry and rebuild.
+    zero-copy views of its (C-contiguous) rows.  Raises
+    :class:`TraceError` on any structural defect, so callers can reject
+    the store entry and rebuild.
     """
     try:
         n = int(record["n"])
@@ -513,19 +408,15 @@ def reuse_from_columnar(stacked: np.ndarray, record: dict) -> ReuseProfile:
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed reuse record: {exc}") from exc
     stacked = np.asarray(stacked)
-    if stacked.dtype != np.float64 or stacked.shape != (4, n + 1):
+    if stacked.dtype != np.int64 or stacked.shape != (2, n):
         raise TraceError(
             f"reuse array has dtype/shape {stacked.dtype}/{stacked.shape}, "
-            f"expected float64 (4, {n + 1})"
+            f"expected int64 (2, {n})"
         )
-    gaps = np.ascontiguousarray(stacked[0, :n]).view(np.int64)
-    sorted_gaps = np.ascontiguousarray(stacked[1, :n]).view(np.int64)
     profile = ReuseProfile(
-        gaps=gaps,
-        sorted_gaps=sorted_gaps,
+        gaps=stacked[0],
+        sorted_gaps=stacked[1],
         line_size=line_size,
-        _prefix=stacked[2],
-        _f_at_gap=stacked[3, :n],
     )
     validate_reuse(profile)
     return profile

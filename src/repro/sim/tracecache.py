@@ -355,9 +355,9 @@ class TraceCache:
         Keyed by the trace key plus the cache-model geometry, so each
         platform's LLC gets its own mask.  For a plain
         :class:`~repro.mem.cache.WorkingSetCache` the mask is *derived*
-        from the trace's reuse profile (one O(log N) window solve plus one
-        compare, ``stage.mask_derive``) instead of re-running the O(N log
-        N) direct fold — a capacity sweep pays the fold once
+        from the trace's reuse profile (one integer threshold solve plus
+        one compare, ``stage.mask_derive``) instead of re-running the
+        O(N log N) direct fold — a capacity sweep pays the fold once
         (``stage.reuse_build``) and derives every geometry from it.  Other
         cache models, or traces the profile cannot describe, take the
         direct ``stage.hit_mask`` path unchanged.

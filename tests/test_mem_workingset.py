@@ -5,7 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import LINE_SIZE, SetAssociativeCache, WorkingSetCache
+from repro.mem.cache import (
+    GAP_COLD,
+    LINE_SIZE,
+    SetAssociativeCache,
+    WorkingSetCache,
+    window_threshold,
+)
+from repro.sim.reusepack import build_reuse_profile, fold_reuse_chunks
+from repro.sim.tracestore import TraceStore
+
+
+def float_window_mask(gaps: np.ndarray, capacity_lines: int) -> np.ndarray:
+    """The float64 window solve the int solve replaced, as a reference.
+
+    Casts the ascending gaps to float64, builds the prefix curve
+    ``f(g_k)`` over all N, solves ``f(W*) = capacity * T`` in closed form
+    and compares ``gaps <= W*`` as floats.
+    """
+    sorted_f = np.sort(gaps).astype(np.float64)
+    t = sorted_f.size
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_f)))
+    f_at_gap = prefix[1:] + sorted_f * (t - 1 - np.arange(t, dtype=np.float64))
+    target = float(capacity_lines) * t
+    k = int(np.searchsorted(f_at_gap, target, side="left"))
+    if k >= t:
+        return gaps < GAP_COLD
+    return gaps <= (target - prefix[k]) / (t - k)
+
+
+def int_window_mask(sorted_gaps, gaps, capacity_lines):
+    threshold = window_threshold(sorted_gaps, capacity_lines)
+    assert threshold is None or type(threshold) is int
+    if threshold is None:
+        return gaps < GAP_COLD
+    return gaps <= threshold
 
 
 class TestReuseGaps:
@@ -37,13 +71,15 @@ class TestSolveWindow:
     def test_window_covers_all_finite_gaps_when_footprint_fits(self):
         cache = WorkingSetCache(64 * LINE_SIZE)
         gaps = cache.reuse_gaps(np.array([0, 64, 0, 64] * 4))
-        window = cache.solve_window(gaps)
-        finite = gaps[gaps < np.iinfo(np.int64).max]
-        assert window >= finite.max()
+        threshold = window_threshold(np.sort(gaps), cache.capacity_lines)
+        finite = gaps[gaps < GAP_COLD]
+        assert threshold >= finite.max()
+        # Past the finite gaps the solve lands on the first cold gap.
+        t, cold = gaps.size, gaps.size - finite.size
+        assert threshold == (64 * t - int(finite.sum())) // cold
 
     def test_empty_stream(self):
-        cache = WorkingSetCache(1024)
-        assert np.isinf(cache.solve_window(np.empty(0, dtype=np.int64)))
+        assert window_threshold(np.empty(0, dtype=np.int64), 16) is None
 
 
 class TestHitMask:
@@ -109,3 +145,114 @@ class TestHitMask:
             for c in (16, 64, 256, 1024)
         ]
         assert all(a >= b for a, b in zip(misses, misses[1:]))
+
+
+#: Capacities of the int-vs-float comparisons, capacity 1 included.
+CAPACITIES = (1, 2, 3, 5, 16, 64, 256, 4096)
+
+
+class TestIntSolveMatchesFloat:
+    """``window_threshold`` gives the float64 window solve's masks."""
+
+    @staticmethod
+    def assert_matches(gaps, capacities=CAPACITIES):
+        gaps = np.asarray(gaps, dtype=np.int64)
+        sorted_gaps = np.sort(gaps)
+        for capacity in capacities:
+            np.testing.assert_array_equal(
+                int_window_mask(sorted_gaps, gaps, capacity),
+                float_window_mask(gaps, capacity),
+                err_msg=f"capacity {capacity}",
+            )
+
+    @given(
+        lines=st.lists(st.integers(0, 300), min_size=1, max_size=600),
+        capacity=st.integers(1, 400),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_streams(self, lines, capacity):
+        addrs = np.array(lines, dtype=np.int64) * LINE_SIZE
+        self.assert_matches(WorkingSetCache(LINE_SIZE).reuse_gaps(addrs), (capacity,))
+
+    @given(
+        finite=st.lists(st.integers(1, 1 << 20), max_size=300),
+        n_cold=st.integers(1, 50),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_gap_rows_with_ties(self, finite, n_cold, data):
+        # Capacities drawn from the gap values themselves put gaps
+        # exactly at the threshold.
+        gaps = np.array(finite + [GAP_COLD] * n_cold, dtype=np.int64)
+        capacities = st.integers(1, 1 << 21)
+        if finite:
+            capacities = capacities | st.sampled_from(finite)
+        self.assert_matches(gaps, (data.draw(capacities),))
+
+    def test_all_cold_stream(self):
+        gaps = WorkingSetCache(LINE_SIZE).reuse_gaps(
+            np.arange(500, dtype=np.int64) * LINE_SIZE
+        )
+        assert (gaps == GAP_COLD).all()
+        self.assert_matches(gaps)
+        assert window_threshold(np.sort(gaps), 16) == 16  # k = 0: no hits
+
+    def test_all_fit_lands_on_first_cold_gap(self):
+        addrs = np.tile(np.arange(8, dtype=np.int64) * LINE_SIZE, 50)
+        gaps = WorkingSetCache(LINE_SIZE).reuse_gaps(addrs)
+        self.assert_matches(gaps)
+        threshold = window_threshold(np.sort(gaps), 64)
+        assert threshold >= 8  # every reuse hits
+        assert threshold == (64 * 400 - 8 * 392) // 8
+
+    def test_gaps_tied_at_threshold_hit(self):
+        # Period-g reuse: f(g_0) = g * T, so capacity g solves W* = g
+        # exactly and every gap sits on the threshold.
+        for period in (1, 3, 7, 16):
+            addrs = np.tile(np.arange(period, dtype=np.int64) * LINE_SIZE, 40)
+            gaps = WorkingSetCache(LINE_SIZE).reuse_gaps(addrs)
+            assert window_threshold(np.sort(gaps), period) == period
+            mask = int_window_mask(np.sort(gaps), gaps, period)
+            assert int(np.count_nonzero(mask)) == addrs.size - period
+            self.assert_matches(gaps, (period,))
+
+    def test_capacity_one(self):
+        rng = np.random.default_rng(4)
+        gaps = WorkingSetCache(LINE_SIZE).reuse_gaps(
+            rng.integers(0, 16, size=2_000) * LINE_SIZE
+        )
+        self.assert_matches(gaps, (1,))
+
+    def test_extend_chain_profiles(self):
+        rng = np.random.default_rng(5)
+        parts = [rng.integers(0, 1 << 16, size=1_500) for _ in range(4)]
+        profile = build_reuse_profile(parts[0])
+        for part in parts[1:]:
+            profile = profile.extend(part)
+            for capacity in CAPACITIES:
+                np.testing.assert_array_equal(
+                    profile.hit_mask(capacity),
+                    float_window_mask(profile.gaps, capacity),
+                )
+
+    def test_chunked_fold_profiles(self):
+        rng = np.random.default_rng(6)
+        addrs = rng.integers(0, 1 << 16, size=6_000)
+        profile = fold_reuse_chunks(np.array_split(addrs, 5))
+        for capacity in CAPACITIES:
+            np.testing.assert_array_equal(
+                profile.hit_mask(capacity),
+                float_window_mask(profile.gaps, capacity),
+            )
+
+    def test_store_round_trip_profiles(self, tmp_path):
+        rng = np.random.default_rng(7)
+        profile = build_reuse_profile(rng.integers(0, 1 << 16, size=6_000))
+        TraceStore(tmp_path).save_reuse("k", profile.line_size, profile)
+        loaded = TraceStore(tmp_path).load_reuse("k", profile.line_size, profile.n)
+        for capacity in CAPACITIES:
+            np.testing.assert_array_equal(
+                loaded.hit_mask(capacity),
+                float_window_mask(profile.gaps, capacity),
+            )
+            assert loaded.miss_ratio(capacity) == profile.miss_ratio(capacity)

@@ -186,9 +186,7 @@ class TestMissRatio:
             capacity = size // LINE_SIZE
             mask = profile.hit_mask(capacity)
             want = 1.0 - np.count_nonzero(mask) / mask.size
-            assert profile.miss_ratio(capacity) == pytest.approx(
-                want, abs=1e-12
-            ), size
+            assert profile.miss_ratio(capacity) == want, size
 
 
 class TestColumnar:
@@ -239,13 +237,15 @@ class TestColumnar:
         validate_reuse(build_reuse_profile(mixed_trace(n=1_000)))
         validate_reuse(build_reuse_profile(np.empty(0, dtype=np.int64)))
 
-    def test_loaded_profile_has_curve_attached_and_no_fold_state(self):
+    def test_loaded_profile_is_int_row_views_without_fold_state(self):
         profile = build_reuse_profile(mixed_trace(seed=11, n=1_500))
-        rebuilt = reuse_from_columnar(*reuse_to_columnar(profile))
-        # The persisted curve arrives pre-computed: window() must not
-        # re-derive anything.
-        assert rebuilt._f_at_gap is not None and rebuilt._prefix is not None
-        assert rebuilt.window(256) == profile.window(256)
+        stacked, record = reuse_to_columnar(profile)
+        assert stacked.dtype == np.int64 and stacked.shape == (2, profile.n)
+        rebuilt = reuse_from_columnar(stacked, record)
+        # The rows are views of the stored array, not copies.
+        assert np.shares_memory(rebuilt.gaps, stacked)
+        assert np.shares_memory(rebuilt.sorted_gaps, stacked)
+        np.testing.assert_array_equal(rebuilt.hit_mask(256), profile.hit_mask(256))
         # Fold state is in-process only; loaded profiles cannot extend.
         assert not rebuilt.can_extend
         with pytest.raises(TraceError, match="no fold state"):
@@ -257,13 +257,15 @@ class TestColumnar:
         assert rebuilt.n == 0
         assert rebuilt.hit_mask(64).size == 0
 
-    def test_curve_endpoint_mismatch_rejected(self):
+    def test_float_v2_layout_rejected(self):
+        # The v2 layout: gap bit patterns plus a float64 window curve,
+        # float64 [4, n + 1].
         profile = build_reuse_profile(mixed_trace(n=512))
         stacked, record = reuse_to_columnar(profile)
-        bad = stacked.copy()
-        bad[2, -1] = 0.0  # prefix[n] no longer matches f(g_last)
-        with pytest.raises(TraceError, match="curve"):
-            reuse_from_columnar(bad, record)
+        v2 = np.zeros((4, profile.n + 1), dtype=np.float64)
+        v2[:2, :-1] = stacked.view(np.float64)
+        with pytest.raises(TraceError, match="expected int64"):
+            reuse_from_columnar(v2, record)
 
 
 class TestExtend:

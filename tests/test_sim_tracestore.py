@@ -183,25 +183,6 @@ class TestReuseRoundtrip:
         assert not fresh.has(REUSE, "k1", profile.line_size)
         assert fresh.load_trace("k1") is not None  # trace untouched
 
-    def test_loaded_reuse_answers_masks_without_float_work(self, tmp_path):
-        # The v2 point: the window curve rides in the artifact, so the
-        # loaded profile starts with the curve attached (not lazily
-        # rebuilt) and derives masks identical to the fresh profile's.
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        profile = build_reuse_profile(trace.all_addresses())
-        store.save_reuse("k1", profile.line_size, profile)
-        loaded = TraceStore(tmp_path).load_reuse(
-            "k1", profile.line_size, profile.n
-        )
-        assert loaded._f_at_gap is not None
-        for size_bytes in (16 << 10, 32 << 10, 64 << 10, 128 << 10):
-            llc = WorkingSetCache(size_bytes)
-            np.testing.assert_array_equal(
-                loaded.hit_mask_for(llc), profile.hit_mask_for(llc)
-            )
-
     def test_corrupted_reuse_bytes_fail_crc(self, tmp_path):
         store = TraceStore(tmp_path)
         trace = small_trace()
@@ -215,6 +196,48 @@ class TestReuseRoundtrip:
         fresh = TraceStore(tmp_path)
         assert fresh.load_reuse("k1", profile.line_size, profile.n) is None
         assert fresh.stats.rejects == 1
+
+
+class TestReuseLayout:
+    """Reuse artifact v3: the two gap rows as one int64 [2, n] array."""
+
+    def saved_profile(self, tmp_path):
+        store = TraceStore(tmp_path)
+        profile = build_reuse_profile(small_trace().all_addresses())
+        assert store.save_reuse("k1", profile.line_size, profile) is True
+        return store, profile
+
+    def test_loaded_rows_are_readonly_int64_views(self, tmp_path):
+        store, profile = self.saved_profile(tmp_path)
+        stored = np.load(store._paths(REUSE, "k1", profile.line_size)[0])
+        assert stored.dtype == np.int64 and stored.shape == (2, profile.n)
+        loaded = TraceStore(tmp_path).load_reuse(
+            "k1", profile.line_size, profile.n
+        )
+        for row in (loaded.gaps, loaded.sorted_gaps):
+            assert row.dtype == np.int64
+            assert not row.flags.writeable and not row.flags.owndata
+        for size_bytes in (16 << 10, 32 << 10, 64 << 10, 128 << 10):
+            llc = WorkingSetCache(size_bytes)
+            np.testing.assert_array_equal(
+                loaded.hit_mask_for(llc), profile.hit_mask_for(llc)
+            )
+
+    def test_v2_file_is_ignored(self, tmp_path):
+        # A float64 [4, n + 1] entry of the old layout, beside the v3 one.
+        store, profile = self.saved_profile(tmp_path)
+        v2 = dataclasses.replace(REUSE, version=2)
+        array_path, sidecar_path = store._paths(v2, "k1", profile.line_size)
+        np.save(array_path, np.zeros((4, profile.n + 1), dtype=np.float64))
+        v3_sidecar = store._paths(REUSE, "k1", profile.line_size)[1]
+        sidecar_path.write_text(v3_sidecar.read_text())
+        fresh = TraceStore(tmp_path)
+        loaded = fresh.load_reuse("k1", profile.line_size, profile.n)
+        np.testing.assert_array_equal(loaded.gaps, profile.gaps)
+        v3_sidecar.unlink()
+        assert fresh.load_reuse("k1", profile.line_size, profile.n) is None
+        assert fresh.stats.rejects == 0
+        assert array_path.exists() and sidecar_path.exists()
 
 
 #: Each kind's sidecar field that sizes its array.
