@@ -151,14 +151,16 @@ REUSE = ArtifactSpec(
     stage="stage.reuse_build",
     dtype=np.dtype(np.int64),
     digest=lambda line_size: llc_digest(("reuse", int(line_size))),
-    # The program-order and ascending gap rows, int64 [2, n]: every
-    # capacity's threshold solves from the sorted row at load time (see
-    # repro.sim.reusepack.reuse_to_columnar).
+    # The program-order gaps and their (value, count) histogram as one
+    # int64 [n + 2m] array: every capacity's threshold solves from the
+    # histogram at load time (see repro.sim.reusepack.reuse_to_columnar).
     encode=_encode_columnar(reusepack.reuse_to_columnar),
-    layout=lambda sidecar: (2, sidecar_int(sidecar, "n")),
+    layout=lambda sidecar: (
+        sidecar_int(sidecar, "n") + 2 * sidecar_int(sidecar, "m"),
+    ),
     decode=reusepack.reuse_from_columnar,
     fits=lambda profile, n: profile.n == n,
-    nbytes=lambda profile: 16 * profile.n,
+    nbytes=lambda profile: 8 * profile.n + 16 * int(profile.values.size),
 )
 
 #: The lattice, in dependency order.

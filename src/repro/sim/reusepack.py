@@ -11,18 +11,25 @@ profile therefore holds
 - ``gaps`` — per-access reuse time gaps in program order (the output of
   :func:`repro.mem.cache.reuse_time_gaps`, with
   :data:`repro.mem.cache.GAP_COLD` marking first occurrences), and
-- ``sorted_gaps`` — the same gaps ascending:
+- ``values``/``counts`` — the gaps' histogram: the ascending distinct
+  finite gaps and how often each occurs, made by the same fold:
 
-two int64 rows, 16 bytes per access in memory and in the store.  From
-the sorted row any capacity's hit threshold solves with one int64
-prefix sum and a binary search (:func:`repro.mem.cache.window_threshold`
-— no re-sort), and the hit mask for any LLC geometry is one vectorised
-int64 compare ``gaps <= threshold``.  A whole fig9/fig10 capacity sweep
-derives all its masks from *one* O(N log N) fold over the trace, and
-miss-ratio curves come from a ``searchsorted`` on the sorted gaps.
+``8·n + 16·m`` bytes for ``n`` accesses and ``m`` distinct gaps, in
+memory and in the store.  From the histogram any capacity's hit
+threshold solves with two O(m) prefix sums and a binary search
+(:func:`repro.mem.cache.window_threshold` — no sort), and the hit mask
+for any LLC geometry is one vectorised int64 compare
+``gaps <= threshold``.  A whole fig9/fig10 capacity sweep derives all
+its masks from *one* fold over the trace, and miss-ratio curves come
+from a ``searchsorted`` in the histogram.
+
+One-shot (:func:`build_reuse_profile`), chunked
+(:func:`fold_reuse_chunks`) and incremental (:meth:`ReuseProfile.extend`)
+folds all run the fold's one block loop; the latter two continue it
+from a carried last-seen table and add histograms.
 
 Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` calls the
-same :func:`~repro.mem.cache.window_threshold` on the same sorted gaps
+same :func:`~repro.mem.cache.window_threshold` on the same histogram
 as :meth:`repro.mem.cache.WorkingSetCache.hit_mask`, so derived masks
 are indistinguishable from direct ones.  The direct path remains the
 parity oracle — ``REPRO_VERIFY=1`` makes
@@ -40,8 +47,9 @@ from repro.errors import TraceError
 from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
+    LastSeen,
     WorkingSetCache,
-    dense_span_fits,
+    add_histograms,
     reuse_time_gaps,
     window_threshold,
 )
@@ -49,7 +57,7 @@ from repro.mem.trace import AccessTrace
 
 #: Columnar layout version; part of the stored file name (repro.sim.artifacts),
 #: so a file of another version is never read.
-REUSE_FORMAT = 3
+REUSE_FORMAT = 4
 
 
 def derivable(llc) -> bool:
@@ -65,28 +73,27 @@ def derivable(llc) -> bool:
 
 @dataclass
 class ReuseProfile:
-    """Per-access reuse gaps in program order and ascending.
+    """Per-access reuse gaps in program order, plus their histogram.
 
-    The two int64 rows are all a profile holds: every capacity's hit
-    threshold solves from ``sorted_gaps`` on demand, so nothing else is
-    cached per profile, whether it was folded here or loaded from the
-    store.
+    ``values`` are the ascending distinct finite gaps and ``counts``
+    how often each occurs; every capacity's hit threshold solves from
+    them on demand, so nothing else is cached per profile, whether it
+    was folded here or loaded from the store.
 
     ``_fold_state`` optionally carries the fold's dense last-seen table
     (``(base_line, table)``, global stream positions, ``-1`` = never
-    seen) so :meth:`extend` can fold *only* a new phase's delta and
-    merge, instead of refolding the whole stream.  The state is
-    in-process only — it is never serialized, so store-loaded profiles
-    answer :attr:`can_extend` with ``False`` and extension falls back to
-    a full refold.
+    seen) so :meth:`extend` can fold *only* a new phase's delta,
+    instead of refolding the whole stream.  The state is in-process
+    only — it is never serialized, so store-loaded profiles answer
+    :attr:`can_extend` with ``False`` and extension falls back to a
+    full refold.
     """
 
     gaps: np.ndarray  # int64 [n], program order; GAP_COLD = first touch
-    sorted_gaps: np.ndarray  # int64 [n], ascending
+    values: np.ndarray  # int64 [m], ascending distinct finite gaps
+    counts: np.ndarray  # int64 [m], occurrences of each value
     line_size: int = LINE_SIZE
-    _fold_state: tuple[int, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _fold_state: LastSeen | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -113,16 +120,13 @@ class ReuseProfile:
     def extend(self, delta_addrs: np.ndarray) -> "ReuseProfile":
         """A new profile covering this stream plus ``delta_addrs``.
 
-        Folds **only the delta**: intra-delta gaps come from one fold
-        over the delta alone (gap = position difference, invariant under
-        the shared ``base_n`` offset), delta accesses whose line was
-        last seen in the base stream are patched from the carried
-        last-seen table, and the sorted row is one stable sort of the
-        two ascending rows end to end, which timsort merges as two runs
-        in O(N + d) — bit-identical to ``np.sort`` of the concatenation,
-        without the O((N+d) log (N+d)) re-sort.  The base profile is
-        never mutated (it stays cached under its own key); the result
-        carries its own forwarded table so extensions chain per phase.
+        Folds **only the delta**: the block loop of
+        :func:`~repro.mem.cache.reuse_time_gaps` continues from a copy of
+        the carried last-seen table, so delta accesses whose line was
+        last seen in the base stream get their cross-boundary gap, and
+        the two histograms add in O(m).  The base profile is never
+        mutated (it stays cached under its own key); the result carries
+        its own forwarded table so extensions chain per phase.
 
         Raises :class:`TraceError` when the profile has no fold state
         (store-loaded profiles don't) — callers should check
@@ -133,29 +137,18 @@ class ReuseProfile:
                 "reuse profile carries no fold state; refold instead"
             )
         addrs = np.ascontiguousarray(delta_addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return ReuseProfile(
-                gaps=self.gaps,
-                sorted_gaps=self.sorted_gaps,
-                line_size=self.line_size,
-                _fold_state=self._fold_state,
-            )
-        shift = int(self.line_size).bit_length() - 1
-        delta_gaps, delta_state = reuse_time_gaps(addrs, shift, last_seen=True)
-        state = _join_fold(
-            self._fold_state, self.n, addrs, shift, delta_gaps, delta_state,
-            in_place=False,
-        )
-        gaps = np.concatenate([np.asarray(self.gaps), delta_gaps])
-        sorted_gaps = np.sort(
-            np.concatenate([self.sorted_gaps, np.sort(delta_gaps)]),
-            kind="stable",
+        base, table = self._fold_state
+        shift = _line_shift(self.line_size)
+        fold = reuse_time_gaps(addrs, shift, carry=(base, table.copy()), start=self.n)
+        values, counts = add_histograms(
+            (self.values, self.counts), (fold.values, fold.counts)
         )
         return ReuseProfile(
-            gaps=gaps,
-            sorted_gaps=sorted_gaps,
+            gaps=np.concatenate([np.asarray(self.gaps), fold.gaps]),
+            values=values,
+            counts=counts,
             line_size=self.line_size,
-            _fold_state=state,
+            _fold_state=fold.state,
         )
 
     # ------------------------------------------------------------------
@@ -167,10 +160,7 @@ class ReuseProfile:
         Bit-exact with :meth:`WorkingSetCache.hit_mask` on the same
         address stream — the same threshold solve, the same compares.
         """
-        threshold = window_threshold(self.sorted_gaps, capacity_lines)
-        if threshold is None:
-            return self.gaps < GAP_COLD
-        return self.gaps <= threshold
+        return self.gaps <= self.threshold(capacity_lines)
 
     def hit_mask_for(self, llc) -> np.ndarray:
         """Derive ``llc.hit_mask(...)`` without touching the trace.
@@ -190,20 +180,17 @@ class ReuseProfile:
             )
         return self.hit_mask(llc.capacity_lines)
 
+    def threshold(self, capacity_lines: int) -> int:
+        """The largest gap that hits at ``capacity_lines`` (the window solve)."""
+        return window_threshold(self.values, self.counts, self.n, capacity_lines)
+
     def miss_ratio(self, capacity_lines: int) -> float:
-        """Miss ratio at one capacity, in O(log N) — no mask needed."""
+        """Miss ratio at one capacity, in O(m) — no mask needed."""
         n = self.n
         if n == 0:
             return 0.0
-        threshold = window_threshold(self.sorted_gaps, capacity_lines)
-        if threshold is None:
-            # Only cold misses: every finite gap hits.
-            hits = int(np.searchsorted(self.sorted_gaps, GAP_COLD))
-        else:
-            hits = int(
-                np.searchsorted(self.sorted_gaps, threshold, side="right")
-            )
-        return 1.0 - hits / n
+        hits = np.searchsorted(self.values, self.threshold(capacity_lines), "right")
+        return 1.0 - int(self.counts[:hits].sum()) / n
 
     def miss_ratio_curve(self, capacities_lines) -> np.ndarray:
         """Miss ratios for a whole capacity sweep (float64, same order)."""
@@ -211,57 +198,6 @@ class ReuseProfile:
             [self.miss_ratio(int(c)) for c in np.asarray(capacities_lines)],
             dtype=np.float64,
         )
-
-
-def _join_fold(
-    state: tuple[int, np.ndarray],
-    base_n: int,
-    addrs: np.ndarray,
-    shift: int,
-    gaps: np.ndarray,
-    delta_state: tuple[int, np.ndarray] | None,
-    *,
-    in_place: bool,
-) -> tuple[int, np.ndarray] | None:
-    """Join a delta's own fold onto the fold state of the stream before it.
-
-    ``state`` is the last-seen table after the first ``base_n``
-    accesses; ``gaps``/``delta_state`` come from
-    ``reuse_time_gaps(addrs, shift, last_seen=True)`` over the delta
-    alone.  Delta first touches whose line the table has seen are
-    patched in ``gaps`` to their cross-boundary gap, and the table is
-    forwarded over the delta.  ``in_place`` lets the table be updated
-    where it lies when the delta stays inside its span (a streaming
-    fold owns its table; :meth:`ReuseProfile.extend` must not mutate
-    its base).  Returns the forwarded state, or ``None`` when the delta
-    carries no table or the joined span is too sparse for one — the
-    gaps are exact either way.
-    """
-    base_line, table = state
-    cold = np.flatnonzero(gaps == GAP_COLD)
-    if cold.size:
-        idx = (addrs[cold] >> shift) - base_line
-        in_range = (idx >= 0) & (idx < table.size)
-        prev = np.full(cold.size, -1, dtype=np.int64)
-        prev[in_range] = table[idx[in_range]]
-        seen = prev >= 0
-        gaps[cold[seen]] = base_n + cold[seen] - prev[seen]
-    if delta_state is None:
-        return None
-    delta_line, delta_table = delta_state
-    low = min(base_line, delta_line)
-    top = max(base_line + table.size, delta_line + delta_table.size)
-    if not dense_span_fits(top - low, base_n + addrs.size):
-        return None
-    if in_place and low == base_line and top == base_line + table.size:
-        joined = table
-    else:
-        joined = np.full(top - low, -1, dtype=np.int64)
-        joined[base_line - low : base_line - low + table.size] = table
-    window = joined[delta_line - low : delta_line - low + delta_table.size]
-    touched = delta_table >= 0
-    window[touched] = delta_table[touched] + base_n
-    return low, joined
 
 
 def _line_shift(line_size: int) -> int:
@@ -276,23 +212,21 @@ def build_reuse_profile(
 ) -> ReuseProfile:
     """Fold one address stream into a :class:`ReuseProfile`.
 
-    One packed-key sort (:func:`repro.mem.cache.reuse_time_gaps`) plus
-    one ``np.sort`` of the gaps — paid once per trace and amortised over
-    every LLC capacity derived from the result.  With ``with_state``
-    (the default) the profile also carries the fold's last-seen table so
-    later phases can :meth:`~ReuseProfile.extend` it; pass ``False`` for
-    one-shot folds that will never grow (saves the table's memory).
+    One blocked fold (:func:`repro.mem.cache.reuse_time_gaps`) yields
+    the gaps and their histogram — paid once per trace and amortised
+    over every LLC capacity derived from the result.  With
+    ``with_state`` (the default) the profile also keeps the fold's
+    last-seen table so later phases can :meth:`~ReuseProfile.extend`
+    it; pass ``False`` for one-shot folds that will never grow (the
+    table is dropped with the fold).
     """
-    shift = _line_shift(line_size)
-    if with_state:
-        gaps, state = reuse_time_gaps(addrs, shift, last_seen=True)
-    else:
-        gaps, state = reuse_time_gaps(addrs, shift), None
+    fold = reuse_time_gaps(addrs, _line_shift(line_size))
     return ReuseProfile(
-        gaps=gaps,
-        sorted_gaps=np.sort(gaps),
+        gaps=fold.gaps,
+        values=fold.values,
+        counts=fold.counts,
         line_size=line_size,
-        _fold_state=state,
+        _fold_state=fold.state if with_state else None,
     )
 
 
@@ -303,21 +237,19 @@ def fold_reuse_chunks(
 
     The streaming twin of :func:`build_reuse_profile`, bit-identical to
     the one-shot fold of the concatenation without ever materialising
-    the flat stream.  Each chunk is folded alone, its first touches are
-    patched from the last-seen table carried over the chunks before it
-    (the same join as :meth:`ReuseProfile.extend`), and the table moves
-    forward in place; the gap rows are concatenated and sorted once at
-    the end, so no chunk re-copies or re-merges the rows before it.
-    When a chunk or the joined span is too sparse for a dense table the
-    chain breaks and the fold concatenates the chunks and refolds once —
-    correctness over memory in the pathological case.  Chunks are
-    retained as views, so the streaming path allocates nothing beyond
-    the fold's own rows.
+    the flat stream.  Each chunk goes through the same block loop as a
+    one-shot fold, continuing from the last-seen table the chunks
+    before it left (moved forward in place); the chunk histograms add
+    once at the end.  When a chunk makes the joined span too sparse for
+    a dense table the chain breaks and the fold concatenates the chunks
+    and refolds once — correctness over memory in the pathological
+    case.  Chunks are retained as views, so the streaming path
+    allocates nothing beyond the fold's own rows.
     """
     shift = _line_shift(line_size)
     seen: list[np.ndarray] = []
-    parts: list[np.ndarray] = []
-    state: tuple[int, np.ndarray] | None = None
+    folds = []
+    state: LastSeen | None = None
     n = 0
     for chunk in chunks:
         chunk = np.ascontiguousarray(chunk, dtype=np.int64)
@@ -326,20 +258,20 @@ def fold_reuse_chunks(
         seen.append(chunk)
         if n and state is None:
             continue  # chain broken: refold below
-        gaps, fold = reuse_time_gaps(chunk, shift, last_seen=True)
-        if n:
-            fold = _join_fold(state, n, chunk, shift, gaps, fold, in_place=True)
-        state = fold
-        parts.append(gaps)
+        fold = reuse_time_gaps(chunk, shift, carry=state, start=n)
+        state = fold.state
+        folds.append(fold)
         n += chunk.size
     if state is None:
         flat = np.concatenate(seen) if seen else np.empty(0, dtype=np.int64)
         return build_reuse_profile(flat, line_size)
-    gaps = np.concatenate(parts)
-    del parts
+    values, counts = add_histograms(*((f.values, f.counts) for f in folds))
+    gaps = np.concatenate([f.gaps for f in folds])
+    del folds
     return ReuseProfile(
         gaps=gaps,
-        sorted_gaps=np.sort(gaps),
+        values=values,
+        counts=counts,
         line_size=line_size,
         _fold_state=state,
     )
@@ -349,35 +281,44 @@ def validate_reuse(profile: ReuseProfile) -> None:
     """Structural validation; raises :class:`TraceError` on any defect.
 
     Run at the store boundary: a deserialised profile must be internally
-    consistent before masks are derived from it.  Checks are O(N) single
-    passes (no re-sort): the sorted row must be an ascending arrangement
-    with the same extremes and cold count as the program-order row, and
-    every gap must be at least 1 (a line cannot be reused in zero time).
+    consistent before masks are derived from it.  The histogram checks
+    are O(m): values strictly ascending and at least 1 (a line cannot
+    be reused in zero time), counts at least 1.  One O(n) pass over the
+    gaps ties the two together: the histogram must count every finite
+    gap, span the smallest and largest of them, and leave at least one
+    cold miss.
     """
-    gaps, sorted_gaps = profile.gaps, profile.sorted_gaps
-    if gaps.ndim != 1 or sorted_gaps.shape != gaps.shape:
+    gaps, values, counts = profile.gaps, profile.values, profile.counts
+    if gaps.ndim != 1 or values.ndim != 1 or counts.shape != values.shape:
         raise TraceError(
-            f"reuse rows disagree: {gaps.shape} vs {sorted_gaps.shape}"
+            f"reuse rows disagree: {gaps.shape}, {values.shape}, {counts.shape}"
         )
     if profile.line_size <= 0 or profile.line_size & (profile.line_size - 1):
         raise TraceError(
             f"reuse profile line size {profile.line_size} is not a power of two"
         )
+    if values.size:
+        if np.any(values[1:] <= values[:-1]):
+            raise TraceError("reuse gap values must be strictly ascending")
+        if int(values[0]) < 1 or int(values[-1]) >= GAP_COLD:
+            raise TraceError("reuse gap values must be finite and >= 1 access")
+        if int(counts.min()) < 1:
+            raise TraceError("reuse gap counts must be >= 1")
     if gaps.size == 0:
+        if values.size:
+            raise TraceError("an empty trace has no reuse gaps")
         return
-    if np.any(sorted_gaps[1:] < sorted_gaps[:-1]):
-        raise TraceError("sorted reuse gaps must be non-decreasing")
-    if int(sorted_gaps[0]) < 1:
-        raise TraceError("reuse gaps must be >= 1 access")
-    if int(sorted_gaps[0]) != int(gaps.min()) or int(sorted_gaps[-1]) != int(
-        gaps.max()
-    ):
-        raise TraceError("sorted reuse gaps do not span the program-order gaps")
-    n_cold = int(np.count_nonzero(gaps == GAP_COLD))
-    if int(np.count_nonzero(sorted_gaps == GAP_COLD)) != n_cold:
-        raise TraceError("cold-miss counts disagree between reuse rows")
-    if n_cold == 0:
+    finite = gaps != GAP_COLD
+    n_finite = int(np.count_nonzero(finite))
+    if n_finite == gaps.size:
         raise TraceError("a non-empty trace must have at least one cold miss")
+    if int(counts.sum()) != n_finite:
+        raise TraceError("reuse histogram does not count every finite gap")
+    if n_finite and (
+        int(values[0]) != int(gaps.min(where=finite, initial=GAP_COLD))
+        or int(values[-1]) != int(gaps.max(where=finite, initial=0))
+    ):
+        raise TraceError("reuse histogram does not span the program-order gaps")
 
 
 # ----------------------------------------------------------------------
@@ -386,36 +327,42 @@ def validate_reuse(profile: ReuseProfile) -> None:
 def reuse_to_columnar(profile: ReuseProfile) -> tuple[np.ndarray, dict]:
     """Split a reuse profile into one dense array plus a JSON record.
 
-    Artifact v3 is one ``int64 [2, n]`` array: row 0 holds ``gaps`` in
-    program order, row 1 ``sorted_gaps``; the record carries ``n`` and
-    the line size.
+    Artifact v4 is one ``int64 [n + 2m]`` array: the ``n`` gaps in
+    program order, then the ``m`` histogram values, then their counts;
+    the record carries ``n``, ``m`` and the line size.
     """
-    record = {"n": profile.n, "line_size": int(profile.line_size)}
-    return np.stack((profile.gaps, profile.sorted_gaps)), record
+    record = {
+        "n": profile.n,
+        "m": int(profile.values.size),
+        "line_size": int(profile.line_size),
+    }
+    return np.concatenate((profile.gaps, profile.values, profile.counts)), record
 
 
-def reuse_from_columnar(stacked: np.ndarray, record: dict) -> ReuseProfile:
+def reuse_from_columnar(flat: np.ndarray, record: dict) -> ReuseProfile:
     """Rebuild (and validate) a reuse profile from its serialized halves.
 
-    ``stacked`` may be a read-only mmap view; the gap rows stay
-    zero-copy views of its (C-contiguous) rows.  Raises
-    :class:`TraceError` on any structural defect, so callers can reject
-    the store entry and rebuild.
+    ``flat`` may be a read-only mmap view; the gaps and the histogram
+    stay zero-copy views of it.  Raises :class:`TraceError` on any
+    structural defect, so callers can reject the store entry and
+    rebuild.
     """
     try:
         n = int(record["n"])
+        m = int(record["m"])
         line_size = int(record["line_size"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed reuse record: {exc}") from exc
-    stacked = np.asarray(stacked)
-    if stacked.dtype != np.int64 or stacked.shape != (2, n):
+    flat = np.asarray(flat)
+    if flat.dtype != np.int64 or flat.shape != (n + 2 * m,):
         raise TraceError(
-            f"reuse array has dtype/shape {stacked.dtype}/{stacked.shape}, "
-            f"expected int64 (2, {n})"
+            f"reuse array has dtype/shape {flat.dtype}/{flat.shape}, "
+            f"expected int64 ({n + 2 * m},)"
         )
     profile = ReuseProfile(
-        gaps=stacked[0],
-        sorted_gaps=stacked[1],
+        gaps=flat[:n],
+        values=flat[n : n + m],
+        counts=flat[n + m :],
         line_size=line_size,
     )
     validate_reuse(profile)

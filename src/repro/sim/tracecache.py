@@ -478,7 +478,8 @@ class TraceCache:
             )
         if not (
             np.array_equal(folded.gaps, direct.gaps)
-            and np.array_equal(folded.sorted_gaps, direct.sorted_gaps)
+            and np.array_equal(folded.values, direct.values)
+            and np.array_equal(folded.counts, direct.counts)
         ):
             registry.inc("reuse.parity_failures")
             raise TraceError(

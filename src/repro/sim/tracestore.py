@@ -11,7 +11,7 @@ ArtifactSpec`:
   ``.json`` sidecar pair per artifact::
 
       <root>/<digest>/trace-v1.npy          flat int64 addresses
-      <root>/<digest>/reuse-v3-<line>.npy   int64 [2, n] gaps, sorted gaps
+      <root>/<digest>/reuse-v4-<line>.npy   int64 [n + 2m] gaps, gap histogram
       <root>/<digest>/mask-v2-<llc>.npy     np.packbits-packed hit mask
       <root>/<digest>/profile-v1-<llc>.npy  int64 [2, nnz] CSR pages/counts
       <root>/<digest>/<stem>.json           key, sub-key, CRC32, lengths

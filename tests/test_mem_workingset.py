@@ -8,12 +8,22 @@ from hypothesis import strategies as st
 from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
+    GapFold,
     SetAssociativeCache,
     WorkingSetCache,
+    reuse_time_gaps,
     window_threshold,
 )
 from repro.sim.reusepack import build_reuse_profile, fold_reuse_chunks
 from repro.sim.tracestore import TraceStore
+from tests.test_mem_cache import (
+    BLOCK,
+    assert_matches_global_fold,
+    block_lengths,
+    block_patterns,
+    block_stream,
+    sorted_row_threshold,
+)
 
 
 def float_window_mask(gaps: np.ndarray, capacity_lines: int) -> np.ndarray:
@@ -34,11 +44,20 @@ def float_window_mask(gaps: np.ndarray, capacity_lines: int) -> np.ndarray:
     return gaps <= (target - prefix[k]) / (t - k)
 
 
-def int_window_mask(sorted_gaps, gaps, capacity_lines):
-    threshold = window_threshold(sorted_gaps, capacity_lines)
-    assert threshold is None or type(threshold) is int
-    if threshold is None:
-        return gaps < GAP_COLD
+def histogram(gaps):
+    """``(values, counts)`` of the finite gaps."""
+    gaps = np.asarray(gaps, dtype=np.int64)
+    return np.unique(gaps[gaps < GAP_COLD], return_counts=True)
+
+
+def threshold_of(gaps, capacity_lines):
+    """The histogram solve's threshold for a gap row."""
+    return window_threshold(*histogram(gaps), np.size(gaps), capacity_lines)
+
+
+def int_window_mask(gaps, capacity_lines):
+    threshold = threshold_of(gaps, capacity_lines)
+    assert type(threshold) is int
     return gaps <= threshold
 
 
@@ -71,7 +90,7 @@ class TestSolveWindow:
     def test_window_covers_all_finite_gaps_when_footprint_fits(self):
         cache = WorkingSetCache(64 * LINE_SIZE)
         gaps = cache.reuse_gaps(np.array([0, 64, 0, 64] * 4))
-        threshold = window_threshold(np.sort(gaps), cache.capacity_lines)
+        threshold = threshold_of(gaps, cache.capacity_lines)
         finite = gaps[gaps < GAP_COLD]
         assert threshold >= finite.max()
         # Past the finite gaps the solve lands on the first cold gap.
@@ -79,7 +98,33 @@ class TestSolveWindow:
         assert threshold == (64 * t - int(finite.sum())) // cold
 
     def test_empty_stream(self):
-        assert window_threshold(np.empty(0, dtype=np.int64), 16) is None
+        empty = np.empty(0, dtype=np.int64)
+        assert window_threshold(empty, empty, 0, 16) == 0
+        assert WorkingSetCache(16 * LINE_SIZE).hit_mask(empty).size == 0
+        assert build_reuse_profile(empty).hit_mask(16).size == 0
+
+    @given(
+        lines=st.lists(st.integers(0, 40), min_size=1, max_size=400),
+        extra=st.integers(0, 1 << 10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_all_fit_threshold_covers_every_finite_gap(self, lines, extra):
+        # A capacity of at least the stream length fits every window
+        # (f(W) <= T * W and every gap is below T): the solve still
+        # returns an int, at or past the largest finite gap, and every
+        # reuse hits.
+        addrs = np.array(lines, dtype=np.int64) * LINE_SIZE
+        capacity = len(lines) + extra
+        fold = reuse_time_gaps(addrs)
+        threshold = window_threshold(fold.values, fold.counts, addrs.size, capacity)
+        assert type(threshold) is int
+        if fold.values.size:
+            assert threshold >= int(fold.values[-1])
+        np.testing.assert_array_equal(fold.gaps <= threshold, fold.gaps < GAP_COLD)
+        np.testing.assert_array_equal(
+            WorkingSetCache(capacity * LINE_SIZE).hit_mask(addrs),
+            fold.gaps < GAP_COLD,
+        )
 
 
 class TestHitMask:
@@ -157,10 +202,9 @@ class TestIntSolveMatchesFloat:
     @staticmethod
     def assert_matches(gaps, capacities=CAPACITIES):
         gaps = np.asarray(gaps, dtype=np.int64)
-        sorted_gaps = np.sort(gaps)
         for capacity in capacities:
             np.testing.assert_array_equal(
-                int_window_mask(sorted_gaps, gaps, capacity),
+                int_window_mask(gaps, capacity),
                 float_window_mask(gaps, capacity),
                 err_msg=f"capacity {capacity}",
             )
@@ -195,13 +239,13 @@ class TestIntSolveMatchesFloat:
         )
         assert (gaps == GAP_COLD).all()
         self.assert_matches(gaps)
-        assert window_threshold(np.sort(gaps), 16) == 16  # k = 0: no hits
+        assert threshold_of(gaps, 16) == 16  # k = 0: no hits
 
     def test_all_fit_lands_on_first_cold_gap(self):
         addrs = np.tile(np.arange(8, dtype=np.int64) * LINE_SIZE, 50)
         gaps = WorkingSetCache(LINE_SIZE).reuse_gaps(addrs)
         self.assert_matches(gaps)
-        threshold = window_threshold(np.sort(gaps), 64)
+        threshold = threshold_of(gaps, 64)
         assert threshold >= 8  # every reuse hits
         assert threshold == (64 * 400 - 8 * 392) // 8
 
@@ -211,8 +255,8 @@ class TestIntSolveMatchesFloat:
         for period in (1, 3, 7, 16):
             addrs = np.tile(np.arange(period, dtype=np.int64) * LINE_SIZE, 40)
             gaps = WorkingSetCache(LINE_SIZE).reuse_gaps(addrs)
-            assert window_threshold(np.sort(gaps), period) == period
-            mask = int_window_mask(np.sort(gaps), gaps, period)
+            assert threshold_of(gaps, period) == period
+            mask = int_window_mask(gaps, period)
             assert int(np.count_nonzero(mask)) == addrs.size - period
             self.assert_matches(gaps, (period,))
 
@@ -256,3 +300,63 @@ class TestIntSolveMatchesFloat:
                 float_window_mask(profile.gaps, capacity),
             )
             assert loaded.miss_ratio(capacity) == profile.miss_ratio(capacity)
+
+
+def reuse_fold_of(profile):
+    """A profile's rows in the shape of :func:`reuse_time_gaps`' result."""
+    return GapFold(profile.gaps, profile.values, profile.counts, profile._fold_state)
+
+
+class TestHistogramSolveMatchesSortedRow:
+    """The histogram solve against the N-long sorted-row solve it replaced,
+    on one-shot, extended and chunked profiles."""
+
+    @given(
+        finite=st.lists(st.integers(1, 1 << 20), max_size=300),
+        n_cold=st.integers(1, 50),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_gap_rows_with_ties(self, finite, n_cold, data):
+        gaps = np.array(finite + [GAP_COLD] * n_cold, dtype=np.int64)
+        capacities = st.integers(1, 1 << 21)
+        if finite:
+            capacities = capacities | st.sampled_from(finite)
+        capacity = data.draw(capacities)
+        assert threshold_of(gaps, capacity) == sorted_row_threshold(
+            np.sort(gaps), capacity
+        )
+
+    @given(
+        pattern=block_patterns.filter(lambda p: p != "sparse"),
+        n=block_lengths,
+        seed=st.integers(0, 2**16),
+        cuts=st.lists(st.integers(1, 4 * BLOCK), min_size=1, max_size=3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_extend_chains(self, pattern, n, seed, cuts):
+        addrs = block_stream(pattern, n, seed)
+        bounds = sorted({c for c in cuts if c < n})
+        parts = np.split(addrs, bounds)
+        profile = build_reuse_profile(parts[0])
+        for part in parts[1:]:
+            if profile.can_extend:
+                profile = profile.extend(part)
+            else:  # a prefix too sparse for a table: refold, as the cache does
+                profile = build_reuse_profile(addrs[: profile.n + part.size])
+        assert_matches_global_fold(
+            reuse_fold_of(profile), addrs, (1, 64, 10**9)
+        )
+
+    @given(
+        pattern=block_patterns,
+        n=block_lengths,
+        seed=st.integers(0, 2**16),
+        chunk=st.integers(100, 2 * BLOCK).filter(lambda c: c % BLOCK),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_chunked_folds(self, pattern, n, seed, chunk):
+        addrs = block_stream(pattern, n, seed)
+        chunks = [addrs[i : i + chunk] for i in range(0, n, chunk)]
+        profile = fold_reuse_chunks(iter(chunks))
+        assert_matches_global_fold(reuse_fold_of(profile), addrs, (1, 64, 10**9))

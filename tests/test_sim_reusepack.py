@@ -195,7 +195,8 @@ class TestColumnar:
         stacked, record = reuse_to_columnar(profile)
         rebuilt = reuse_from_columnar(stacked, record)
         np.testing.assert_array_equal(rebuilt.gaps, profile.gaps)
-        np.testing.assert_array_equal(rebuilt.sorted_gaps, profile.sorted_gaps)
+        np.testing.assert_array_equal(rebuilt.values, profile.values)
+        np.testing.assert_array_equal(rebuilt.counts, profile.counts)
         assert rebuilt.line_size == profile.line_size
         llc = WorkingSetCache(32 << 10)
         np.testing.assert_array_equal(
@@ -216,7 +217,7 @@ class TestColumnar:
     def test_shape_mismatch_rejected(self):
         stacked, record = reuse_to_columnar(build_reuse_profile(mixed_trace(n=64)))
         with pytest.raises(TraceError):
-            reuse_from_columnar(stacked[:, :-1], record)
+            reuse_from_columnar(stacked[:-1], record)
 
     def test_swapped_rows_rejected(self):
         profile = build_reuse_profile(mixed_trace(n=512))
@@ -228,8 +229,11 @@ class TestColumnar:
         profile = build_reuse_profile(mixed_trace(n=512))
         stacked, record = reuse_to_columnar(profile)
         bad = stacked.copy()
-        bad[1, 0] = 0
-        bad[0, int(np.argmin(profile.gaps))] = 0
+        bad[int(np.argmin(profile.gaps))] = 0
+        with pytest.raises(TraceError):
+            reuse_from_columnar(bad, record)
+        bad = stacked.copy()
+        bad[profile.n] = 0  # the smallest histogram value
         with pytest.raises(TraceError):
             reuse_from_columnar(bad, record)
 
@@ -240,11 +244,12 @@ class TestColumnar:
     def test_loaded_profile_is_int_row_views_without_fold_state(self):
         profile = build_reuse_profile(mixed_trace(seed=11, n=1_500))
         stacked, record = reuse_to_columnar(profile)
-        assert stacked.dtype == np.int64 and stacked.shape == (2, profile.n)
+        m = profile.values.size
+        assert stacked.dtype == np.int64 and stacked.shape == (profile.n + 2 * m,)
         rebuilt = reuse_from_columnar(stacked, record)
         # The rows are views of the stored array, not copies.
-        assert np.shares_memory(rebuilt.gaps, stacked)
-        assert np.shares_memory(rebuilt.sorted_gaps, stacked)
+        for row in (rebuilt.gaps, rebuilt.values, rebuilt.counts):
+            assert np.shares_memory(row, stacked)
         np.testing.assert_array_equal(rebuilt.hit_mask(256), profile.hit_mask(256))
         # Fold state is in-process only; loaded profiles cannot extend.
         assert not rebuilt.can_extend
@@ -263,9 +268,42 @@ class TestColumnar:
         profile = build_reuse_profile(mixed_trace(n=512))
         stacked, record = reuse_to_columnar(profile)
         v2 = np.zeros((4, profile.n + 1), dtype=np.float64)
-        v2[:2, :-1] = stacked.view(np.float64)
+        v2[0, :-1] = profile.gaps.view(np.float64)
         with pytest.raises(TraceError, match="expected int64"):
             reuse_from_columnar(v2, record)
+
+    def test_sorted_row_v3_layout_rejected(self):
+        # The v3 layout: gaps and the N-long sorted row, int64 [2, n].
+        profile = build_reuse_profile(mixed_trace(n=512))
+        _, record = reuse_to_columnar(profile)
+        v3 = np.stack((profile.gaps, np.sort(profile.gaps)))
+        with pytest.raises(TraceError, match="expected int64"):
+            reuse_from_columnar(v3, record)
+
+    def test_histogram_defects_rejected(self):
+        profile = build_reuse_profile(mixed_trace(n=2_000))
+        stacked, record = reuse_to_columnar(profile)
+        n, m = profile.n, profile.values.size
+        assert m >= 3
+        defects = {
+            "values not ascending": (n + 1, int(stacked[n])),
+            "zero count": (n + m, 0),
+            "counts off by one": (n + m, int(stacked[n + m]) + 1),
+            "largest value not the largest gap": (
+                n + m - 1,
+                int(stacked[n + m - 1]) + 1,
+            ),
+        }
+        for index, value in defects.values():
+            bad = stacked.copy()
+            bad[index] = value
+            with pytest.raises(TraceError):
+                reuse_from_columnar(bad, record)
+        # Every gap finite: no cold miss left.
+        bad = stacked.copy()
+        bad[:n][bad[:n] == GAP_COLD] = 1
+        with pytest.raises(TraceError):
+            reuse_from_columnar(bad, record)
 
 
 class TestExtend:
@@ -283,7 +321,8 @@ class TestExtend:
 
     def _assert_equal(self, got, want):
         np.testing.assert_array_equal(got.gaps, want.gaps)
-        np.testing.assert_array_equal(got.sorted_gaps, want.sorted_gaps)
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.counts, want.counts)
         for size in FIGURE_SUITE_BYTES:
             llc = WorkingSetCache(size)
             np.testing.assert_array_equal(
@@ -364,4 +403,5 @@ class TestExtend:
         extended = build_reuse_profile(base_arr).extend(delta_arr)
         full = build_reuse_profile(np.concatenate([base_arr, delta_arr]))
         np.testing.assert_array_equal(extended.gaps, full.gaps)
-        np.testing.assert_array_equal(extended.sorted_gaps, full.sorted_gaps)
+        np.testing.assert_array_equal(extended.values, full.values)
+        np.testing.assert_array_equal(extended.counts, full.counts)
