@@ -53,7 +53,7 @@ GAP_COLD = np.iinfo(np.int64).max
 #: Arms every parity oracle when set (and not ``0``): chunked and
 #: incremental reuse folds are re-checked against a one-shot refold,
 #: reuse-derived hit masks against the direct simulation, and
-#: profile-priced runs against replay.
+#: every priced run against replay.
 VERIFY_ENV = "REPRO_VERIFY"
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.mem.cache import LINE_SIZE
 from repro.mem.system import HeterogeneousMemorySystem
 from repro.mem.tier import MemoryTier
-from repro.mem.trace import AccessKind, TracePhase
 from repro.obs.bus import Event, process_bus
 from repro.obs.metrics import process_metrics
 
@@ -114,24 +113,13 @@ class TelemetryCollector:
         for tier_id, tier in enumerate(self.system.tiers):
             self.traffic[tier_id] = TierTraffic(tier=tier)
 
-    def record_phase(
-        self, phase: TracePhase, miss_by_tier: dict[int, int]
-    ) -> None:
-        """Account one phase's misses to the tiers that served them."""
-        self.record_counts(
-            is_write=bool(phase.is_write),
-            is_random=phase.kind is AccessKind.RANDOM,
-            miss_by_tier=miss_by_tier,
-        )
-
     def record_counts(
         self, *, is_write: bool, is_random: bool, miss_by_tier: dict[int, int]
     ) -> None:
-        """Account already-aggregated per-tier miss counts.
+        """Account one phase's per-tier miss counts to the tiers that served them.
 
-        The counts-based half of :meth:`record_phase`, used by the
-        compiled-profile pricing path, which never materialises a
-        :class:`TracePhase` — only the direction and kind matter here.
+        Only the phase's direction and kind matter here, which is all a
+        compiled profile keeps of it.
         """
         for tier_id, count in miss_by_tier.items():
             entry = self.traffic[tier_id]

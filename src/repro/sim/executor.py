@@ -4,29 +4,30 @@ For each application run (one access trace):
 
 1. the LLC model classifies every access of the run as hit or miss
    (the working-set LRU approximation evaluates the whole run at once);
-2. miss addresses are resolved to their backing tier through the page table;
-3. the cost model charges each phase;
-4. while an ATMem profiling window is open, the miss-address stream is
-   delivered to the runtime in program order (PEBS samples on LLC-miss
-   events);
-5. optionally, the TLB simulator counts translation misses (used for the
-   Table 4 comparison).
+2. the (trace, hit mask) pair is folded into a compiled profile
+   (:mod:`repro.sim.profilepack`): per-(phase, page) miss counts;
+3. the cost model prices each phase from that profile and the current
+   page->tier map (:meth:`repro.mem.costmodel.CostModel.price_profile`);
+4. while an ATMem profiling window is open, each phase's miss addresses
+   (``addrs[~hits]``, thinned by the prefetcher) are delivered to the
+   runtime in program order (PEBS samples on LLC-miss events);
+5. optionally, the TLB simulator counts translation misses per phase
+   (used for the Table 4 comparison).
 
 Runs are independent (the LLC model is per-run); the TLB keeps its state
 across runs on the same executor, which is what the post-migration TLB-miss
 comparison needs.
 
-**Compiled-profile pricing.**  When the caller supplies a
-:class:`repro.sim.profilepack.TraceProfile` for the trace, the executor
-prices the run from the per-(phase, page) miss histogram instead of
-replaying the access stream — O(pages) instead of O(accesses), and
-bit-exact with replay (see :meth:`repro.mem.costmodel.CostModel.price_profile`).
-The profile path only engages when replay has nothing the histogram lost:
-no miss observer (profiling windows need the in-order miss stream), no
-TLB counting, and a profile that actually describes this trace.  Every
-priced run increments ``pricing.profile_cells`` or
-``pricing.replay_cells``, and ``REPRO_VERIFY=1`` re-replays each
-profile-priced run and asserts the two costs agree (the parity oracle).
+**One pricing path.**  Every run is priced from its compiled profile —
+O(pages) instead of O(accesses).  Callers that cache the mask and the
+profile (:mod:`repro.sim.tracecache`) pass them in; uncached callers
+pass the trace alone and the executor builds both.  Placement is static
+for the whole of every run: the miss observer only feeds the sampling
+profiler, and migration happens between runs.  So the histogram loses
+nothing pricing needs, and the observer and the TLB read only the mask
+and the addresses.  Access-stream replay survives only as the parity
+oracle: ``REPRO_VERIFY=1`` replays each run and requires the two costs
+to be equal field for field.
 
 The hit mask of step 1 is itself usually *derived* rather than simulated:
 the trace cache compiles a capacity-independent reuse profile — the
@@ -50,12 +51,7 @@ from repro.mem.trace import AccessTrace
 from repro.obs.metrics import process_metrics
 from repro.obs.tracer import span
 from repro.sim.metrics import RunCost
-from repro.sim.profilepack import TraceProfile
-
-#: Relative tolerance of the parity oracle.  Profile pricing is designed
-#: to be bit-exact; the tolerance only keeps the oracle honest about its
-#: contract (the ISSUE asks for float tolerance, not bit equality).
-PARITY_RTOL = 1e-12
+from repro.sim.profilepack import TraceProfile, build_profile
 
 
 class MissObserver(Protocol):
@@ -127,108 +123,84 @@ class TraceExecutor:
     ) -> RunCost:
         """Simulate one application run described by ``trace``.
 
-        ``hits`` optionally supplies a precomputed LLC hit mask for the
-        trace (one bool per access, program order) — the mask is a pure
-        function of the address stream and the LLC geometry, so callers
-        that run the same trace repeatedly (see
-        :mod:`repro.sim.tracecache`) can solve the working-set model once.
-
-        ``profile`` optionally supplies the compiled miss profile of the
-        same (trace, LLC) pair; eligible runs (static placement, no
-        observer, no TLB counting) are then priced in O(pages) without
-        touching the access stream.  Ineligible runs silently fall back
-        to replay — the caller never has to know which path ran, because
-        both produce the same :class:`RunCost`.
+        ``hits`` optionally supplies the precomputed LLC hit mask of the
+        trace (one bool per access, program order) and ``profile`` the
+        compiled miss profile of the same (trace, LLC) pair — both are
+        pure functions of the address stream and the LLC geometry, so
+        callers that run the same trace repeatedly (see
+        :mod:`repro.sim.tracecache`) build them once.  Whichever is
+        missing is built here.  A profile that does not describe
+        ``trace`` raises :class:`TraceError`.
         """
         cost = RunCost()
         if not len(trace):
             return cost
-        use_profile = (
-            profile is not None
-            and miss_observer is None
-            and not self.count_tlb
-            and profile.matches(trace)
-        )
+        if profile is not None and not profile.matches(trace):
+            raise TraceError(
+                f"compiled profile ({profile.n_phases} phases, "
+                f"{profile.total_accesses} accesses) does not describe the "
+                f"trace ({len(trace.phases)} phases, "
+                f"{trace.total_accesses} accesses)"
+            )
         registry = process_metrics()
         started = time.perf_counter()
-        with span(
-            "executor.run",
-            cat="executor",
-            phases=len(trace.phases),
-            pricing="profile" if use_profile else "replay",
-        ) as live:
-            if use_profile:
-                cost = self._run_profiled(profile)
-                if verify_armed():
-                    self._verify_parity(cost, trace, hits)
-            else:
-                cost = self._run_priced(trace, miss_observer, hits)
+        with span("executor.run", cat="executor", phases=len(trace.phases)) as live:
+            if hits is None:
+                hits = self.system.llc.hit_mask(trace.all_addresses())
+            if profile is None:
+                profile = build_profile(trace, hits)
+            if miss_observer is not None:
+                self._feed_observer(trace, hits, miss_observer)
+            tlb_misses = (
+                self._tlb_misses(trace) if self.count_tlb else [0] * profile.n_phases
+            )
+            cost = self._run_profiled(profile, tlb_misses)
+            if verify_armed():
+                self._verify_parity(cost, trace, hits)
             live.set(
                 sim_seconds=cost.seconds,
                 misses=cost.n_misses,
                 accesses=cost.n_accesses,
             )
         registry.observe("stage.pricing", time.perf_counter() - started)
-        registry.inc(
-            "pricing.profile_cells" if use_profile else "pricing.replay_cells"
-        )
         registry.inc("executor.runs")
         registry.inc("executor.accesses", cost.n_accesses)
         registry.inc("executor.misses", cost.n_misses)
         registry.inc("executor.sim_seconds", cost.seconds)
         return cost
 
-    def _run_priced(
-        self,
-        trace: AccessTrace,
-        miss_observer: MissObserver | None,
-        hits: np.ndarray | None,
-    ) -> RunCost:
-        """The replay pricing loop proper (see :meth:`run` for the contract)."""
-        system = self.system
-        cost = RunCost()
-        if hits is None:
-            hits = system.llc.hit_mask(trace.all_addresses())
+    def _feed_observer(
+        self, trace: AccessTrace, hits: np.ndarray, miss_observer: MissObserver
+    ) -> None:
+        """Deliver each phase's sampleable LLC misses, in program order."""
         offset = 0
         for phase in trace:
             n = len(phase)
-            miss_mask = ~hits[offset : offset + n]
+            miss_addrs = phase.addrs[~hits[offset : offset + n]]
             offset += n
-            miss_addrs = phase.addrs[miss_mask]
-            miss_tiers = system.address_space.tiers_of(miss_addrs)
-            if miss_observer is not None:
-                if self._prefetcher is not None:
-                    # Measured mode: the streamer decides per miss.
-                    miss_observer.observe_misses(
-                        self._prefetcher.residual_misses(miss_addrs)
-                    )
-                elif phase.prefetchable:
-                    # Hint mode: only the residual of flagged phases
-                    # retires as a sampleable LLC-miss load event.
-                    miss_observer.observe_misses(
-                        miss_addrs[:: self._prefetch_stride]
-                    )
-                else:
-                    miss_observer.observe_misses(miss_addrs)
-            tlb_misses = 0
-            if self.count_tlb:
-                shifts = system.address_space.map_shifts_of(phase.addrs)
-                tlb_misses = system.tlb.count_misses(phase.addrs, shifts)
-                tlb_misses += int(system.tlb_background_miss_rate * n)
-            phase_cost = system.cost_model.phase_cost(phase, miss_mask, miss_tiers)
-            if self.telemetry is not None:
-                self.telemetry.record_phase(phase, phase_cost.miss_by_tier)
-            cost.add_phase(
-                seconds=phase_cost.seconds,
-                n_accesses=phase_cost.n_accesses,
-                n_misses=phase_cost.n_misses,
-                miss_by_tier=phase_cost.miss_by_tier,
-                tlb_misses=tlb_misses,
-                label=phase.label,
-            )
-        return cost
+            if self._prefetcher is not None:
+                # Measured mode: the streamer decides per miss.
+                miss_observer.observe_misses(
+                    self._prefetcher.residual_misses(miss_addrs)
+                )
+            elif phase.prefetchable:
+                # Hint mode: only the residual of flagged phases
+                # retires as a sampleable LLC-miss load event.
+                miss_observer.observe_misses(miss_addrs[:: self._prefetch_stride])
+            else:
+                miss_observer.observe_misses(miss_addrs)
 
-    def _run_profiled(self, profile: TraceProfile) -> RunCost:
+    def _tlb_misses(self, trace: AccessTrace) -> list[int]:
+        """Translation misses per phase (advances the TLB's state)."""
+        system = self.system
+        counts = []
+        for phase in trace:
+            shifts = system.address_space.map_shifts_of(phase.addrs)
+            misses = system.tlb.count_misses(phase.addrs, shifts)
+            counts.append(misses + int(system.tlb_background_miss_rate * len(phase)))
+        return counts
+
+    def _run_profiled(self, profile: TraceProfile, tlb_misses: list[int]) -> RunCost:
         """Price a run from its compiled profile (no access-stream walk).
 
         The per-phase fold into :class:`RunCost` happens in phase order
@@ -257,30 +229,49 @@ class TraceExecutor:
                 n_accesses=int(profile.phase_n[p]),
                 n_misses=int(phase_misses[p]),
                 miss_by_tier=miss_by_tier,
-                tlb_misses=0,
+                tlb_misses=tlb_misses[p],
                 label=profile.labels[p],
             )
         return cost
 
+    def _replay(self, trace: AccessTrace, hits: np.ndarray) -> RunCost:
+        """Price a run by replaying its access stream (the parity reference)."""
+        system = self.system
+        cost = RunCost()
+        offset = 0
+        for phase in trace:
+            n = len(phase)
+            miss_mask = ~hits[offset : offset + n]
+            offset += n
+            miss_tiers = system.address_space.tiers_of(phase.addrs[miss_mask])
+            phase_cost = system.cost_model.phase_cost(phase, miss_mask, miss_tiers)
+            cost.add_phase(
+                seconds=phase_cost.seconds,
+                n_accesses=phase_cost.n_accesses,
+                n_misses=phase_cost.n_misses,
+                miss_by_tier=phase_cost.miss_by_tier,
+                label=phase.label,
+            )
+        return cost
+
     def _verify_parity(
-        self, cost: RunCost, trace: AccessTrace, hits: np.ndarray | None
+        self, cost: RunCost, trace: AccessTrace, hits: np.ndarray
     ) -> None:
-        """The parity oracle: replay must agree with profile pricing."""
+        """The parity oracle: replay must agree exactly with profile pricing.
+
+        TLB counts are not compared: the replay reference never touches
+        the TLB, whose state carries across runs.
+        """
         registry = process_metrics()
         registry.inc("pricing.parity_checks")
-        telemetry, self.telemetry = self.telemetry, None
-        try:
-            replayed = self._run_priced(trace, None, hits)
-        finally:
-            self.telemetry = telemetry
-        close = (
-            abs(cost.seconds - replayed.seconds)
-            <= PARITY_RTOL * max(abs(replayed.seconds), 1e-30)
-            and cost.n_accesses == replayed.n_accesses
-            and cost.n_misses == replayed.n_misses
-            and cost.miss_by_tier == replayed.miss_by_tier
-        )
-        if not close:
+        replayed = self._replay(trace, hits)
+        if (
+            cost.seconds != replayed.seconds
+            or cost.n_accesses != replayed.n_accesses
+            or cost.n_misses != replayed.n_misses
+            or cost.miss_by_tier != replayed.miss_by_tier
+            or cost.seconds_by_label != replayed.seconds_by_label
+        ):
             registry.inc("pricing.parity_failures")
             raise TraceError(
                 "compiled-profile pricing diverged from replay: "

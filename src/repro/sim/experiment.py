@@ -40,21 +40,23 @@ from repro.mem.trace import AccessTrace
 from repro.obs.tracer import span
 from repro.sim.executor import TraceExecutor
 from repro.sim.metrics import RunCost
+from repro.sim.profilepack import TraceProfile
 from repro.sim.tracecache import TraceCache
 
 PLACEMENTS = ("slow", "fast", "preferred", "interleave")
 
 
 class _RunPlan:
-    """Trace + hit-mask supplier for one flow's two iterations.
+    """Trace, hit-mask and compiled-profile supplier for one flow's runs.
 
-    Without a cache this regenerates the trace per iteration (the legacy
-    behaviour, correct for any app).  With a cache, the trace and its LLC
-    hit mask are computed once per content key and shared across
-    iterations, placements, and sweep points — valid because ``run_once``
-    is contractually idempotent and virtual addresses are assigned
-    deterministically in registration order (verified by
-    ``tests/test_sim_tracecache.py``).
+    Without a cache this regenerates the trace per iteration (correct for
+    any app) and leaves the mask and profile to the executor.  With a
+    cache, the trace, its LLC hit mask and its compiled profile are built
+    once per content key and shared across iterations, placements, and
+    sweep points — valid because ``run_once`` is contractually idempotent
+    and virtual addresses are assigned deterministically in registration
+    order (verified by ``tests/test_sim_tracecache.py``).  Profiling and
+    measure iterations take the same triple: every run is profile-priced.
     """
 
     def __init__(self, app: GraphApp, system, cache: TraceCache | None, key) -> None:
@@ -63,29 +65,16 @@ class _RunPlan:
         self._cache = cache if key is not None else None
         self._key = key
 
-    def next_run(self) -> tuple[AccessTrace, np.ndarray | None]:
-        """The (trace, hits) pair for the next iteration."""
+    def next_run(
+        self,
+    ) -> tuple[AccessTrace, np.ndarray | None, TraceProfile | None]:
+        """The (trace, hits, profile) triple for the next iteration."""
         if self._cache is None:
-            return self._app.run_once(), None
+            return self._app.run_once(), None, None
+        llc = self._system.llc
         trace = self._cache.trace(self._key, self._app.run_once)
-        hits = self._cache.hit_mask(self._key, self._system.llc, trace)
-        return trace, hits
-
-    def measure_run(self):
-        """The (trace, hits, profile) triple for a measure iteration.
-
-        The compiled profile only exists through a cache — without one
-        there is no hit mask to fold, and replay is no slower than
-        building a throwaway profile.  The executor ignores the profile
-        whenever the run is ineligible (observer, TLB counting), so
-        handing it over is always safe.
-        """
-        if self._cache is None:
-            trace, hits = self.next_run()
-            return trace, hits, None
-        trace = self._cache.trace(self._key, self._app.run_once)
-        hits = self._cache.hit_mask(self._key, self._system.llc, trace)
-        profile = self._cache.profile(self._key, self._system.llc, trace, hits)
+        hits = self._cache.hit_mask(self._key, llc, trace)
+        profile = self._cache.profile(self._key, llc, trace, hits)
         return trace, hits, profile
 
 
@@ -176,9 +165,9 @@ def run_static(
     _register_static(app, runtime, placement)
     executor = TraceExecutor(system, count_tlb=count_tlb)
     plan = _RunPlan(app, system, trace_cache, trace_key)
-    trace, hits, profile = plan.measure_run()
+    trace, hits, profile = plan.next_run()
     first = executor.run(trace, hits=hits, profile=profile)
-    trace, hits, profile = plan.measure_run()
+    trace, hits, profile = plan.next_run()
     second = executor.run(trace, hits=hits, profile=profile)
     return StaticRunResult(
         placement=placement,
@@ -212,12 +201,14 @@ def run_atmem(
 
     with span("phase.profile", cat="runtime"):
         runtime.atmem_profiling_start()
-        trace, hits = plan.next_run()
-        first = executor.run(trace, miss_observer=runtime, hits=hits)
+        trace, hits, profile = plan.next_run()
+        first = executor.run(
+            trace, miss_observer=runtime, hits=hits, profile=profile
+        )
         runtime.atmem_profiling_stop()
     decision, migration = runtime.atmem_optimize()
     with span("phase.measure", cat="runtime"):
-        trace, hits, profile = plan.measure_run()
+        trace, hits, profile = plan.next_run()
         second = executor.run(trace, hits=hits, profile=profile)
     return AtMemRunResult(
         first_iteration=first,
@@ -250,8 +241,8 @@ def run_coarse_grained(
     plan = _RunPlan(app, system, trace_cache, trace_key)
 
     runtime.atmem_profiling_start()
-    trace, hits = plan.next_run()
-    first = executor.run(trace, miss_observer=runtime, hits=hits)
+    trace, hits, profile = plan.next_run()
+    first = executor.run(trace, miss_observer=runtime, hits=hits, profile=profile)
     runtime.atmem_profiling_stop()
 
     profiler = runtime.profiler
@@ -280,7 +271,7 @@ def run_coarse_grained(
     decision = analyzer.analyze(
         counts, runtime.geometries, sampling_period=profiler.period
     )
-    trace, hits, profile = plan.measure_run()
+    trace, hits, profile = plan.next_run()
     second = executor.run(trace, hits=hits, profile=profile)
     return AtMemRunResult(
         first_iteration=first,

@@ -291,10 +291,14 @@ class MultiTenantHost:
                     extend_from=self._phase_key(key, phase - 1),
                 )
             hits = self.trace_cache.hit_mask(pkey, self.system.llc, trace)
+            profile = self.trace_cache.profile(pkey, self.system.llc, trace, hits)
         else:
             trace = self._phase_trace(app, phase)
             hits = self.system.llc.hit_mask(trace.all_addresses())
-        baseline = self.executor.run(trace, miss_observer=runtime, hits=hits)
+            profile = None
+        baseline = self.executor.run(
+            trace, miss_observer=runtime, hits=hits, profile=profile
+        )
         runtime.atmem_profiling_stop()
         return (trace, hits), baseline
 

@@ -15,17 +15,11 @@ only the page->tier map, so re-pricing a run under a new placement is an
 O(pages) contraction (:meth:`repro.mem.costmodel.CostModel.price_profile`)
 instead of an O(accesses) replay.
 
-Validity conditions (enforced by the executor, documented in DESIGN.md
-section 9):
-
-- the placement must be **static for the duration of the run** — the
-  profile has no program order, so a mid-run migration would price
-  pre-move misses at the post-move tier;
-- **no miss observer** — ATMem's profiling window needs the in-order
-  miss address stream for PEBS-style sampling, which the histogram has
-  destroyed;
-- **no TLB counting** — translation misses depend on the per-access
-  stream and the TLB's cross-run state.
+The executor prices every run this way (DESIGN.md section 9).  That is
+sound because placement is static for the whole of a run — the profile
+has no program order, but migration only happens between runs — and
+because the miss observer and the TLB read the hit mask and the
+addresses directly rather than the histogram.
 
 Profiles are placement-independent (they only depend on the trace and
 the LLC geometry), so every placement cell of a figure shares one

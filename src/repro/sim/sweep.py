@@ -18,10 +18,10 @@ Sweeps parallelise: when the app factory is a picklable
 ``REPRO_JOBS`` environment variable), and each worker reuses the app's
 deterministic trace — plus its LLC hit mask and compiled miss profile
 (:mod:`repro.sim.profilepack`) — across its points via the per-process
-trace cache, so every static-placement measure segment of the sweep is
-priced in O(pages) from one shared profile.  Arbitrary callables still
-run serially in-process (and replay: without a content key there is no
-artifact sharing to compile for).
+trace cache, so every run of the sweep is priced in O(pages) from one
+shared profile.  Arbitrary callables still run serially in-process, and
+each of their runs builds its own mask and profile: without a content
+key there is nothing to share.
 """
 
 from __future__ import annotations

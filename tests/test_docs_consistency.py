@@ -155,6 +155,21 @@ def _resolve(root, tokens) -> tuple[list, str]:
     return [verbs[name] for name in names], ""
 
 
+def _source_strings() -> tuple[set[str], set[str]]:
+    """Every string literal under ``src/``, and every f-string's leading literal."""
+    literals: set[str] = set()
+    prefixes: set[str] = set()
+    for path in (REPO / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+            elif isinstance(node, ast.JoinedStr) and node.values:
+                head = node.values[0]
+                if isinstance(head, ast.Constant) and isinstance(head.value, str):
+                    prefixes.add(head.value)
+    return literals, prefixes
+
+
 class TestEnvKnobs:
     def test_documented_env_vars_are_read_by_the_source(self):
         """A ``REPRO_*`` name in the docs must be a string literal in ``src/``.
@@ -162,11 +177,7 @@ class TestEnvKnobs:
         Docstrings and comments do not count: a knob is read only where
         its name is a value the code passes to the environment lookup.
         """
-        read = set()
-        for path in (REPO / "src").rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    read.add(node.value)
+        read, _ = _source_strings()
         unread = [
             f"{doc}: {name}"
             for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -176,3 +187,35 @@ class TestEnvKnobs:
             if name not in read
         ]
         assert not unread, f"documented knobs nothing reads: {unread}"
+
+
+class TestMetricNames:
+    def test_documented_metrics_are_named_by_the_source(self):
+        """A backticked ``<family>.<name>`` in the docs must be emitted by ``src/``.
+
+        ``<family>`` is a key of :data:`repro.obs.naming.FAMILIES`.  The
+        full name must be a string literal under ``src/``, or start with
+        the leading literal of an f-string that pins its family (the
+        ``traffic.{tier}...`` shape).  Docstrings do not count: a whole
+        docstring is never equal to one name.
+        """
+        from repro.obs.naming import FAMILIES
+
+        literals, prefixes = _source_strings()
+        dynamic = {
+            prefix
+            for prefix in prefixes
+            if "." in prefix and prefix.split(".", 1)[0] in FAMILIES
+        }
+        name = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+)`")
+        missing = [
+            f"{doc}: {metric}"
+            for doc in ("README.md", "DESIGN.md")
+            for metric in sorted(
+                set(name.findall((REPO / doc).read_text("utf-8")))
+            )
+            if metric.split(".", 1)[0] in FAMILIES
+            and metric not in literals
+            and not any(metric.startswith(prefix) for prefix in dynamic)
+        ]
+        assert not missing, f"documented names nothing emits: {missing}"

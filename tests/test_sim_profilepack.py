@@ -1,10 +1,13 @@
 """Compiled trace profiles: build, parity with replay, persistence.
 
-The contract under test (DESIGN.md section 9): pricing a run from its
-compiled per-(phase, page) miss histogram is **bit-exact** with replay
-for every static-placement run, falls back to replay whenever replay
-still has a job (miss observers, TLB counting),
-and survives the store boundary (CRC rejection, rebuild) without ever
+The contract under test (DESIGN.md section 9): every run the executor
+prices — profiling windows, TLB-counting runs and uncached runs included
+— is priced from its compiled per-(phase, page) miss histogram, and the
+result is **bit-exact** with replaying the access stream.  The miss
+observer and the TLB see exactly what the interleaved replay loop
+(:func:`replay_reference`, kept here as the reference) gave them.  A
+profile that does not describe its trace is an error, and profiles
+survive the store boundary (CRC rejection, rebuild) without ever
 perturbing committed figures.
 """
 
@@ -22,6 +25,7 @@ from repro.mem.cache import VERIFY_ENV
 from repro.mem.trace import AccessTrace
 from repro.obs.metrics import process_metrics
 from repro.sim.executor import TraceExecutor
+from repro.sim.metrics import RunCost
 from repro.sim.experiment import run_atmem, run_static
 from repro.sim.parallel import AppSpec
 from repro.sim.profilepack import (
@@ -90,6 +94,65 @@ def counter(name: str) -> float:
     return float(process_metrics().snapshot()["counters"].get(name, 0.0))
 
 
+def replay_reference(executor, trace, hits, miss_observer=None):
+    """Price ``trace`` by replaying its access stream, phase by phase.
+
+    The interleaved loop every pricing path is checked against: per
+    phase it feeds the observer the (prefetch-thinned) miss addresses,
+    counts TLB misses when the executor asks for them, and prices the
+    phase from its per-access miss tiers.  Returns the cost and the
+    per-phase TLB misses.
+    """
+    system = executor.system
+    cost = RunCost()
+    tlb_by_phase = []
+    offset = 0
+    for phase in trace:
+        n = len(phase)
+        miss_mask = ~hits[offset : offset + n]
+        offset += n
+        miss_addrs = phase.addrs[miss_mask]
+        miss_tiers = system.address_space.tiers_of(miss_addrs)
+        if miss_observer is not None:
+            if executor._prefetcher is not None:
+                miss_observer.observe_misses(
+                    executor._prefetcher.residual_misses(miss_addrs)
+                )
+            elif phase.prefetchable:
+                miss_observer.observe_misses(
+                    miss_addrs[:: executor._prefetch_stride]
+                )
+            else:
+                miss_observer.observe_misses(miss_addrs)
+        tlb_misses = 0
+        if executor.count_tlb:
+            shifts = system.address_space.map_shifts_of(phase.addrs)
+            tlb_misses = system.tlb.count_misses(phase.addrs, shifts)
+            tlb_misses += int(system.tlb_background_miss_rate * n)
+        tlb_by_phase.append(tlb_misses)
+        phase_cost = system.cost_model.phase_cost(phase, miss_mask, miss_tiers)
+        cost.add_phase(
+            seconds=phase_cost.seconds,
+            n_accesses=phase_cost.n_accesses,
+            n_misses=phase_cost.n_misses,
+            miss_by_tier=phase_cost.miss_by_tier,
+            tlb_misses=tlb_misses,
+            label=phase.label,
+        )
+    return cost, tlb_by_phase
+
+
+@pytest.fixture
+def no_replay(monkeypatch):
+    """Fail the test if any run is priced by replay (oracle disarmed)."""
+    monkeypatch.delenv(VERIFY_ENV, raising=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run was priced by replay")
+
+    monkeypatch.setattr(TraceExecutor, "_replay", refuse)
+
+
 # ----------------------------------------------------------------------
 # parity: every app, both prefetch modes, both tier concurrency models
 # ----------------------------------------------------------------------
@@ -106,10 +169,11 @@ def test_profile_pricing_is_bit_exact_with_replay(
     hits = system.llc.hit_mask(trace.all_addresses())
     profile = build_profile(trace, hits)
     executor = TraceExecutor(system, prefetch_mode=prefetch_mode)
-    replayed = executor.run(trace, hits=hits)
+    replayed, _ = replay_reference(executor, trace, hits)
     profiled = executor.run(trace, hits=hits, profile=profile)
     assert replayed.n_misses > 0, "setup produced no misses; parity vacuous"
     run_costs_equal(profiled, replayed)
+    run_costs_equal(executor.run(trace), replayed)  # uncached: built here
 
 
 def test_profile_covers_both_tiers():
@@ -125,9 +189,10 @@ def test_profile_covers_both_tiers():
 
 
 # ----------------------------------------------------------------------
-# eligibility gates: when replay must still run
+# one pricing path: observer, TLB and uncached runs are profile-priced
 # ----------------------------------------------------------------------
-def eligibility_fixture():
+def pr_fixture():
+    """A fresh system running PR on the slow tier, with its mask and profile."""
     _, system, runtime = priced_setup()
     app = make_app("PR")
     app.register(runtime)
@@ -136,53 +201,85 @@ def eligibility_fixture():
     return system, runtime, trace, hits, build_profile(trace, hits)
 
 
-def test_profile_path_increments_profile_counter():
-    system, _, trace, hits, profile = eligibility_fixture()
-    before = counter("pricing.profile_cells")
+def test_profile_path_increments_profile_counter(no_replay):
+    """Every priced run is profile-priced, so ``executor.runs`` counts them."""
+    system, _, trace, hits, profile = pr_fixture()
+    before = counter("executor.runs")
     TraceExecutor(system).run(trace, hits=hits, profile=profile)
-    assert counter("pricing.profile_cells") == before + 1
+    assert counter("executor.runs") == before + 1
 
 
-def test_miss_observer_forces_replay():
-    """Mid-run migration is driven through the observer: must replay."""
-    system, runtime, trace, hits, profile = eligibility_fixture()
+def test_miss_observer_run_is_profile_priced(no_replay):
+    """A profiling-window run prices from the profile, bit-equal to uncached."""
+    system, runtime, trace, hits, profile = pr_fixture()
     runtime.atmem_profiling_start()
-    replay_before = counter("pricing.replay_cells")
-    profile_before = counter("pricing.profile_cells")
-    TraceExecutor(system).run(
+    observed = TraceExecutor(system).run(
         trace, miss_observer=runtime, hits=hits, profile=profile
     )
     runtime.atmem_profiling_stop()
-    assert counter("pricing.replay_cells") == replay_before + 1
-    assert counter("pricing.profile_cells") == profile_before
+    assert runtime.profiler.estimated_miss_counts()
+    run_costs_equal(observed, TraceExecutor(system).run(trace))
 
 
-def test_count_tlb_forces_replay():
-    system, _, trace, hits, profile = eligibility_fixture()
-    before = counter("pricing.replay_cells")
-    cost = TraceExecutor(system, count_tlb=True).run(
-        trace, hits=hits, profile=profile
+@pytest.mark.parametrize("prefetch_mode", ["hint", "model"])
+def test_observer_sees_the_replay_reference_stream(prefetch_mode, no_replay):
+    """The profiler's counts equal what the interleaved replay loop fed it."""
+    system, runtime, trace, hits, profile = pr_fixture()
+    executor = TraceExecutor(system, prefetch_mode=prefetch_mode)
+    runtime.atmem_profiling_start()
+    cost = executor.run(trace, miss_observer=runtime, hits=hits, profile=profile)
+    runtime.atmem_profiling_stop()
+
+    ref_system, ref_runtime, ref_trace, ref_hits, _ = pr_fixture()
+    ref_executor = TraceExecutor(ref_system, prefetch_mode=prefetch_mode)
+    ref_runtime.atmem_profiling_start()
+    ref_cost, _ = replay_reference(
+        ref_executor, ref_trace, ref_hits, miss_observer=ref_runtime
     )
-    assert counter("pricing.replay_cells") == before + 1
-    assert cost.tlb_misses > 0
+    ref_runtime.atmem_profiling_stop()
+
+    counts = runtime.profiler.estimated_miss_counts()
+    ref_counts = ref_runtime.profiler.estimated_miss_counts()
+    assert counts.keys() == ref_counts.keys()
+    assert any(c.sum() for c in ref_counts.values()), "no samples; vacuous"
+    for name, ref in ref_counts.items():
+        np.testing.assert_array_equal(counts[name], ref)
+    run_costs_equal(cost, ref_cost)
 
 
-def test_mismatched_profile_falls_back_to_replay():
-    system, _, trace, hits, profile = eligibility_fixture()
+def test_count_tlb_keeps_tlb_counts(no_replay):
+    """TLB misses per phase, across runs, match the replay reference."""
+    system, _, trace, hits, profile = pr_fixture()
+    ref_system, _, ref_trace, ref_hits, _ = pr_fixture()
+    tlb_system, _, tlb_trace, _, _ = pr_fixture()
+    executor = TraceExecutor(system, count_tlb=True)
+    ref_executor = TraceExecutor(ref_system, count_tlb=True)
+    tlb_executor = TraceExecutor(tlb_system, count_tlb=True)
+    for _ in range(2):  # the second run sees the TLB state the first left
+        cost = executor.run(trace, hits=hits, profile=profile)
+        ref_cost, ref_by_phase = replay_reference(ref_executor, ref_trace, ref_hits)
+        assert tlb_executor._tlb_misses(tlb_trace) == ref_by_phase
+        assert cost.tlb_misses > 0
+        run_costs_equal(cost, ref_cost)
+
+
+def test_mismatched_profile_raises():
+    system, _, trace, hits, profile = pr_fixture()
     stale = dataclasses.replace(
         profile, phase_n=profile.phase_n[:-1], row_ptr=profile.row_ptr[:-1]
     )
     assert not stale.matches(trace)
-    before = counter("pricing.replay_cells")
-    TraceExecutor(system).run(trace, hits=hits, profile=stale)
-    assert counter("pricing.replay_cells") == before + 1
+    before = counter("executor.runs")
+    with pytest.raises(TraceError, match="does not describe the trace"):
+        TraceExecutor(system).run(trace, hits=hits, profile=stale)
+    assert counter("executor.runs") == before
 
 
 # ----------------------------------------------------------------------
 # the parity oracle
 # ----------------------------------------------------------------------
 def test_parity_oracle_passes_on_honest_profile(monkeypatch):
-    system, _, trace, hits, profile = eligibility_fixture()
+    system, _, trace, hits, profile = pr_fixture()
     monkeypatch.setenv(VERIFY_ENV, "1")
     checks_before = counter("pricing.parity_checks")
     failures_before = counter("pricing.parity_failures")
@@ -192,7 +289,7 @@ def test_parity_oracle_passes_on_honest_profile(monkeypatch):
 
 
 def test_parity_oracle_catches_doctored_counts(monkeypatch):
-    system, _, trace, hits, profile = eligibility_fixture()
+    system, _, trace, hits, profile = pr_fixture()
     doctored = dataclasses.replace(profile, counts=profile.counts + 1)
     assert doctored.matches(trace)  # shape-level check cannot see this
     monkeypatch.setenv(VERIFY_ENV, "1")
@@ -202,6 +299,34 @@ def test_parity_oracle_catches_doctored_counts(monkeypatch):
     assert counter("pricing.parity_failures") == before + 1
 
 
+def test_parity_oracle_catches_permuted_labels(monkeypatch):
+    """Totals agree, but the per-label breakdown does not: must raise."""
+    system, _, trace, hits, profile = pr_fixture()
+    permuted = dataclasses.replace(profile, labels=profile.labels[::-1])
+    assert permuted.labels != profile.labels
+    assert permuted.matches(trace)
+    monkeypatch.setenv(VERIFY_ENV, "1")
+    before = counter("pricing.parity_failures")
+    with pytest.raises(TraceError, match="diverged from replay"):
+        TraceExecutor(system).run(trace, hits=hits, profile=permuted)
+    assert counter("pricing.parity_failures") == before + 1
+
+
+def test_parity_oracle_leaves_tlb_state_alone(monkeypatch):
+    """The oracle's replay never touches the TLB, whose state spans runs."""
+    def two_runs():
+        system, _, trace, hits, profile = pr_fixture()
+        executor = TraceExecutor(system, count_tlb=True)
+        return [
+            executor.run(trace, hits=hits, profile=profile).tlb_misses
+            for _ in range(2)
+        ]
+
+    expected = two_runs()
+    monkeypatch.setenv(VERIFY_ENV, "1")
+    assert two_runs() == expected
+
+
 # ----------------------------------------------------------------------
 # experiment flows
 # ----------------------------------------------------------------------
@@ -209,44 +334,56 @@ def test_run_static_prices_measure_segments_from_profile():
     platform = nvm_dram_testbed()
     spec = AppSpec.make("PR", "pokec", scale=SCALE)
     plain = run_static(spec, platform, "slow")
-    before = counter("pricing.profile_cells")
+    before = counter("executor.runs")
     cached = run_static(
         spec, platform, "slow",
         trace_cache=TraceCache(), trace_key=spec.trace_key(),
     )
-    assert counter("pricing.profile_cells") == before + 2  # both iterations
+    assert counter("executor.runs") == before + 2  # both iterations
     run_costs_equal(cached.second_iteration, plain.second_iteration)
 
 
-def test_run_atmem_replays_profiling_window_only():
+def test_run_atmem_prices_both_iterations_from_profile(no_replay):
     platform = nvm_dram_testbed()
     spec = AppSpec.make("PR", "pokec", scale=SCALE)
     plain = run_atmem(spec, platform)
-    replay_before = counter("pricing.replay_cells")
-    profile_before = counter("pricing.profile_cells")
-    cached = run_atmem(
-        spec, platform, trace_cache=TraceCache(), trace_key=spec.trace_key()
-    )
-    # Iteration 1 holds the PEBS profiling window open: replay.  The
-    # measured iteration runs on a placement static since migration:
-    # profile.
-    assert counter("pricing.replay_cells") == replay_before + 1
-    assert counter("pricing.profile_cells") == profile_before + 1
+    cache = TraceCache()
+    before = counter("executor.runs")
+    cached = run_atmem(spec, platform, trace_cache=cache, trace_key=spec.trace_key())
+    # The profiling window and the measured iteration both take the
+    # cached profile: built once, served once.
+    assert counter("executor.runs") == before + 2
+    assert cache.stats.profile_misses == 1
+    assert cache.stats.profile_hits == 1
     run_costs_equal(cached.second_iteration, plain.second_iteration)
     run_costs_equal(cached.first_iteration, plain.first_iteration)
+
+
+def test_verified_run_atmem_checks_every_run(monkeypatch):
+    """Under ``REPRO_VERIFY=1`` the oracle replays every priced run."""
+    monkeypatch.setenv(VERIFY_ENV, "1")
+    platform = nvm_dram_testbed()
+    spec = AppSpec.make("PR", "pokec", scale=SCALE)
+    runs = counter("executor.runs")
+    checks = counter("pricing.parity_checks")
+    failures = counter("pricing.parity_failures")
+    run_atmem(spec, platform, trace_cache=TraceCache(), trace_key=spec.trace_key())
+    assert counter("executor.runs") - runs == 2
+    assert counter("pricing.parity_checks") - checks == 2
+    assert counter("pricing.parity_failures") == failures
 
 
 # ----------------------------------------------------------------------
 # the profile artifact itself
 # ----------------------------------------------------------------------
 def test_build_profile_rejects_wrong_mask_length():
-    _, _, trace, hits, _ = eligibility_fixture()
+    _, _, trace, hits, _ = pr_fixture()
     with pytest.raises(TraceError, match="does not match trace"):
         build_profile(trace, hits[:-1])
 
 
 def test_profile_totals_match_trace():
-    _, _, trace, hits, profile = eligibility_fixture()
+    _, _, trace, hits, profile = pr_fixture()
     assert profile.total_accesses == trace.total_accesses
     assert profile.total_misses == int(np.count_nonzero(~hits))
     assert profile.n_phases == len(trace.phases)
@@ -263,7 +400,7 @@ def test_empty_trace_profile():
 
 
 def test_validate_profile_rejects_structural_defects():
-    _, _, _, _, profile = eligibility_fixture()
+    _, _, _, _, profile = pr_fixture()
     validate_profile(profile)  # the honest profile passes
     bad_row_ptr = dataclasses.replace(
         profile, row_ptr=profile.row_ptr[:-1]
@@ -281,7 +418,7 @@ def test_validate_profile_rejects_structural_defects():
 
 
 def test_columnar_round_trip_is_lossless():
-    _, _, _, _, profile = eligibility_fixture()
+    _, _, _, _, profile = pr_fixture()
     stacked, record = profile_to_columnar(profile)
     rebuilt = profile_from_columnar(stacked, record)
     np.testing.assert_array_equal(rebuilt.pages, profile.pages)
@@ -298,7 +435,7 @@ def test_columnar_round_trip_is_lossless():
 
 
 def test_columnar_rejects_version_and_shape_mismatch():
-    _, _, _, _, profile = eligibility_fixture()
+    _, _, _, _, profile = pr_fixture()
     stacked, record = profile_to_columnar(profile)
     # The layout version is part of the stored file name: an entry
     # written under another version is never found, so never decoded.
