@@ -13,9 +13,55 @@ serves every kernel.  Vertex ids are dense ``0..V-1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: Largest vertex count whose packed edge key ``src * V + dst`` (and the
+#: row bound ``V * V``) still fits in an int64.
+MAX_PACKED_VERTICES = math.isqrt(2**63 - 1)
+
+
+def assemble_csr(
+    num_vertices: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray | None = None,
+    *,
+    dedup: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(offsets, adjacency, weights)`` of the edges ``src -> dst``.
+
+    Every edge is packed into one int64 key ``src * V + dst``, so sorting
+    the keys orders the edges by source, then destination — the CSR order.
+    Unweighted keys sort in place: equal keys are equal edges, so their
+    relative order cannot show.  Weighted keys take a stable argsort so
+    each weight follows its edge and parallel edges keep their input
+    order.  With ``dedup`` adjacent repeats are dropped (unweighted only:
+    which weight a merged edge keeps is the caller's decision).  Row
+    starts are the sorted positions of ``u * V``; a key's destination is
+    its remainder modulo ``V``.
+    """
+    if num_vertices > MAX_PACKED_VERTICES:
+        raise ValueError(
+            f"{num_vertices} vertices overflow the int64 edge key "
+            f"(at most {MAX_PACKED_VERTICES})"
+        )
+    if dedup and weights is not None:
+        raise ValueError("weighted edges cannot be deduplicated")
+    key = src * num_vertices + dst
+    if weights is None:
+        key.sort()
+        if dedup and key.size:
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    else:
+        order = np.argsort(key, kind="stable")
+        key, weights = key[order], weights[order]
+    offsets = np.searchsorted(
+        key, np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
+    )
+    return offsets, key % num_vertices, weights
 
 
 @dataclass
@@ -160,16 +206,8 @@ class CSRGraph:
         src, dst = src[keep], dst[keep]
         if symmetrize:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if dedup and src.size:
-            key = src * num_vertices + dst
-            _, unique_idx = np.unique(key, return_index=True)
-            src, dst = src[unique_idx], dst[unique_idx]
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(offsets, src + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return cls(offsets, dst, name=name)
+        offsets, adjacency, _ = assemble_csr(num_vertices, src, dst, dedup=dedup)
+        return cls(offsets, adjacency, name=name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,7 +1,8 @@
 """On-disk caching of generated graphs.
 
 Regenerating the scaled Table 2 inputs is deterministic but not free
-(R-MAT at scale 17 takes a second or two); the benchmark harness and
+(at the default 1/1024 scale, R-MAT at scale 17 takes about 1 s and all
+five inputs about 3 s on a 2-vCPU x86 host); the benchmark harness and
 repeated CLI invocations benefit from caching them as ``.npz`` files.
 
 The cache key covers everything that determines the graph: dataset name,

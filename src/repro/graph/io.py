@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, assemble_csr
 
 
 def read_edge_list(
@@ -22,7 +22,12 @@ def read_edge_list(
     symmetrize: bool = True,
     name: str | None = None,
 ) -> CSRGraph:
-    """Load a CSR graph from an edge-list file or file-like object."""
+    """Load a CSR graph from an edge-list file or file-like object.
+
+    Self-loops are dropped.  An unweighted list is deduplicated (and
+    symmetrised unless ``symmetrize=False``).  A weighted list loads
+    directed only, and each ``(src, dst)`` pair may appear once.
+    """
     close = False
     if isinstance(path, (str, Path)):
         handle = open(path, "r", encoding="utf-8")
@@ -58,26 +63,37 @@ def read_edge_list(
             handle.close()
     if not src_list:
         raise ValueError("edge list is empty")
+    if has_weights and symmetrize:
+        raise ValueError(
+            "a weighted edge list loads directed only: pass symmetrize=False "
+            "(symmetrising would have to invent the reverse edges' weights)"
+        )
     src = np.array(src_list, dtype=np.int64)
     dst = np.array(dst_list, dtype=np.int64)
     # Compact ids to 0..V-1.
     vertex_ids, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    num_vertices = int(vertex_ids.size)
     src = inverse[: src.size]
     dst = inverse[src.size :]
-    graph = CSRGraph.from_edges(
-        int(vertex_ids.size), src, dst, symmetrize=symmetrize, name=graph_name
-    )
-    if has_weights and not symmetrize:
-        # Weighted loading is only exact without symmetrisation/dedup; attach
-        # weights by re-sorting the original edge order.
-        order = np.lexsort((dst, src))
-        graph = CSRGraph(
-            graph.offsets,
-            graph.adjacency,
-            np.array(weights, dtype=np.int64)[order],
-            name=graph_name,
+    if not has_weights:
+        return CSRGraph.from_edges(
+            num_vertices, src, dst, symmetrize=symmetrize, name=graph_name
         )
-    return graph
+    # Weighted: self-loops go with their weights; parallel edges are an
+    # error, since no rule says which weight a merged edge should keep.
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    edge_keys, counts = np.unique(src * num_vertices + dst, return_counts=True)
+    if edge_keys.size != src.size:
+        repeated = int(edge_keys[np.argmax(counts > 1)])
+        u, v = divmod(repeated, num_vertices)
+        raise ValueError(
+            f"repeated weighted edge ({vertex_ids[u]}, {vertex_ids[v]})"
+        )
+    offsets, adjacency, weights_sorted = assemble_csr(
+        num_vertices, src, dst, np.array(weights, dtype=np.int64)[keep]
+    )
+    return CSRGraph(offsets, adjacency, weights_sorted, name=graph_name)
 
 
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, assemble_csr
 
 
 def apply_permutation(graph: CSRGraph, new_id: np.ndarray) -> CSRGraph:
@@ -32,19 +32,10 @@ def apply_permutation(graph: CSRGraph, new_id: np.ndarray) -> CSRGraph:
     if new_id.shape != (n,) or not np.array_equal(np.sort(new_id), np.arange(n)):
         raise ValueError("new_id must be a permutation of 0..V-1")
     src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    new_src = new_id[src]
-    new_dst = new_id[graph.adjacency]
-    order = np.lexsort((new_dst, new_src))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, new_src + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    weights = graph.weights[order] if graph.weights is not None else None
-    return CSRGraph(
-        offsets,
-        new_dst[order],
-        weights,
-        name=f"{graph.name}-relabel",
+    offsets, adjacency, weights = assemble_csr(
+        n, new_id[src], new_id[graph.adjacency], graph.weights
     )
+    return CSRGraph(offsets, adjacency, weights, name=f"{graph.name}-relabel")
 
 
 def degree_sort(graph: CSRGraph) -> CSRGraph:

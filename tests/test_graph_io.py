@@ -39,6 +39,22 @@ class TestReadEdgeList:
         assert g.edge_weights_of(0).tolist() == [5]
         assert g.edge_weights_of(1).tolist() == [7]
 
+    def test_weighted_self_loop_dropped_with_its_weight(self):
+        text = io.StringIO("0 1 5\n1 1 9\n1 0 7\n")
+        g = read_edge_list(text, symmetrize=False)
+        assert g.num_edges == 2
+        assert g.edge_weights_of(0).tolist() == [5]
+        assert g.edge_weights_of(1).tolist() == [7]
+
+    def test_weighted_repeated_pair_rejected(self):
+        text = io.StringIO("10 20 5\n20 10 6\n10 20 7\n")
+        with pytest.raises(ValueError, match=r"repeated weighted edge \(10, 20\)"):
+            read_edge_list(text, symmetrize=False)
+
+    def test_weighted_symmetrize_rejected(self):
+        with pytest.raises(ValueError, match="symmetrize=False"):
+            read_edge_list(io.StringIO("0 1 5\n"), symmetrize=True)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             read_edge_list(io.StringIO("0 1 2 3\n"))

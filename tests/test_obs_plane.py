@@ -19,6 +19,8 @@ import os
 
 import pytest
 
+import repro.graph.datasets as datasets_mod
+import repro.sim.tracecache as tracecache_mod
 from repro.config import nvm_dram_testbed
 from repro.faults import (
     FAULT_PLAN_ENV,
@@ -336,15 +338,22 @@ class TestMetricsRegistry:
         assert "1.234" not in report
         assert "1.234" in render_snapshot(registry.snapshot(), timings=True)
 
-    def test_deterministic_snapshot_across_same_seed_runs(self):
+    def test_deterministic_snapshot_across_same_seed_runs(self, monkeypatch):
+        # Both runs start cold (fresh process graph and trace caches), so
+        # the counters cannot differ by cache hits that earlier tests or
+        # the first run warmed.
         spec = _cell_spec()
-        execute_job(spec)
-        first = process_metrics().deterministic_snapshot()
-        reset_all()
-        execute_job(spec)
-        second = process_metrics().deterministic_snapshot()
+        snapshots = []
+        for _ in range(2):
+            monkeypatch.setattr(datasets_mod, "_CACHE", {})
+            monkeypatch.setattr(tracecache_mod, "_PROCESS_CACHE", None)
+            reset_all()
+            execute_job(spec)
+            snapshots.append(process_metrics().deterministic_snapshot())
+        first, second = snapshots
         assert first == second
         assert first["counters"]  # the run actually recorded something
+        assert "stage.graph_build" in first["timing_counts"]  # and ran cold
 
 
 class TestDrainAbsorb:
