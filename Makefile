@@ -46,8 +46,12 @@ reproduce:
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
 
+# Line counts, plus the two numbers each ROADMAP re-anchor records: Python
+# lines in src/ and distinct REPRO_* string literals (env knobs) in src/.
 loc:
 	find src tests benchmarks examples -name '*.py' | xargs wc -l | tail -1
+	@echo "src python lines: $$(find src -name '*.py' | xargs cat | wc -l)"
+	@echo "src REPRO_* names: $$(grep -rhoE "[\"']REPRO_[A-Z0-9_]+[\"']" src --include='*.py' | tr -d "\"'" | sort -u | wc -l)"
 
 # Untracked caches only: benchmarks/results holds committed artifacts.
 clean:

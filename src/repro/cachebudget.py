@@ -28,10 +28,10 @@ import os
 import shutil
 from pathlib import Path
 
-#: Graph disk-cache root (empty / unset disables graph caching).
+#: Graph disk-cache root (unset, empty or ``0`` disables graph caching).
 GRAPH_CACHE_ENV = "REPRO_GRAPH_CACHE"
 
-#: Trace-store root (empty / unset disables the trace store).
+#: Trace-store root (unset, empty or ``0`` disables the trace store).
 TRACE_STORE_ENV = "REPRO_TRACE_STORE"
 
 #: Combined size cap in bytes over both cache roots (0 disables).
@@ -52,14 +52,17 @@ def cache_budget_bytes() -> int | None:
     return None if value == 0 else value
 
 
+def cache_root(env: str) -> Path | None:
+    """The cache root named by ``env``; ``None`` when it is unset, empty
+    or ``0`` (each disables that cache)."""
+    raw = os.environ.get(env, "")
+    return None if raw in ("", "0") else Path(raw)
+
+
 def budget_roots() -> list[Path]:
     """Every configured on-disk cache root (either may be absent)."""
-    roots = []
-    for env in (GRAPH_CACHE_ENV, TRACE_STORE_ENV):
-        raw = os.environ.get(env)
-        if raw:
-            roots.append(Path(raw))
-    return roots
+    roots = (cache_root(env) for env in (GRAPH_CACHE_ENV, TRACE_STORE_ENV))
+    return [root for root in roots if root is not None]
 
 
 def entry_size(path: Path) -> int:

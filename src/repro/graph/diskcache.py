@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.cachebudget import (
     GRAPH_CACHE_ENV,
+    cache_root,
     enforce_cache_budget,
     touch_entry,
 )
@@ -32,7 +33,8 @@ from repro.graph.csr import CSRGraph
 
 FORMAT_VERSION = 1
 
-#: Environment variable overriding the cache directory; empty disables.
+#: Environment variable naming the cache directory; unset, empty or
+#: ``0`` disables.
 #: (Alias of :data:`repro.cachebudget.GRAPH_CACHE_ENV` — the shared
 #: budget module owns the env names so both caches agree on them.)
 CACHE_ENV = GRAPH_CACHE_ENV
@@ -40,12 +42,7 @@ CACHE_ENV = GRAPH_CACHE_ENV
 
 def default_cache_dir() -> Path | None:
     """The cache directory, or ``None`` when caching is disabled."""
-    env = os.environ.get(CACHE_ENV)
-    if env is None:
-        return None  # opt-in: no env var, no disk cache
-    if env == "":
-        return None
-    return Path(env)
+    return cache_root(CACHE_ENV)
 
 
 def cache_path(directory: Path, name: str, scale: int, seed: int) -> Path:

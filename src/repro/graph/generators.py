@@ -48,16 +48,26 @@ def rmat_graph(
     m = n * edge_factor
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
-    # Each bit of the vertex id is drawn independently per R-MAT recursion.
+    # Each bit of the vertex id is drawn independently per R-MAT recursion,
+    # into rows allocated once and reused by every level.
     ab = a + b
     a_norm = a / ab
     c_norm = c / (1.0 - ab)
+    draw = np.empty(m)
+    col_prob = np.empty(m)
+    go_right = np.empty(m, dtype=bool)
+    go_down = np.empty(m, dtype=bool)
     for _ in range(scale):
-        go_right = rng.random(m) > ab  # choose bottom half of the matrix
-        col_prob = np.where(go_right, c_norm, a_norm)
-        go_down = rng.random(m) > col_prob
-        src = (src << 1) | go_right
-        dst = (dst << 1) | go_down
+        rng.random(out=draw)
+        np.greater(draw, ab, out=go_right)  # choose bottom half of the matrix
+        col_prob.fill(a_norm)
+        np.copyto(col_prob, c_norm, where=go_right)
+        rng.random(out=draw)
+        np.greater(draw, col_prob, out=go_down)
+        src <<= 1
+        src |= go_right
+        dst <<= 1
+        dst |= go_down
     return CSRGraph.from_edges(n, src, dst, name=name or f"rmat{scale}")
 
 

@@ -9,8 +9,10 @@ This package models everything ATMem touches on real hardware:
 - :mod:`repro.mem.address_space` — a virtual address space with a page table
   that records, for every base page, the backing tier, frame, and mapping
   granularity (4 KB base pages vs 2 MB transparent huge pages).
-- :mod:`repro.mem.cache` — last-level cache simulators that turn an address
+- :mod:`repro.mem.cache` — the working-set LLC model that turns an address
   stream into a per-access hit/miss mask (the source of PEBS-like samples).
+- :mod:`repro.mem.stack_distance` — exact LRU stack distances, the ground
+  truth the LLC model is validated against.
 - :mod:`repro.mem.tlb` — a page-size-aware TLB simulator used to reproduce
   the paper's Table 4 (TLB misses after migration).
 - :mod:`repro.mem.costmodel` — the execution-time model charging LLC misses
@@ -22,7 +24,6 @@ This package models everything ATMem touches on real hardware:
 
 from repro.mem.address_space import AddressSpace, PAGE_SHIFT, PAGE_SIZE
 from repro.mem.allocator import FrameAllocator
-from repro.mem.cache import DirectMappedCache, SetAssociativeCache
 from repro.mem.costmodel import CostModel, PhaseCost
 from repro.mem.system import HeterogeneousMemorySystem
 from repro.mem.tier import MemoryTier
@@ -34,14 +35,12 @@ __all__ = [
     "AccessTrace",
     "AddressSpace",
     "CostModel",
-    "DirectMappedCache",
     "FrameAllocator",
     "HeterogeneousMemorySystem",
     "MemoryTier",
     "PAGE_SHIFT",
     "PAGE_SIZE",
     "PhaseCost",
-    "SetAssociativeCache",
     "TLB",
     "TracePhase",
 ]

@@ -1,6 +1,6 @@
-"""Last-level-cache simulators.
+"""The last-level-cache model.
 
-The LLC simulator turns an address stream into a per-access hit/miss mask.
+The LLC model turns an address stream into a per-access hit/miss mask.
 It serves two roles in the reproduction:
 
 1. The cost model charges memory time only for LLC misses (hits are folded
@@ -8,27 +8,17 @@ It serves two roles in the reproduction:
 2. The ATMem profiler samples every k-th miss address, modelling PEBS
    configured on an LLC-miss event (paper Section 5.1).
 
-Three models are provided:
-
-- :class:`DirectMappedCache` — exact direct-mapped simulation, fully
-  vectorised with NumPy (a stable sort groups accesses by set while
-  preserving program order inside each set).
-- :class:`SetAssociativeCache` — exact N-way LRU simulation with a Python
-  per-set loop; used in tests and small studies to validate that the
-  approximations do not change experiment shapes.
-- :class:`WorkingSetCache` — the default LLC: Denning's working-set
-  approximation of a high-associativity LRU cache, built on per-access
-  reuse time gaps (:func:`reuse_time_gaps`).  That fold sorts packed
-  ``(line, offset)`` int64 keys one cache-resident block of 16 Ki
-  accesses at a time against a dense last-seen table, and also yields
-  the gaps' ``(value, count)`` histogram; the window solve
-  (:func:`window_threshold`) is an integer search over that histogram.
-  Both are shared with the compiled reuse profiles of
-  :mod:`repro.sim.reusepack`.
-
-The exact simulators keep their state across calls so a multi-phase trace
-is simulated as one continuous stream; the working-set model is evaluated
-per run.
+The model is :class:`WorkingSetCache`: Denning's working-set
+approximation of a high-associativity LRU cache, built on per-access
+reuse time gaps (:func:`reuse_time_gaps`).  That fold sorts packed
+``(line, offset)`` int64 keys one cache-resident block of 16 Ki
+accesses at a time against a dense last-seen table, and also yields
+the gaps' ``(value, count)`` histogram; the window solve
+(:func:`window_threshold`) is an integer search over that histogram.
+Both are shared with the compiled reuse profiles of
+:mod:`repro.sim.reusepack`.  The model is evaluated per run and keeps
+no state between runs.  The exact LRU it approximates is
+:func:`repro.mem.stack_distance.lru_hit_mask`.
 """
 
 from __future__ import annotations
@@ -297,157 +287,6 @@ def _check_geometry(size_bytes: int, line_size: int) -> int:
     return size_bytes // line_size
 
 
-class DirectMappedCache:
-    """Exact direct-mapped cache with vectorised access simulation."""
-
-    def __init__(self, size_bytes: int, line_size: int = LINE_SIZE) -> None:
-        n_lines = _check_geometry(size_bytes, line_size)
-        if n_lines & (n_lines - 1):
-            raise ConfigurationError(
-                f"direct-mapped cache needs a power-of-two line count, got {n_lines}"
-            )
-        self.size_bytes = size_bytes
-        self.line_size = line_size
-        self._line_shift = line_size.bit_length() - 1
-        self.n_sets = n_lines
-        # Resident line number per set; -1 = empty.
-        self._resident = np.full(n_lines, -1, dtype=np.int64)
-
-    def reset(self) -> None:
-        """Empty the cache (cold state)."""
-        self._resident.fill(-1)
-
-    def access(self, addrs: np.ndarray) -> np.ndarray:
-        """Simulate the address stream; returns a boolean hit mask.
-
-        The simulation is exact: access *i* hits iff the most recent access
-        to its set (within this call or carried over from earlier calls)
-        touched the same line.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return np.empty(0, dtype=bool)
-        lines = addrs >> self._line_shift
-        sets = lines & (self.n_sets - 1)
-        # Stable sort groups same-set accesses while keeping program order.
-        order = np.argsort(sets, kind="stable")
-        sorted_sets = sets[order]
-        sorted_lines = lines[order]
-        hits_sorted = np.empty(addrs.size, dtype=bool)
-        # Within a same-set run, hit iff previous access touched the same line.
-        same_set_as_prev = np.empty(addrs.size, dtype=bool)
-        same_set_as_prev[0] = False
-        same_set_as_prev[1:] = sorted_sets[1:] == sorted_sets[:-1]
-        hits_sorted[1:] = same_set_as_prev[1:] & (sorted_lines[1:] == sorted_lines[:-1])
-        # Run heads compare against the carried-over resident line.
-        heads = ~same_set_as_prev
-        head_idx = np.nonzero(heads)[0]
-        hits_sorted[head_idx] = (
-            self._resident[sorted_sets[head_idx]] == sorted_lines[head_idx]
-        )
-        # Update state: the last access of each set run becomes resident.
-        tails = np.empty(addrs.size, dtype=bool)
-        tails[:-1] = sorted_sets[:-1] != sorted_sets[1:]
-        tails[-1] = True
-        tail_idx = np.nonzero(tails)[0]
-        self._resident[sorted_sets[tail_idx]] = sorted_lines[tail_idx]
-        hits = np.empty(addrs.size, dtype=bool)
-        hits[order] = hits_sorted
-        return hits
-
-
-class SetAssociativeCache:
-    """Exact N-way set-associative LRU cache.
-
-    LRU state is strictly per set, so :meth:`access` groups the stream by
-    set with a stable argsort (the same trick as
-    :class:`DirectMappedCache`) and replays each set's accesses in program
-    order against plain Python ints — an order of magnitude faster than
-    the naive per-access loop, which survives as
-    :meth:`access_reference` for parity testing.  Intended for tests and
-    validation studies on traces up to a few million accesses.
-    """
-
-    def __init__(self, size_bytes: int, ways: int, line_size: int = LINE_SIZE) -> None:
-        n_lines = _check_geometry(size_bytes, line_size)
-        if ways <= 0 or n_lines % ways:
-            raise ConfigurationError(
-                f"cache with {n_lines} lines cannot have {ways} ways"
-            )
-        n_sets = n_lines // ways
-        if n_sets & (n_sets - 1):
-            raise ConfigurationError(
-                f"set-associative cache needs a power-of-two set count, got {n_sets}"
-            )
-        self.size_bytes = size_bytes
-        self.line_size = line_size
-        self._line_shift = line_size.bit_length() - 1
-        self.ways = ways
-        self.n_sets = n_sets
-        # Each set is an LRU-ordered list of line numbers (MRU last).
-        self._sets: list[list[int]] = [[] for _ in range(n_sets)]
-
-    def reset(self) -> None:
-        """Empty the cache (cold state)."""
-        self._sets = [[] for _ in range(self.n_sets)]
-
-    def access(self, addrs: np.ndarray) -> np.ndarray:
-        """Simulate the address stream; returns a boolean hit mask.
-
-        Exact: bit-identical to :meth:`access_reference`, including state
-        carried across calls (each set's LRU list continues where the
-        previous call left it).
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return np.empty(0, dtype=bool)
-        lines = addrs >> self._line_shift
-        set_ids = lines & (self.n_sets - 1)
-        order = np.argsort(set_ids, kind="stable")
-        sorted_sets = set_ids[order]
-        sorted_lines = lines[order]
-        boundaries = np.nonzero(sorted_sets[1:] != sorted_sets[:-1])[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_sets.size]))
-        hits_sorted = np.empty(addrs.size, dtype=bool)
-        ways = self.ways
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            bucket = self._sets[int(sorted_sets[start])]
-            for offset, line in enumerate(sorted_lines[start:end].tolist(), start):
-                try:
-                    bucket.remove(line)
-                    hits_sorted[offset] = True
-                except ValueError:
-                    hits_sorted[offset] = False
-                    if len(bucket) >= ways:
-                        bucket.pop(0)
-                bucket.append(line)
-        hits = np.empty(addrs.size, dtype=bool)
-        hits[order] = hits_sorted
-        return hits
-
-    def access_reference(self, addrs: np.ndarray) -> np.ndarray:
-        """The naive per-access loop, kept as the parity oracle."""
-        addrs = np.asarray(addrs, dtype=np.int64)
-        hits = np.empty(addrs.size, dtype=bool)
-        mask = self.n_sets - 1
-        shift = self._line_shift
-        sets = self._sets
-        ways = self.ways
-        for i, addr in enumerate(addrs):
-            line = int(addr) >> shift
-            bucket = sets[line & mask]
-            try:
-                bucket.remove(line)
-                hits[i] = True
-            except ValueError:
-                hits[i] = False
-                if len(bucket) >= ways:
-                    bucket.pop(0)
-            bucket.append(line)
-        return hits
-
-
 class WorkingSetCache:
     """LRU cache approximation via Denning's working-set model.
 
@@ -463,9 +302,8 @@ class WorkingSetCache:
     This captures what matters for the reproduction: streaming data hits
     only within a line (gap 1), hot vertices with short reuse gaps stay
     cached, and the cold tail misses — without per-access Python loops.
-    It models a high-associativity LLC (the testbeds' 11-way L3), unlike
-    :class:`DirectMappedCache` whose conflict misses evict hot lines under
-    streaming pressure.
+    It models a high-associativity LLC (the testbeds' 11-way L3), where
+    conflict misses are rare enough to ignore.
 
     The model is evaluated per run (one ``hit_mask`` call = one run, cold
     start), so runs are independent and deterministic.
@@ -477,9 +315,6 @@ class WorkingSetCache:
         self.line_size = line_size
         self._line_shift = line_size.bit_length() - 1
         self.capacity_lines = n_lines
-
-    def reset(self) -> None:
-        """No-op: the model is stateless across runs."""
 
     def reuse_gaps(self, addrs: np.ndarray) -> np.ndarray:
         """Per-access reuse time gap; :data:`GAP_COLD` marks a first

@@ -91,8 +91,8 @@ class HeterogeneousMemorySystem:
         return self.allocators[self.fast_tier].free_bytes
 
     def reset_caches(self) -> None:
-        """Cold-start the LLC and TLB (between independent runs)."""
-        self.llc.reset()
+        """Cold-start the TLB between independent runs (the LLC model
+        keeps no state between runs)."""
         self.tlb.reset()
 
     # ------------------------------------------------------------------

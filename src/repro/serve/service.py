@@ -428,8 +428,8 @@ class PlacementService:
         _, _, runtime, _ = self.host.tenant(name)
         runtime.reset_profiling()
         # Advance the tenant's phase: the re-profile below runs over the
-        # phase's cumulative stream, and (when the LLC is reuse-derivable)
-        # folds only the delta past the previous phase's profile.
+        # phase's cumulative stream and folds only the delta past the
+        # previous phase's reuse profile.
         self.host.phase_change(name)
         plan, baseline = self.host.profile_tenant(name)
         self._require_deadline(entry)

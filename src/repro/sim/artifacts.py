@@ -67,8 +67,8 @@ class ArtifactSpec:
     decode: Callable[[np.ndarray, dict], Any]
     #: ``(artifact, expected) -> bool``: still describes the caller's trace.
     fits: Callable[[Any, Any], bool]
-    #: ``artifact -> persisted bytes``, or ``None`` when it cannot persist.
-    nbytes: Callable[[Any], int | None]
+    #: ``artifact -> persisted bytes``.
+    nbytes: Callable[[Any], int]
 
     def stem(self, sub: Hashable = None) -> str:
         base = f"{self.kind}-v{self.version}"
@@ -113,13 +113,13 @@ TRACE = ArtifactSpec(
     layout=lambda sidecar: (sidecar_int(sidecar, "total"),),
     decode=lambda flat, sidecar: AccessTrace.from_columnar(flat, sidecar["phases"]),
     fits=lambda trace, expected: True,
-    nbytes=lambda t: 8 * t.total_accesses if isinstance(t, AccessTrace) else None,
+    nbytes=lambda trace: 8 * trace.total_accesses,
 )
 
 MASK = ArtifactSpec(
     kind="mask",
     version=2,
-    stage="stage.hit_mask",
+    stage="stage.mask_derive",
     dtype=np.dtype(np.uint8),
     digest=llc_digest,
     encode=_encode_mask,

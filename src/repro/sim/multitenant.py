@@ -29,7 +29,6 @@ from repro.mem.trace import AccessTrace
 from repro.obs.bus import emit
 from repro.sim.executor import TraceExecutor
 from repro.sim.metrics import RunCost
-from repro.sim.reusepack import derivable
 from repro.sim.tracecache import TraceCache
 
 
@@ -268,10 +267,10 @@ class MultiTenantHost:
         """Profile one tenant on its current placement; returns (plan, baseline).
 
         After a :meth:`phase_change` the profiled stream is the phase's
-        cumulative trace under a phase-suffixed key; when the LLC's masks
-        are reuse-derivable, the previous phase's profile (if still
-        cached) is extended over the delta only — ``stage.reuse_extend``
-        instead of a whole-stream ``stage.reuse_build``.
+        cumulative trace under a phase-suffixed key, and the previous
+        phase's reuse profile (if still cached) is extended over the
+        delta only — ``stage.reuse_extend`` instead of a whole-stream
+        ``stage.reuse_build``.
         """
         _, app, runtime, key = self.tenant(name)
         phase = self._phases.get(name, 0)
@@ -281,7 +280,7 @@ class MultiTenantHost:
             trace = self.trace_cache.trace(
                 pkey, lambda: self._phase_trace(app, phase)
             )
-            if phase > 0 and derivable(self.system.llc):
+            if phase > 0:
                 # Prime the reuse profile with the previous phase named
                 # as the extension base; hit_mask then derives from it.
                 self.trace_cache.reuse_profile(

@@ -48,7 +48,6 @@ from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
     LastSeen,
-    WorkingSetCache,
     add_histograms,
     reuse_time_gaps,
     window_threshold,
@@ -58,17 +57,6 @@ from repro.mem.trace import AccessTrace
 #: Columnar layout version; part of the stored file name (repro.sim.artifacts),
 #: so a file of another version is never read.
 REUSE_FORMAT = 4
-
-
-def derivable(llc) -> bool:
-    """Whether ``llc``'s hit masks can be derived from a reuse profile.
-
-    Exactly :class:`WorkingSetCache` (not a subclass — a subclass could
-    override ``hit_mask`` and break the bit-exactness contract).  The
-    direct-mapped and set-associative simulators model conflict misses,
-    which reuse gaps cannot see.
-    """
-    return type(llc) is WorkingSetCache
 
 
 @dataclass
@@ -165,14 +153,9 @@ class ReuseProfile:
     def hit_mask_for(self, llc) -> np.ndarray:
         """Derive ``llc.hit_mask(...)`` without touching the trace.
 
-        Raises :class:`TraceError` when ``llc`` is not a plain
-        :class:`WorkingSetCache` or uses a different line granularity —
-        callers must fall back to the direct simulation then.
+        ``llc`` is a :class:`WorkingSetCache`; raises :class:`TraceError`
+        when it uses a different line granularity than the profile.
         """
-        if not derivable(llc):
-            raise TraceError(
-                f"cannot derive {type(llc).__name__} masks from a reuse profile"
-            )
         if llc.line_size != self.line_size:
             raise TraceError(
                 f"reuse profile built at line size {self.line_size}, "

@@ -32,12 +32,13 @@ it is an in-process view over the shared on-disk
 ``mmap`` views shared by every worker and session, and results stay
 bit-identical — the store holds exactly the bytes a build produces.
 
-**Integrity:** each cached trace carries a CRC32 taken at insertion.
-While a fault injector is active, hits are re-verified against it — the
+**Integrity:** while a fault injector is active, each trace inserted
+carries a CRC32 and every hit is re-verified against it — the
 ``cache.corrupt`` site flips bytes in a cached trace, and the checksum
 path must discard and recompute it (``stats.corruption_discards``).
-Outside injection the per-hit pass is skipped: entries are immutable by
-construction, and a checksum per hit dominated warm-cell time.
+Outside injection no checksum is taken or checked: entries are immutable
+by construction, and a CRC over every trace dominated cold-cell and
+warm-cell time.
 """
 
 from __future__ import annotations
@@ -54,18 +55,13 @@ import numpy as np
 from repro.errors import TraceError
 from repro.faults.injector import active_injector, fault_point
 from repro.faults.plan import SITE_CACHE_CORRUPT
-from repro.mem.cache import LINE_SIZE, verify_armed
+from repro.mem.cache import LINE_SIZE, WorkingSetCache, verify_armed
 from repro.mem.trace import AccessTrace, worker_byte_budget
 from repro.obs.metrics import HandleCounters, process_metrics
 from repro.obs.tracer import span
 from repro.sim.artifacts import MASK, PROFILE, REUSE, SPECS, TRACE, ArtifactSpec
 from repro.sim.profilepack import TraceProfile, build_profile
-from repro.sim.reusepack import (
-    ReuseProfile,
-    build_reuse_profile,
-    derivable,
-    fold_reuse_chunks,
-)
+from repro.sim.reusepack import ReuseProfile, build_reuse_profile, fold_reuse_chunks
 from repro.sim.tracestore import TraceStore, process_trace_store
 
 #: Environment variable overriding the trace-entry bound (0 disables).
@@ -107,8 +103,8 @@ def _flat_of(trace: AccessTrace) -> np.ndarray:
 def trace_checksum(trace: AccessTrace) -> int:
     """CRC32 over the trace's program-order address bytes.
 
-    Goes through ``all_addresses()`` (the only method the cache requires
-    of a trace), so any phase-level corruption changes the checksum.
+    Goes through ``all_addresses()``, so any phase-level corruption
+    changes the checksum.
     """
     return zlib.crc32(_flat_of(trace).view(np.uint8).data)
 
@@ -129,15 +125,20 @@ def _chunked_checksum(trace: AccessTrace, chunk_bytes: int) -> int:
     return crc
 
 
-def _over_budget(trace) -> bool:
+def _checksum(trace: AccessTrace, streamed: bool) -> int:
+    """The trace's CRC32, folded chunk by chunk when ``streamed``."""
+    if streamed:
+        return _chunked_checksum(trace, _fold_chunk_bytes())
+    return trace_checksum(trace)
+
+
+def _over_budget(trace: AccessTrace) -> bool:
     """Whether flat-copy materialisation would blow the worker budget.
 
     True when doubling the trace with a flat ``all_addresses`` copy
     would spend more than a quarter of ``REPRO_WORKER_BYTES`` — the
     signal to switch every fold onto the chunked streaming path.
     """
-    if not isinstance(trace, AccessTrace):
-        return False
     return trace.total_accesses * 8 > worker_byte_budget() // 4
 
 
@@ -159,13 +160,15 @@ class _TraceEntry:
     insertion and shared by every fold over the trace (checksum, hit
     masks, reuse profiles).  For traces whose flat copy would blow the
     ``REPRO_WORKER_BYTES`` budget it stays ``None``: the checksum is
-    folded chunk-by-chunk at insertion and every fold takes the chunked
-    streaming path instead.  ``artifacts`` holds the derived artifacts
-    by ``(kind, sub-key)`` and is evicted with the trace.
+    folded chunk-by-chunk and every fold takes the chunked streaming
+    path instead.  ``checksum`` is taken only when a fault injector is
+    active at insertion (``None`` otherwise).  ``artifacts`` holds the
+    derived artifacts by ``(kind, sub-key)`` and is evicted with the
+    trace.
     """
 
     trace: AccessTrace
-    checksum: int
+    checksum: int | None
     flat: np.ndarray | None
     artifacts: dict[tuple, object] = field(default_factory=dict)
 
@@ -221,7 +224,7 @@ class TraceCache:
         slot = (spec.kind, sub)
         if memo is not None and slot in memo:
             cached = memo[slot]
-            if expected is None or spec.fits(cached, expected):
+            if spec.fits(cached, expected):
                 self.stats.bump(f"{spec.kind}_hits")
                 return cached
             del memo[slot]
@@ -241,12 +244,10 @@ class TraceCache:
         committed artifact — or builds in-memory when the winner skipped
         persistence under the write policy.  Each artifact persists on
         its own merit: a huge trace may be skipped while its 8x-packed
-        masks are still a bargain.  A derived artifact of a trace that
-        does not report its length cannot be validated, so it stays in
-        memory.
+        masks are still a bargain.
         """
         store = self.store
-        if store is None or (expected is None and spec is not TRACE):
+        if store is None:
             return build()[0]
         # Per-kind entry points by name: load_<kind>(key[, sub], expected)
         # and save_<kind>(key[, sub], artifact).
@@ -264,8 +265,7 @@ class TraceCache:
                     return artifact
             artifact, build_seconds = build()
             store.heartbeat_lease(key, what)
-            nbytes = spec.nbytes(artifact)
-            if nbytes is not None and store.should_persist(nbytes, build_seconds):
+            if store.should_persist(spec.nbytes(artifact), build_seconds):
                 getattr(store, f"save_{spec.kind}")(*args, artifact)
         return artifact
 
@@ -301,20 +301,20 @@ class TraceCache:
         The per-hit checksum comparison runs only while a fault injector
         is installed — that is the only path that mutates cached entries
         (``cache.corrupt``), and checksumming benchmark-scale traces on
-        every hit is the dominant warm-path cost otherwise.
+        every hit is the dominant warm-path cost otherwise.  An entry
+        inserted with no injector active carries no checksum; under an
+        injector it is dropped and rebuilt as a plain miss.
         """
         entry = self._traces.get(key)
         if entry is None:
             return None
         if active_injector() is not None:
+            if entry.checksum is None:
+                del self._traces[key]
+                return None
             if fault_point(SITE_CACHE_CORRUPT, tag=str(key)):
                 _corrupt_trace(entry.trace)
-            current = (
-                _chunked_checksum(entry.trace, _fold_chunk_bytes())
-                if entry.flat is None and isinstance(entry.trace, AccessTrace)
-                else trace_checksum(entry.trace)
-            )
-            if current != entry.checksum:
+            if _checksum(entry.trace, entry.flat is None) != entry.checksum:
                 del self._traces[key]
                 self.stats.bump("corruption_discards")
                 return None
@@ -337,49 +337,41 @@ class TraceCache:
         )
         if self.max_traces == 0:
             return trace
-        if _over_budget(trace):
-            flat = None
-            checksum = _chunked_checksum(trace, _fold_chunk_bytes())
-        else:
-            flat = _flat_of(trace)
-            checksum = zlib.crc32(flat.view(np.uint8).data)
+        streamed = _over_budget(trace)
+        flat = None if streamed else _flat_of(trace)
+        checksum = (
+            _checksum(trace, streamed) if active_injector() is not None else None
+        )
         self._traces[key] = _TraceEntry(trace=trace, checksum=checksum, flat=flat)
         while len(self._traces) > self.max_traces:
             self._traces.popitem(last=False)
             self.stats.bump("evictions")
         return trace
 
-    def hit_mask(self, key: Hashable, llc, trace: AccessTrace) -> np.ndarray:
+    def hit_mask(
+        self, key: Hashable, llc: WorkingSetCache, trace: AccessTrace
+    ) -> np.ndarray:
         """The LLC hit mask of ``trace`` under ``llc``, computed once.
 
         Keyed by the trace key plus the cache-model geometry, so each
-        platform's LLC gets its own mask.  For a plain
-        :class:`~repro.mem.cache.WorkingSetCache` the mask is *derived*
-        from the trace's reuse profile (one integer threshold solve plus
-        one compare, ``stage.mask_derive``) instead of re-running the
+        platform's LLC gets its own mask.  The mask is *derived* from the
+        trace's reuse profile (one integer threshold solve plus one
+        compare, ``stage.mask_derive``) instead of re-running the
         O(N log N) direct fold — a capacity sweep pays the fold once
-        (``stage.reuse_build``) and derives every geometry from it.  Other
-        cache models, or traces the profile cannot describe, take the
-        direct ``stage.hit_mask`` path unchanged.
+        (``stage.reuse_build``) and derives every geometry from it.
         """
-        expected = getattr(trace, "total_accesses", None)
 
         def build():
-            if not (derivable(llc) and expected is not None):
-                return self._timed(
-                    "build_mask", MASK.stage, key,
-                    lambda: llc.hit_mask(self._flat_addrs(key, trace)),
-                )
             profile = self.reuse_profile(key, trace, llc.line_size)
             mask, seconds = self._timed(
-                "derive_mask", "stage.mask_derive", key,
+                "derive_mask", MASK.stage, key,
                 lambda: profile.hit_mask_for(llc),
             )
             if verify_armed():
                 self._verify_mask(key, llc, trace, mask)
             return mask, seconds
 
-        return self._get(MASK, key, llc_signature(llc), expected, build)
+        return self._get(MASK, key, llc_signature(llc), trace.total_accesses, build)
 
     def reuse_profile(
         self,
@@ -401,22 +393,16 @@ class TraceCache:
         whole stream.
         """
         line_size = int(line_size)
-        expected = getattr(trace, "total_accesses", None)
         return self._get(
-            REUSE, key, line_size, expected,
-            lambda: self._fold_reuse(key, extend_from, trace, line_size, expected),
+            REUSE, key, line_size, trace.total_accesses,
+            lambda: self._fold_reuse(key, extend_from, trace, line_size),
         )
 
-    def _fold_reuse(self, key, extend_from, trace, line_size, expected):
+    def _fold_reuse(self, key, extend_from, trace, line_size):
         """Fold a reuse profile — incrementally when a base qualifies."""
         entry = self._traces.get(extend_from)
         base = entry.artifacts.get((REUSE.kind, line_size)) if entry else None
-        if (
-            base is not None
-            and base.can_extend
-            and expected is not None
-            and base.n <= expected
-        ):
+        if base is not None and base.can_extend and base.n <= trace.total_accesses:
             flat = self._flat_addrs(key, trace)
             profile, seconds = self._timed(
                 "extend_reuse", "stage.reuse_extend", key,
@@ -520,17 +506,14 @@ def _corrupt_trace(trace: AccessTrace) -> None:
     cached flat array is invalidated so the corruption is visible to
     ``all_addresses()`` consumers (the checksum path in particular).
     """
-    phases = getattr(trace, "phases", None)
-    if not phases:
+    if not trace.phases:
         return
-    phase = max(phases, key=lambda p: p.addrs.size)
+    phase = max(trace.phases, key=lambda p: p.addrs.size)
     if phase.addrs.size:
         addrs = phase.addrs.copy()
         addrs[addrs.size // 2] ^= 0x5A5A
         phase.addrs = addrs
-        invalidate = getattr(trace, "invalidate_flat", None)
-        if callable(invalidate):
-            invalidate()
+        trace.invalidate_flat()
 
 
 _PROCESS_CACHE: TraceCache | None = None

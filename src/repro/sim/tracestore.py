@@ -74,7 +74,12 @@ from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
-from repro.cachebudget import TRACE_STORE_ENV, enforce_cache_budget, touch_entry
+from repro.cachebudget import (
+    TRACE_STORE_ENV,
+    cache_root,
+    enforce_cache_budget,
+    touch_entry,
+)
 from repro.errors import ConfigurationError, TraceError
 from repro.faults.injector import InjectedWorkerCrash, fault_point
 from repro.faults.plan import SITE_STORE_LEASE_CRASH, SITE_STORE_TORN
@@ -188,10 +193,7 @@ _WRITE_POLICY = _WritePolicy()
 
 def store_root() -> Path | None:
     """The configured store root, or ``None`` when the store is off."""
-    raw = os.environ.get(TRACE_STORE_ENV)
-    if not raw:
-        return None
-    return Path(raw)
+    return cache_root(TRACE_STORE_ENV)
 
 
 def key_digest(key: Hashable) -> str:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.graph.datasets as datasets_mod
+from repro.cachebudget import TRACE_STORE_ENV, budget_roots
 from repro.graph.csr import CSRGraph
 from repro.graph.diskcache import (
     CACHE_ENV,
@@ -14,6 +15,7 @@ from repro.graph.diskcache import (
     save_graph,
 )
 from repro.graph.generators import chung_lu_graph
+from repro.sim.tracestore import store_root
 
 
 @pytest.fixture()
@@ -89,6 +91,18 @@ class TestCachedGenerate:
     def test_empty_env_disables(self, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, "")
         assert default_cache_dir() is None
+
+    def test_zero_disables_every_cache_root(self, monkeypatch, tmp_path):
+        # "0" means off for both on-disk caches, never a directory "./0".
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(CACHE_ENV, "0")
+        monkeypatch.setenv(TRACE_STORE_ENV, "0")
+        monkeypatch.setattr(datasets_mod, "_CACHE", {})
+        datasets_mod.dataset_by_name("pokec", scale=16384)
+        assert default_cache_dir() is None
+        assert store_root() is None
+        assert budget_roots() == []
+        assert not (tmp_path / "0").exists()
 
     def test_dataset_by_name_uses_cache(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))

@@ -1,8 +1,8 @@
-"""Unit and property tests for the LLC simulators.
+"""Unit and property tests for the reuse fold under the LLC model.
 
-The key property: the vectorised DirectMappedCache must agree exactly with a
-naive per-access reference simulation, because the profiler's sample stream
-is derived from its miss mask.
+The key property: the blocked reuse fold must agree exactly with a
+one-sort reference fold, because every hit mask, and so the profiler's
+sample stream, is derived from its gaps.
 """
 
 import numpy as np
@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.mem import cache as cache_module
 from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
-    DirectMappedCache,
-    SetAssociativeCache,
     dense_span_fits,
     reuse_time_gaps,
     window_threshold,
@@ -131,178 +128,6 @@ def assert_matches_global_fold(fold, addrs, capacities, line_shift=6):
         np.testing.assert_array_equal(
             fold.gaps <= got, sorted_row_mask(gaps, capacity)
         )
-
-
-def reference_direct_mapped(addrs, size_bytes, line_size=LINE_SIZE):
-    """Naive per-access direct-mapped simulation."""
-    n_sets = size_bytes // line_size
-    resident = {}
-    hits = []
-    for addr in addrs:
-        line = int(addr) // line_size
-        s = line % n_sets
-        hits.append(resident.get(s) == line)
-        resident[s] = line
-    return np.array(hits, dtype=bool)
-
-
-class TestDirectMappedCache:
-    def test_repeat_access_hits(self):
-        cache = DirectMappedCache(1024)
-        hits = cache.access(np.array([0, 0, 0]))
-        assert hits.tolist() == [False, True, True]
-
-    def test_same_line_different_offsets_hit(self):
-        cache = DirectMappedCache(1024)
-        hits = cache.access(np.array([0, 8, 63]))
-        assert hits.tolist() == [False, True, True]
-
-    def test_conflict_eviction(self):
-        cache = DirectMappedCache(1024)  # 16 sets
-        a, b = 0, 16 * LINE_SIZE  # same set, different lines
-        hits = cache.access(np.array([a, b, a]))
-        assert hits.tolist() == [False, False, False]
-
-    def test_distinct_sets_no_conflict(self):
-        cache = DirectMappedCache(1024)
-        hits = cache.access(np.array([0, LINE_SIZE, 0, LINE_SIZE]))
-        assert hits.tolist() == [False, False, True, True]
-
-    def test_state_persists_across_calls(self):
-        cache = DirectMappedCache(1024)
-        cache.access(np.array([0]))
-        hits = cache.access(np.array([0]))
-        assert hits.tolist() == [True]
-
-    def test_reset_clears_state(self):
-        cache = DirectMappedCache(1024)
-        cache.access(np.array([0]))
-        cache.reset()
-        assert cache.access(np.array([0])).tolist() == [False]
-
-    def test_empty_stream(self):
-        cache = DirectMappedCache(1024)
-        assert cache.access(np.empty(0, dtype=np.int64)).size == 0
-
-    def test_sequential_scan_miss_rate(self):
-        # An 8-byte-stride scan misses once per 64 B line.
-        cache = DirectMappedCache(1 << 16)
-        addrs = np.arange(0, 8 * 1024, 8, dtype=np.int64)
-        hits = cache.access(addrs)
-        n_lines = 8 * 1024 // LINE_SIZE
-        assert int(np.count_nonzero(~hits)) == n_lines
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DirectMappedCache(1000)
-        with pytest.raises(ConfigurationError):
-            DirectMappedCache(1024, line_size=48)
-        with pytest.raises(ConfigurationError):
-            DirectMappedCache(3 * LINE_SIZE)
-
-    @given(
-        addrs=st.lists(st.integers(0, 1 << 14), min_size=1, max_size=300),
-        size_kb=st.sampled_from([1, 4, 16]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_reference(self, addrs, size_kb):
-        arr = np.array(addrs, dtype=np.int64)
-        cache = DirectMappedCache(size_kb * 1024)
-        assert cache.access(arr).tolist() == reference_direct_mapped(
-            arr, size_kb * 1024
-        ).tolist()
-
-    @given(addrs=st.lists(st.integers(0, 1 << 14), min_size=1, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_split_stream_equals_whole_stream(self, addrs):
-        arr = np.array(addrs, dtype=np.int64)
-        whole = DirectMappedCache(2048)
-        split = DirectMappedCache(2048)
-        expect = whole.access(arr)
-        mid = len(arr) // 2
-        got = np.concatenate([split.access(arr[:mid]), split.access(arr[mid:])])
-        assert expect.tolist() == got.tolist()
-
-
-class TestSetAssociativeCache:
-    def test_lru_within_set(self):
-        # 2-way, 1 set: the third distinct line evicts the least recent.
-        cache = SetAssociativeCache(2 * LINE_SIZE, ways=2)
-        a, b, c = 0, LINE_SIZE, 2 * LINE_SIZE
-        hits = cache.access(np.array([a, b, a, c, b, a]))
-        # a miss, b miss, a hit, c miss (evicts b), b miss (evicts a), a miss
-        assert hits.tolist() == [False, False, True, False, False, False]
-
-    def test_fully_associative_behaviour(self):
-        cache = SetAssociativeCache(4 * LINE_SIZE, ways=4)
-        addrs = np.array([0, LINE_SIZE, 2 * LINE_SIZE, 3 * LINE_SIZE, 0])
-        assert cache.access(addrs).tolist() == [False] * 4 + [True]
-
-    def test_one_way_equals_direct_mapped(self):
-        rng = np.random.default_rng(7)
-        addrs = rng.integers(0, 1 << 13, size=500)
-        dm = DirectMappedCache(2048)
-        sa = SetAssociativeCache(2048, ways=1)
-        assert dm.access(addrs).tolist() == sa.access(addrs).tolist()
-
-    def test_higher_associativity_reduces_conflicts(self):
-        # Two lines aliasing in a direct-mapped cache coexist in a 2-way one.
-        size = 1024
-        n_sets = size // LINE_SIZE
-        a, b = 0, n_sets * LINE_SIZE
-        stream = np.array([a, b] * 10)
-        dm_misses = int(np.count_nonzero(~DirectMappedCache(size).access(stream)))
-        sa_misses = int(
-            np.count_nonzero(~SetAssociativeCache(size, ways=2).access(stream))
-        )
-        assert sa_misses < dm_misses
-
-    def test_bad_ways_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SetAssociativeCache(1024, ways=3)
-        with pytest.raises(ConfigurationError):
-            SetAssociativeCache(1024, ways=0)
-
-    def test_reset(self):
-        cache = SetAssociativeCache(1024, ways=2)
-        cache.access(np.array([0]))
-        cache.reset()
-        assert cache.access(np.array([0])).tolist() == [False]
-
-    @given(
-        addrs=st.lists(st.integers(0, 1 << 14), min_size=1, max_size=300),
-        ways=st.sampled_from([1, 2, 4]),
-        size_kb=st.sampled_from([1, 4]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_grouped_access_matches_reference(self, addrs, ways, size_kb):
-        arr = np.array(addrs, dtype=np.int64)
-        fast = SetAssociativeCache(size_kb * 1024, ways=ways)
-        slow = SetAssociativeCache(size_kb * 1024, ways=ways)
-        assert fast.access(arr).tolist() == slow.access_reference(arr).tolist()
-
-    @given(addrs=st.lists(st.integers(0, 1 << 14), min_size=2, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_grouped_access_state_continuity(self, addrs):
-        # Splitting the stream across calls must not change anything: the
-        # grouped path has to carry each set's LRU list between calls
-        # exactly like the reference loop does.
-        arr = np.array(addrs, dtype=np.int64)
-        fast = SetAssociativeCache(2048, ways=2)
-        slow = SetAssociativeCache(2048, ways=2)
-        mid = len(arr) // 2
-        got = np.concatenate([fast.access(arr[:mid]), fast.access(arr[mid:])])
-        expect = np.concatenate(
-            [slow.access_reference(arr[:mid]), slow.access_reference(arr[mid:])]
-        )
-        assert got.tolist() == expect.tolist()
-
-    def test_random_long_stream_parity(self):
-        rng = np.random.default_rng(42)
-        addrs = rng.integers(0, 1 << 16, size=5000)
-        fast = SetAssociativeCache(4096, ways=4)
-        slow = SetAssociativeCache(4096, ways=4)
-        assert fast.access(addrs).tolist() == slow.access_reference(addrs).tolist()
 
 
 class TestReuseGapKernel:

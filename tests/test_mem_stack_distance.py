@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import LINE_SIZE, SetAssociativeCache, WorkingSetCache
+from repro.mem.cache import LINE_SIZE, WorkingSetCache
 from repro.mem.stack_distance import COLD, lru_hit_mask, miss_ratio_curve, stack_distances
 
 
@@ -39,13 +39,45 @@ class TestStackDistances:
         assert stack_distances(np.empty(0, dtype=np.int64)).size == 0
 
 
+def naive_lru_hits(addrs, capacity, line_size=LINE_SIZE):
+    """Fully-associative LRU replayed on a plain list, most recent last."""
+    stack: list[int] = []
+    hits = []
+    for addr in np.asarray(addrs, dtype=np.int64).tolist():
+        line = addr // line_size
+        hit = line in stack
+        if hit:
+            stack.remove(line)
+        elif len(stack) == capacity:
+            stack.pop(0)
+        stack.append(line)
+        hits.append(hit)
+    return np.array(hits, dtype=bool)
+
+
 class TestLruHitMask:
+    """``lru_hit_mask`` against :func:`naive_lru_hits`, an LRU-list loop."""
+
+    def test_lru_evicts_least_recent(self):
+        # Two lines of capacity: the third distinct line evicts the
+        # least recent.  a miss, b miss, a hit, c miss (evicts b),
+        # b miss (evicts a), a miss.
+        a, b, c = 0, LINE_SIZE, 2 * LINE_SIZE
+        addrs = np.array([a, b, a, c, b, a], dtype=np.int64)
+        expect = [False, False, True, False, False, False]
+        assert lru_hit_mask(addrs, 2).tolist() == expect
+        assert naive_lru_hits(addrs, 2).tolist() == expect
+
+    def test_fully_associative_behaviour(self):
+        addrs = lines(0, 1, 2, 3, 0)
+        assert lru_hit_mask(addrs, 4).tolist() == [False] * 4 + [True]
+        assert lru_hit_mask(addrs, 3).tolist() == [False] * 5
+
     def test_matches_fully_associative_simulator(self):
         rng = np.random.default_rng(3)
         addrs = (rng.zipf(1.4, size=3000) % 512).astype(np.int64) * LINE_SIZE
         for capacity in (16, 64, 256):
-            exact = SetAssociativeCache(capacity * LINE_SIZE, ways=capacity)
-            expect = exact.access(addrs)
+            expect = naive_lru_hits(addrs, capacity)
             got = lru_hit_mask(addrs, capacity)
             assert np.array_equal(expect, got)
 
@@ -60,8 +92,9 @@ class TestLruHitMask:
     @settings(max_examples=50, deadline=None)
     def test_property_matches_reference(self, ids, capacity):
         addrs = np.array(ids, dtype=np.int64) * LINE_SIZE
-        exact = SetAssociativeCache(capacity * LINE_SIZE, ways=capacity)
-        assert np.array_equal(exact.access(addrs), lru_hit_mask(addrs, capacity))
+        assert np.array_equal(
+            naive_lru_hits(addrs, capacity), lru_hit_mask(addrs, capacity)
+        )
 
 
 class TestMissRatioCurve:

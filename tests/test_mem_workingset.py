@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
     GapFold,
-    SetAssociativeCache,
     WorkingSetCache,
     reuse_time_gaps,
     window_threshold,
 )
+from repro.mem.stack_distance import lru_hit_mask
 from repro.sim.reusepack import build_reuse_profile, fold_reuse_chunks
 from repro.sim.tracestore import TraceStore
 from tests.test_mem_cache import (
@@ -156,6 +157,15 @@ class TestHitMask:
         hits = cache.hit_mask(addrs)
         assert not hits[-1]
 
+    def test_bad_geometry_rejected(self):
+        with pytest.raises(ConfigurationError):
+            WorkingSetCache(1000)
+        with pytest.raises(ConfigurationError):
+            WorkingSetCache(1024, line_size=48)
+        with pytest.raises(ConfigurationError):
+            WorkingSetCache(0)
+        assert WorkingSetCache(3 * LINE_SIZE).capacity_lines == 3
+
     def test_empty(self):
         cache = WorkingSetCache(1024)
         assert cache.hit_mask(np.empty(0, dtype=np.int64)).size == 0
@@ -177,9 +187,8 @@ class TestHitMask:
         lines = rng.zipf(1.3, size=4000) % (cap_lines * 4)
         addrs = lines.astype(np.int64) * LINE_SIZE
         ws = WorkingSetCache(cap_lines * LINE_SIZE)
-        exact = SetAssociativeCache(cap_lines * LINE_SIZE, ways=cap_lines)
         ws_misses = int(np.count_nonzero(~ws.hit_mask(addrs)))
-        exact_misses = int(np.count_nonzero(~exact.access(addrs)))
+        exact_misses = int(np.count_nonzero(~lru_hit_mask(addrs, cap_lines)))
         assert ws_misses == pytest.approx(exact_misses, rel=0.35)
 
     def test_miss_count_monotone_in_capacity(self):

@@ -40,18 +40,14 @@ from repro.sim.artifacts import PROFILE
 from repro.sim.tracecache import TraceCache
 from repro.sim.tracestore import TraceStore
 
-#: Every shipped kernel: the paper's five plus the extensions.
+#: Every shipped kernel: the paper's five plus SpMV.
 ALL_APPS = {**APP_CLASSES, **EXTRA_APP_CLASSES}
 
 SCALE = 2048
 
 
 def make_app(name: str):
-    cls = ALL_APPS[name]
-    if name == "HashJoin":
-        # Not graph-based; shrink the synthetic relations for test speed.
-        return cls(build_rows=1 << 10, probe_rows=1 << 12)
-    return cls(dataset_by_name("pokec", scale=SCALE))
+    return ALL_APPS[name](dataset_by_name("pokec", scale=SCALE))
 
 
 class AlternatingRegistry:

@@ -17,18 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.mem.cache import (
-    GAP_COLD,
-    LINE_SIZE,
-    DirectMappedCache,
-    WorkingSetCache,
-)
+from repro.mem.cache import GAP_COLD, LINE_SIZE, WorkingSetCache
 from repro.mem.stack_distance import COLD, lru_hit_mask, stack_distances
 from repro.sim.artifacts import REUSE
 from repro.sim.reusepack import (
     REUSE_FORMAT,
     build_reuse_profile,
-    derivable,
     reuse_from_columnar,
     reuse_to_columnar,
     validate_reuse,
@@ -54,20 +48,6 @@ def mixed_trace(seed: int = 7, n: int = 20_000) -> np.ndarray:
 
 
 class TestDerivability:
-    def test_only_plain_workingset_is_derivable(self):
-        assert derivable(WorkingSetCache(1 << 14))
-        assert not derivable(DirectMappedCache(1 << 14))
-
-        class Tweaked(WorkingSetCache):
-            pass
-
-        assert not derivable(Tweaked(1 << 14))
-
-    def test_underivable_llc_raises(self):
-        profile = build_reuse_profile(mixed_trace(n=512))
-        with pytest.raises(TraceError):
-            profile.hit_mask_for(DirectMappedCache(1 << 14))
-
     def test_line_size_mismatch_raises(self):
         profile = build_reuse_profile(mixed_trace(n=512), line_size=128)
         with pytest.raises(TraceError):

@@ -6,8 +6,10 @@ import pytest
 from repro.apps import make_app
 from repro.config import nvm_dram_testbed
 from repro.errors import TraceError
+from repro.faults import FaultPlan, injected
 from repro.graph.generators import chung_lu_graph
 from repro.mem.cache import GAP_COLD, VERIFY_ENV, WorkingSetCache
+from repro.mem.trace import AccessTrace
 from repro.obs.metrics import process_metrics
 from repro.sim.experiment import run_atmem, run_static
 from repro.sim.reusepack import build_reuse_profile
@@ -28,25 +30,26 @@ def bfs_factory(graph):
     return lambda: make_app("BFS", graph)
 
 
-class _FakeTrace:
-    def __init__(self, payload):
-        self.payload = payload
+def addr_trace(addrs) -> AccessTrace:
+    """A one-phase trace over ``addrs``."""
+    trace = AccessTrace()
+    trace.add(np.asarray(addrs, dtype=np.int64))
+    return trace
 
-    def all_addresses(self):
-        return np.asarray(self.payload, dtype=np.int64)
+
+def reuse_trace(seed=29, n=4_000) -> AccessTrace:
+    """A random trace rich enough for the reuse-derivation path."""
+    rng = np.random.default_rng(seed)
+    return addr_trace(rng.integers(0, 1 << 20, size=n))
 
 
-class _FakeLLC:
-    """Counts hit_mask calls; geometry drives the cache's mask key."""
-
-    def __init__(self, size_bytes=4096, line_size=64):
-        self.size_bytes = size_bytes
-        self.line_size = line_size
-        self.calls = 0
-
-    def hit_mask(self, addrs):
-        self.calls += 1
-        return addrs % 2 == 0
+def grown_trace(base: AccessTrace, seed=31, extra=1_000) -> AccessTrace:
+    """``base`` plus one more phase: a prefix-extension of its stream."""
+    rng = np.random.default_rng(seed)
+    grown = AccessTrace()
+    grown.extend(base)
+    grown.add(rng.integers(0, 1 << 20, size=extra))
+    return grown
 
 
 class TestTraceAccounting:
@@ -56,7 +59,7 @@ class TestTraceAccounting:
 
         def builder():
             built.append(1)
-            return _FakeTrace([1, 2, 3])
+            return addr_trace([1, 2, 3])
 
         first = cache.trace("k", builder)
         second = cache.trace("k", builder)
@@ -67,63 +70,52 @@ class TestTraceAccounting:
 
     def test_lru_eviction_drops_oldest_and_its_masks(self):
         cache = TraceCache(max_traces=2)
-        llc = _FakeLLC()
-        t_a = cache.trace("a", lambda: _FakeTrace([1]))
+        llc = WorkingSetCache(4096)
+        t_a = cache.trace("a", lambda: addr_trace([1]))
         cache.hit_mask("a", llc, t_a)
-        cache.trace("b", lambda: _FakeTrace([2]))
-        cache.trace("c", lambda: _FakeTrace([3]))  # evicts "a"
+        cache.trace("b", lambda: addr_trace([2]))
+        cache.trace("c", lambda: addr_trace([3]))  # evicts "a"
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        # "a" is gone: re-requesting rebuilds trace and mask.
-        t_a2 = cache.trace("a", lambda: _FakeTrace([1]))
+        # "a" is gone: re-requesting rebuilds trace, reuse profile and mask.
+        t_a2 = cache.trace("a", lambda: addr_trace([1]))
         cache.hit_mask("a", llc, t_a2)
         assert cache.stats.trace_misses == 4
-        assert llc.calls == 2
+        assert cache.stats.mask_misses == 2
+        assert cache.stats.reuse_misses == 2
+        assert cache.stats.mask_hits == 0
 
     def test_zero_capacity_disables_caching(self):
         cache = TraceCache(max_traces=0)
-        llc = _FakeLLC()
+        llc = WorkingSetCache(4096)
         for _ in range(3):
-            t = cache.trace("k", lambda: _FakeTrace([1, 2]))
+            t = cache.trace("k", lambda: addr_trace([1, 2]))
             cache.hit_mask("k", llc, t)
         assert len(cache) == 0
         assert cache.stats.trace_hits == 0
         assert cache.stats.mask_hits == 0
-        assert llc.calls == 3
+        assert cache.stats.mask_misses == 3
+        assert cache.stats.reuse_misses == 3
 
     def test_mask_keyed_by_llc_geometry(self):
         cache = TraceCache(max_traces=4)
-        small, big = _FakeLLC(size_bytes=1024), _FakeLLC(size_bytes=1 << 20)
-        t = cache.trace("k", lambda: _FakeTrace([2, 4, 6]))
+        small, big = WorkingSetCache(1024), WorkingSetCache(1 << 20)
+        t = cache.trace("k", lambda: addr_trace([2, 4, 6]))
         cache.hit_mask("k", small, t)
-        cache.hit_mask("k", big, t)  # different geometry: fresh compute
+        cache.hit_mask("k", big, t)  # different geometry: fresh derive
         cache.hit_mask("k", small, t)  # same geometry: served from cache
-        assert small.calls == 1
-        assert big.calls == 1
         assert cache.stats.mask_hits == 1
         assert cache.stats.mask_misses == 2
+        # Both geometries derive from the one reuse profile.
+        assert cache.stats.reuse_misses == 1
+        assert cache.stats.reuse_hits == 1
 
     def test_clear_keeps_counters(self):
         cache = TraceCache(max_traces=4)
-        cache.trace("k", lambda: _FakeTrace([1]))
+        cache.trace("k", lambda: addr_trace([1]))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.trace_misses == 1
-
-
-class _ReuseTrace:
-    """A trace rich enough for the reuse-derivation path."""
-
-    def __init__(self, seed=29, n=4_000):
-        rng = np.random.default_rng(seed)
-        self.payload = rng.integers(0, 1 << 20, size=n)
-
-    @property
-    def total_accesses(self):
-        return self.payload.size
-
-    def all_addresses(self):
-        return np.asarray(self.payload, dtype=np.int64)
 
 
 class TestReuseDerivation:
@@ -133,7 +125,7 @@ class TestReuseDerivation:
 
     def test_derived_masks_match_direct_simulation(self):
         cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
+        trace = cache.trace("k", reuse_trace)
         addrs = trace.all_addresses()
         for size in self.SWEEP:
             llc = WorkingSetCache(size)
@@ -143,19 +135,11 @@ class TestReuseDerivation:
 
     def test_profile_folded_once_per_capacity_sweep(self):
         cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
+        trace = cache.trace("k", reuse_trace)
         for size in self.SWEEP:
             cache.hit_mask("k", WorkingSetCache(size), trace)
         assert cache.stats.reuse_misses == 1
         assert cache.stats.reuse_hits == len(self.SWEEP) - 1
-
-    def test_non_workingset_llc_takes_direct_path(self):
-        cache = TraceCache(max_traces=4)
-        llc = _FakeLLC()
-        trace = cache.trace("k", lambda: _FakeTrace([2, 4, 6]))
-        cache.hit_mask("k", llc, trace)
-        assert llc.calls == 1
-        assert cache.stats.reuse_misses == 0
 
     def test_parity_oracle_passes_on_honest_masks(self, monkeypatch):
         monkeypatch.setenv(VERIFY_ENV, "1")
@@ -163,7 +147,7 @@ class TestReuseDerivation:
         checks = counters.get("mask.parity_checks", 0.0)
         failures = counters.get("mask.parity_failures", 0.0)
         cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
+        trace = cache.trace("k", reuse_trace)
         for size in self.SWEEP:
             cache.hit_mask("k", WorkingSetCache(size), trace)
         assert counters["mask.parity_checks"] == checks + len(self.SWEEP)
@@ -174,7 +158,7 @@ class TestReuseDerivation:
         counters = process_metrics().counters
         failures = counters.get("mask.parity_failures", 0.0)
         cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
+        trace = cache.trace("k", reuse_trace)
         profile = cache.reuse_profile("k", trace)
         # Sabotage the cached profile: pretend the hottest reuse is cold.
         profile.gaps[int(np.argmin(profile.gaps))] = GAP_COLD
@@ -184,9 +168,9 @@ class TestReuseDerivation:
 
     def test_stale_profile_discarded_and_rebuilt(self):
         cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
+        trace = cache.trace("k", reuse_trace)
         cache.reuse_profile("k", trace)
-        grown = _ReuseTrace(seed=29, n=5_000)
+        grown = reuse_trace(seed=29, n=5_000)
         profile = cache.reuse_profile("k", grown)
         assert profile.n == grown.total_accesses
         assert cache.stats.corruption_discards == 1
@@ -239,31 +223,14 @@ class TestCachedRunParity:
         assert cache.stats.trace_hits >= 2
 
 
-class _GrownTrace:
-    """A trace whose address stream is a prefix-extension of another."""
-
-    def __init__(self, base: "_ReuseTrace", seed: int = 31, extra: int = 1_000):
-        rng = np.random.default_rng(seed)
-        self.payload = np.concatenate(
-            [base.payload, rng.integers(0, 1 << 20, size=extra)]
-        )
-
-    @property
-    def total_accesses(self):
-        return self.payload.size
-
-    def all_addresses(self):
-        return np.asarray(self.payload, dtype=np.int64)
-
-
 class TestIncrementalExtend:
     """Phase-delta folds: extend a cached prefix profile, never refold."""
 
     def test_extend_from_prefix_matches_full_refold(self):
         cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
+        base = cache.trace("p0", reuse_trace)
         cache.reuse_profile("p0", base)
-        grown = cache.trace("p1", lambda: _GrownTrace(base))
+        grown = cache.trace("p1", lambda: grown_trace(base))
         profile = cache.reuse_profile("p1", grown, extend_from="p0")
         assert cache.stats.reuse_extends == 1
         want = build_reuse_profile(grown.all_addresses())
@@ -277,15 +244,15 @@ class TestIncrementalExtend:
         counters = process_metrics().counters
         before = counters.get("cache.reuse_extends", 0.0)
         cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
+        base = cache.trace("p0", reuse_trace)
         cache.reuse_profile("p0", base)
-        cache.reuse_profile("p1", _GrownTrace(base), extend_from="p0")
+        cache.reuse_profile("p1", grown_trace(base), extend_from="p0")
         assert counters["cache.reuse_extends"] == before + 1
 
     def test_missing_base_falls_back_to_full_refold(self):
         cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        grown = _GrownTrace(base)
+        base = cache.trace("p0", reuse_trace)
+        grown = grown_trace(base)
         profile = cache.reuse_profile("p1", grown, extend_from="absent")
         assert cache.stats.reuse_extends == 0
         want = build_reuse_profile(grown.all_addresses())
@@ -295,8 +262,8 @@ class TestIncrementalExtend:
         # extend_from names a key whose stream is LONGER than the target:
         # no prefix relationship, so the extend path must not engage.
         cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        grown = _GrownTrace(base)
+        base = cache.trace("p0", reuse_trace)
+        grown = grown_trace(base)
         cache.reuse_profile("p1", grown)
         profile = cache.reuse_profile("p0", base, extend_from="p1")
         assert cache.stats.reuse_extends == 0
@@ -308,9 +275,9 @@ class TestIncrementalExtend:
         checks = counters.get("reuse.parity_checks", 0.0)
         failures = counters.get("reuse.parity_failures", 0.0)
         cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
+        base = cache.trace("p0", reuse_trace)
         cache.reuse_profile("p0", base)
-        cache.reuse_profile("p1", _GrownTrace(base), extend_from="p0")
+        cache.reuse_profile("p1", grown_trace(base), extend_from="p0")
         assert counters["reuse.parity_checks"] == checks + 1
         assert counters.get("reuse.parity_failures", 0.0) == failures
 
@@ -319,18 +286,18 @@ class TestIncrementalExtend:
         counters = process_metrics().counters
         failures = counters.get("reuse.parity_failures", 0.0)
         cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
+        base = cache.trace("p0", reuse_trace)
         sabotaged = cache.reuse_profile("p0", base)
         sabotaged.gaps[0] = 12_345  # an extension would inherit the lie
         with pytest.raises(TraceError, match="diverged"):
-            cache.reuse_profile("p1", _GrownTrace(base), extend_from="p0")
+            cache.reuse_profile("p1", grown_trace(base), extend_from="p0")
         assert counters["reuse.parity_failures"] == failures + 1
 
     def test_extended_profile_serves_masks_bit_exact(self):
         cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
+        base = cache.trace("p0", reuse_trace)
         cache.reuse_profile("p0", base)
-        grown = _GrownTrace(base)
+        grown = grown_trace(base)
         cache.reuse_profile("p1", grown, extend_from="p0")
         addrs = grown.all_addresses()
         for size in (16 << 10, 64 << 10):
@@ -339,3 +306,27 @@ class TestIncrementalExtend:
                 cache.hit_mask("p1", llc, grown), llc.hit_mask(addrs)
             )
         assert cache.stats.reuse_extends == 1  # masks reused the profile
+
+
+class TestChecksumOnlyUnderInjection:
+    """A cached trace is checksummed only when an injector can read it."""
+
+    def test_no_checksum_without_injector(self):
+        cache = TraceCache(max_traces=4)
+        cache.trace("k", reuse_trace)
+        assert cache._traces["k"].checksum is None
+        with injected(FaultPlan()):
+            cache.trace("j", reuse_trace)
+        assert isinstance(cache._traces["j"].checksum, int)
+
+    def test_unchecksummed_entry_rebuilt_as_plain_miss_under_injector(self):
+        cache = TraceCache(max_traces=4)
+        first = cache.trace("k", reuse_trace)
+        with injected(FaultPlan()):
+            again = cache.trace("k", reuse_trace)
+            assert again is not first  # dropped and rebuilt
+            assert cache.trace("k", reuse_trace) is again  # now verified
+        np.testing.assert_array_equal(again.all_addresses(), first.all_addresses())
+        assert cache.stats.trace_misses == 2
+        assert cache.stats.trace_hits == 1
+        assert cache.stats.corruption_discards == 0
