@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench perfbench chaos reproduce examples clean loc
+.PHONY: install test lint bench perfbench perfbench-ab chaos reproduce examples clean loc
 
 install:
 	$(PYTHON) -m pip install -e '.[test]' --no-build-isolation || \
@@ -32,6 +32,18 @@ perfbench:
 	  echo "$$out"; \
 	  echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])' || exit 1; \
 	done
+
+# A/B of one workload: BASE (exported with git archive into a temporary
+# directory) against the working tree, in alternating untraced pairs,
+# with each end-to-end metric's medians, quartiles, pairs won and gain
+# verdict (tools/perfbench_ab.py).
+BASE ?= HEAD~1
+WORKLOAD ?= fig5-cold
+PAIRS ?= 10
+SEED ?= 7
+
+perfbench-ab:
+	$(PYTHON) tools/perfbench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # Fault-injection seed matrix: every injected fault must be survived
 # with results bit-identical to a fault-free run (see DESIGN.md).

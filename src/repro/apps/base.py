@@ -121,12 +121,11 @@ class GraphApp(ABC):
 
         Emit through phase-granular ``trace.add`` calls (the ``_gather``
         / ``_scatter`` / ``_scan`` helpers do) rather than one giant
-        concatenated array: downstream consumers stream the trace in
-        bounded program-order chunks (:meth:`repro.mem.trace.AccessTrace.
-        iter_chunks` — checksums, reuse folds, and store writes all avoid
-        materialising a flat copy of an over-``REPRO_WORKER_BYTES``
-        trace), and a chunk never spans a phase boundary, so per-phase
-        emission is what keeps individual chunks bounded too.
+        concatenated array: the cost model prices each phase by its own
+        access kind, and sealing
+        (:meth:`repro.mem.trace.AccessTrace.seal`) copies one phase at a
+        time into the trace's buffer, dropping each phase array as it
+        goes — so the transient is the buffer plus one phase.
         """
 
     @abstractmethod

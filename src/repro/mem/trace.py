@@ -14,37 +14,13 @@ element.  The cache, TLB, and cost models derive line/page numbers from them.
 
 from __future__ import annotations
 
+import copy
 import enum
-import os
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from repro.errors import TraceError
-
-#: Peak resident bytes one worker may spend on trace material (flat
-#: copies, fold chunks).  The budget bounds *extra* allocations — the
-#: phase arrays themselves are the application's output and always
-#: resident; what the budget forbids is doubling them with a flat
-#: concatenated copy when chunked folds can stream instead.
-WORKER_BYTES_ENV = "REPRO_WORKER_BYTES"
-DEFAULT_WORKER_BYTES = 1 << 30
-
-
-def worker_byte_budget() -> int:
-    """The per-worker trace-memory budget in bytes (env-tunable)."""
-    raw = os.environ.get(WORKER_BYTES_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise TraceError(
-                f"{WORKER_BYTES_ENV} must be an integer byte count, got {raw!r}"
-            ) from None
-        if value > 0:
-            return value
-    return DEFAULT_WORKER_BYTES
 
 
 class AccessKind(enum.Enum):
@@ -54,9 +30,9 @@ class AccessKind(enum.Enum):
     RANDOM = "rand"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TracePhase:
-    """One vectorised access phase of an application kernel.
+    """One vectorised access phase of an application kernel (immutable).
 
     Attributes
     ----------
@@ -85,13 +61,16 @@ class TracePhase:
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.addrs = np.ascontiguousarray(self.addrs, dtype=np.int64)
-        if self.addrs.ndim != 1:
+        addrs = np.ascontiguousarray(self.addrs, dtype=np.int64)
+        if addrs.ndim != 1:
             raise TraceError(f"phase {self.label!r}: addrs must be 1-D")
-        if self.addrs.size and int(self.addrs.min()) < 0:
+        if addrs.size and int(addrs.min()) < 0:
             raise TraceError(f"phase {self.label!r}: negative address in trace")
+        object.__setattr__(self, "addrs", addrs)
         if self.prefetchable is None:
-            self.prefetchable = self.kind is AccessKind.SEQUENTIAL
+            object.__setattr__(
+                self, "prefetchable", self.kind is AccessKind.SEQUENTIAL
+            )
 
     def __len__(self) -> int:
         return int(self.addrs.size)
@@ -101,20 +80,21 @@ class TracePhase:
 class AccessTrace:
     """An ordered sequence of :class:`TracePhase` for one application run.
 
-    The concatenated program-order address array is cached after the
-    first :meth:`all_addresses` call — the LLC models, the trace cache's
-    checksums, and the trace store all consume the flat form repeatedly,
-    and re-concatenating a benchmark-scale trace costs hundreds of
-    milliseconds.  Anything that mutates phase contents outside
-    :meth:`add`/:meth:`extend` must call :meth:`invalidate_flat`.
+    A trace is built phase by phase (:meth:`add`, :meth:`extend`) and then
+    **sealed** (:meth:`seal`, on the first :meth:`all_addresses`): its
+    program-order addresses move into one owned ``int64`` buffer, each
+    phase becomes a read-only view of it, and ``phases`` becomes a tuple.
+    A sealed trace is immutable — the LLC models, the cache's checksums
+    and the trace store all read that one buffer, and no second copy of
+    the addresses ever exists.
     """
 
-    phases: list[TracePhase] = field(default_factory=list)
-    _flat: np.ndarray | None = field(default=None, repr=False, compare=False)
-    #: The phase address arrays the cached flat was concatenated from,
-    #: compared by *identity* — a phase swapping in a same-length array
-    #: (``phase.addrs = ...``) is caught, which a length check is not.
-    _flat_sources: tuple = field(default=(), repr=False, compare=False)
+    phases: list[TracePhase] | tuple[TracePhase, ...] = field(default_factory=list)
+    _buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def _check_open(self) -> None:
+        if self._buffer is not None:
+            raise TraceError("a sealed trace is immutable")
 
     def add(
         self,
@@ -126,6 +106,7 @@ class AccessTrace:
         label: str = "",
     ) -> None:
         """Append a phase; empty address arrays are dropped."""
+        self._check_open()
         if len(addrs) == 0:
             return
         self.phases.append(
@@ -137,71 +118,55 @@ class AccessTrace:
                 label=label,
             )
         )
-        self._flat = None
 
     def extend(self, other: "AccessTrace") -> None:
-        """Append all phases of another trace, preserving order."""
-        self.phases.extend(other.phases)
-        self._flat = None
+        """Append all phases of another trace, preserving order.
 
-    def invalidate_flat(self) -> None:
-        """Drop the cached flat address array (after external mutation)."""
-        self._flat = None
-        self._flat_sources = ()
+        The phases are shared, not copied: sealing this trace later
+        replaces its own phase objects and leaves ``other``'s alone.
+        """
+        self._check_open()
+        self.phases.extend(other.phases)
 
     @property
     def total_accesses(self) -> int:
         """Total number of element accesses across all phases."""
         return sum(len(p) for p in self.phases)
 
-    def _flat_stale(self) -> bool:
-        """Whether the cached flat no longer reflects the phase list.
+    def seal(self) -> np.ndarray:
+        """Move every phase into one owned buffer; returns the buffer.
 
-        Keyed on phase *identity*: the cache is valid only while every
-        phase still holds the exact array object it was concatenated
-        from.  A size comparison alone returned stale data when a phase
-        mutated without changing the total length (e.g. the fault
-        injector's copy-and-flip corruption).
+        Each phase is copied into place and then *replaced* by a new
+        phase over a read-only view (a phase shared with another trace
+        through :meth:`extend` keeps its own array), and the original is
+        dropped right after its copy — the transient is the buffer plus
+        one phase, never two full copies.  Idempotent.
         """
-        if self._flat is None:
-            return True
-        if len(self._flat_sources) != len(self.phases):
-            return True
-        return any(
-            phase.addrs is not source
-            for phase, source in zip(self.phases, self._flat_sources)
-        )
+        if self._buffer is not None:
+            return self._buffer
+        buffer = np.empty(self.total_accesses, dtype=np.int64)
+        phases = list(self.phases)
+        self.phases = ()
+        start = 0
+        for i in range(len(phases)):
+            stop = start + len(phases[i])
+            buffer[start:stop] = phases[i].addrs
+            view = buffer[start:stop]
+            view.flags.writeable = False
+            # A shallow copy skips __post_init__: the addresses were
+            # validated when the phase was built.
+            sealed = copy.copy(phases[i])
+            object.__setattr__(sealed, "addrs", view)
+            phases[i] = sealed
+            start = stop
+        buffer.flags.writeable = False
+        self._buffer = buffer
+        self.phases = tuple(phases)
+        return buffer
 
     def all_addresses(self) -> np.ndarray:
-        """Concatenate every phase's addresses in program order (cached)."""
-        if self._flat_stale():
-            if not self.phases:
-                self._flat = np.empty(0, dtype=np.int64)
-            else:
-                self._flat = np.concatenate([p.addrs for p in self.phases])
-            self._flat_sources = tuple(p.addrs for p in self.phases)
-        return self._flat
-
-    def iter_chunks(self, max_bytes: int) -> Iterator[np.ndarray]:
-        """Program-order address chunks of at most ``max_bytes`` each.
-
-        Yields contiguous zero-copy ``int64`` views — slices of the
-        phase arrays, so a phase larger than the bound is split across
-        chunks and small phases are *not* merged (each chunk stays a
-        view; merging would allocate).  Concatenating every yielded
-        chunk reproduces :meth:`all_addresses` exactly, which is the
-        invariant the chunked-fold parity suite pins down.  Nothing is
-        yielded for an empty trace.
-        """
-        if max_bytes < 8:
-            raise TraceError(
-                f"chunk budget must fit one int64 address, got {max_bytes}"
-            )
-        per_chunk = max_bytes // 8
-        for phase in self.phases:
-            addrs = phase.addrs
-            for start in range(0, int(addrs.size), per_chunk):
-                yield addrs[start : start + per_chunk]
+        """Every phase's addresses in program order (seals the trace)."""
+        return self.seal()
 
     # ------------------------------------------------------------------
     # columnar (de)serialisation, used by repro.sim.tracestore
@@ -225,17 +190,20 @@ class AccessTrace:
     ) -> "AccessTrace":
         """Rebuild a trace from a flat address array plus phase records.
 
-        Phases become zero-copy views into ``flat`` — when ``flat`` is a
-        memory-mapped store array, the whole trace stays page-cache
-        resident and shared across processes.
+        The trace comes back sealed over ``flat`` itself: phases are
+        zero-copy read-only views, so when ``flat`` is a memory-mapped
+        store array the whole trace stays page-cache resident and shared
+        across processes.
         """
-        trace = cls()
+        buffer = np.ascontiguousarray(flat, dtype=np.int64).view()
+        buffer.flags.writeable = False
+        phases = []
         start = 0
         for record in records:
             n = int(record["n"])
-            trace.phases.append(
+            phases.append(
                 TracePhase(
-                    flat[start : start + n],
+                    buffer[start : start + n],
                     is_write=bool(record["is_write"]),
                     kind=AccessKind(record["kind"]),
                     prefetchable=bool(record["prefetchable"]),
@@ -243,14 +211,12 @@ class AccessTrace:
                 )
             )
             start += n
-        if start != flat.size:
+        if start != buffer.size:
             raise TraceError(
                 f"phase records cover {start} accesses but the flat array "
-                f"has {flat.size}"
+                f"has {buffer.size}"
             )
-        trace._flat = np.asarray(flat)
-        trace._flat_sources = tuple(p.addrs for p in trace.phases)
-        return trace
+        return cls(phases=tuple(phases), _buffer=buffer)
 
     def __iter__(self):
         return iter(self.phases)

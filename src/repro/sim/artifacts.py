@@ -97,19 +97,22 @@ def _encode_columnar(to_columnar):
     return encode
 
 
+def _encode_trace(trace, sub):
+    # Slices of the sealed trace's one buffer: the store write and its
+    # CRC stream over it without building a bytes copy of a large trace.
+    flat = trace.all_addresses()
+    step = TRACE_WRITE_CHUNK_BYTES // 8
+    chunks = (flat[i : i + step] for i in range(0, flat.size, step))
+    return chunks, flat.shape, {"total": flat.size, "phases": trace.phase_records()}
+
+
 TRACE = ArtifactSpec(
     kind="trace",
     version=1,
     stage="stage.trace_gen",
     dtype=np.dtype(np.int64),
     digest=None,
-    # Streamed from the phase arrays: saving a multi-GB trace costs no
-    # flat all_addresses copy, and the CRC folds over the same chunks.
-    encode=lambda trace, sub: (
-        trace.iter_chunks(TRACE_WRITE_CHUNK_BYTES),
-        (trace.total_accesses,),
-        {"total": trace.total_accesses, "phases": trace.phase_records()},
-    ),
+    encode=_encode_trace,
     layout=lambda sidecar: (sidecar_int(sidecar, "total"),),
     decode=lambda flat, sidecar: AccessTrace.from_columnar(flat, sidecar["phases"]),
     fits=lambda trace, expected: True,

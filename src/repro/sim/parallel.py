@@ -81,7 +81,7 @@ import numpy as np
 
 from repro.config import PlatformConfig
 from repro.core.runtime import RuntimeConfig
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, TraceError
 from repro.faults.injector import (
     InjectedWorkerCrash,
     fault_point,
@@ -90,7 +90,6 @@ from repro.faults.injector import (
 )
 from repro.faults.plan import SITE_POOL_CRASH, SITE_POOL_EXIT, SITE_POOL_HANG
 from repro.graph import shm as graph_shm
-from repro.mem.trace import worker_byte_budget
 from repro.obs import absorb_all, drain_all, reset_all
 from repro.obs.bus import Event, process_bus
 from repro.obs.metrics import process_metrics
@@ -121,7 +120,28 @@ JOB_BACKOFF_ENV = "REPRO_JOB_BACKOFF"
 #: How long an injected ``pool.hang`` sleeps when the spec has no param.
 DEFAULT_HANG_SECONDS = 30.0
 
+#: Resident bytes one priming worker may spend on its trace and fold
+#: state; the cold plan divides it by the largest projected trace to
+#: clamp priming concurrency.
+WORKER_BYTES_ENV = "REPRO_WORKER_BYTES"
+DEFAULT_WORKER_BYTES = 1 << 30
+
 FLOWS = ("static", "atmem", "coarse", "cell", "multitenant")
+
+
+def worker_byte_budget() -> int:
+    """The per-worker trace-memory budget in bytes (env-tunable)."""
+    raw = os.environ.get(WORKER_BYTES_ENV)
+    if raw:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise TraceError(
+                f"{WORKER_BYTES_ENV} must be an integer byte count, got {raw!r}"
+            ) from None
+        if value > 0:
+            return value
+    return DEFAULT_WORKER_BYTES
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -621,10 +641,9 @@ def _emit_worker_rss() -> None:
     """Buffer this process's peak RSS for the parent's health accounting.
 
     The amount rides the obs blob home as a ``pool.worker_rss`` event and
-    max-folds into :attr:`PoolHealth.max_worker_rss_bytes` — the evidence
-    that chunked streaming folds keep workers under
-    ``REPRO_WORKER_BYTES``.  ``ru_maxrss`` is kilobytes on Linux and bytes
-    on macOS.
+    max-folds into :attr:`PoolHealth.max_worker_rss_bytes`, the number to
+    hold against the ``REPRO_WORKER_BYTES`` budget the priming clamp
+    assumes.  ``ru_maxrss`` is kilobytes on Linux and bytes on macOS.
     """
     try:
         import resource

@@ -26,7 +26,10 @@ from a ``searchsorted`` in the histogram.
 One-shot (:func:`build_reuse_profile`), chunked
 (:func:`fold_reuse_chunks`) and incremental (:meth:`ReuseProfile.extend`)
 folds all run the fold's one block loop; the latter two continue it
-from a carried last-seen table and add histograms.
+from a carried last-seen table and add histograms.  The cache folds a
+sealed trace's one buffer one-shot or extends a profile over its
+suffix; the chunked fold has no caller in the package and stays as the
+named entry point the benchmark's layer wrappers patch.
 
 Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` calls the
 same :func:`~repro.mem.cache.window_threshold` on the same histogram
@@ -220,7 +223,8 @@ def fold_reuse_chunks(
 
     The streaming twin of :func:`build_reuse_profile`, bit-identical to
     the one-shot fold of the concatenation without ever materialising
-    the flat stream.  Each chunk goes through the same block loop as a
+    the flat stream (no caller in the package: a sealed trace already
+    is one buffer, see the module docstring).  Each chunk goes through the same block loop as a
     one-shot fold, continuing from the last-seen table the chunks
     before it left (moved forward in place); the chunk histograms add
     once at the end.  When a chunk makes the joined span too sparse for

@@ -21,8 +21,8 @@ independent), so a capacity sweep folds once and derives every
 geometry's mask with one compare (``stage.mask_derive``).
 ``REPRO_VERIFY=1`` arms the parity oracles: derived masks are re-checked
 against the direct ``llc.hit_mask`` (``mask.parity_*``) and incremental
-or streamed reuse folds against the one-shot refold (``reuse.parity_*``);
-divergence raises :class:`repro.errors.TraceError`.
+reuse folds against the one-shot refold (``reuse.parity_*``); divergence
+raises :class:`repro.errors.TraceError`.
 
 The cache is an LRU over traces (a trace's derived artifacts travel with
 it) because grid traces are large; ``REPRO_TRACE_CACHE`` overrides the
@@ -37,8 +37,9 @@ carries a CRC32 and every hit is re-verified against it — the
 ``cache.corrupt`` site flips bytes in a cached trace, and the checksum
 path must discard and recompute it (``stats.corruption_discards``).
 Outside injection no checksum is taken or checked: entries are immutable
-by construction, and a CRC over every trace dominated cold-cell and
-warm-cell time.
+by construction (every trace is sealed into one read-only buffer on
+insertion, see :meth:`repro.mem.trace.AccessTrace.seal`), and a CRC over
+every trace dominated cold-cell and warm-cell time.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ from repro.errors import TraceError
 from repro.faults.injector import active_injector, fault_point
 from repro.faults.plan import SITE_CACHE_CORRUPT
 from repro.mem.cache import LINE_SIZE, WorkingSetCache, verify_armed
-from repro.mem.trace import AccessTrace, worker_byte_budget
+from repro.mem.trace import AccessTrace
 from repro.obs.metrics import HandleCounters, process_metrics
 from repro.obs.tracer import span
 from repro.sim.artifacts import MASK, PROFILE, REUSE, SPECS, TRACE, ArtifactSpec
 from repro.sim.profilepack import TraceProfile, build_profile
-from repro.sim.reusepack import ReuseProfile, build_reuse_profile, fold_reuse_chunks
+from repro.sim.reusepack import ReuseProfile, build_reuse_profile
 from repro.sim.tracestore import TraceStore, process_trace_store
 
 #: Environment variable overriding the trace-entry bound (0 disables).
@@ -95,56 +96,9 @@ def configured_max_traces() -> int:
     return value
 
 
-def _flat_of(trace: AccessTrace) -> np.ndarray:
-    """The trace's program-order addresses as one contiguous int64 array."""
-    return np.ascontiguousarray(trace.all_addresses(), dtype=np.int64)
-
-
 def trace_checksum(trace: AccessTrace) -> int:
-    """CRC32 over the trace's program-order address bytes.
-
-    Goes through ``all_addresses()``, so any phase-level corruption
-    changes the checksum.
-    """
-    return zlib.crc32(_flat_of(trace).view(np.uint8).data)
-
-
-def _chunked_checksum(trace: AccessTrace, chunk_bytes: int) -> int:
-    """:func:`trace_checksum` folded chunk-by-chunk — same CRC, no flat.
-
-    CRC32 folds associatively over a byte stream, so running it over
-    :meth:`~repro.mem.trace.AccessTrace.iter_chunks` yields the exact
-    checksum of the concatenated array without materialising it.
-    """
-    crc = 0
-    for chunk in trace.iter_chunks(chunk_bytes):
-        crc = zlib.crc32(
-            np.ascontiguousarray(chunk, dtype=np.int64).view(np.uint8).data,
-            crc,
-        )
-    return crc
-
-
-def _checksum(trace: AccessTrace, streamed: bool) -> int:
-    """The trace's CRC32, folded chunk by chunk when ``streamed``."""
-    if streamed:
-        return _chunked_checksum(trace, _fold_chunk_bytes())
-    return trace_checksum(trace)
-
-
-def _over_budget(trace: AccessTrace) -> bool:
-    """Whether flat-copy materialisation would blow the worker budget.
-
-    True when doubling the trace with a flat ``all_addresses`` copy
-    would spend more than a quarter of ``REPRO_WORKER_BYTES`` — the
-    signal to switch every fold onto the chunked streaming path.
-    """
-    return trace.total_accesses * 8 > worker_byte_budget() // 4
-
-
-def _fold_chunk_bytes() -> int:
-    """Chunk size for streaming folds: an eighth of the worker budget."""
-    return max(8, worker_byte_budget() // 8)
+    """CRC32 over the trace's program-order address bytes."""
+    return zlib.crc32(trace.all_addresses().view(np.uint8).data)
 
 
 def llc_signature(llc) -> tuple:
@@ -156,20 +110,15 @@ def llc_signature(llc) -> tuple:
 class _TraceEntry:
     """A cached trace, the checksum it must keep matching, its artifacts.
 
-    ``flat`` is the program-order address array, materialised once at
-    insertion and shared by every fold over the trace (checksum, hit
-    masks, reuse profiles).  For traces whose flat copy would blow the
-    ``REPRO_WORKER_BYTES`` budget it stays ``None``: the checksum is
-    folded chunk-by-chunk and every fold takes the chunked streaming
-    path instead.  ``checksum`` is taken only when a fault injector is
-    active at insertion (``None`` otherwise).  ``artifacts`` holds the
-    derived artifacts by ``(kind, sub-key)`` and is evicted with the
-    trace.
+    ``trace`` is sealed: every fold over it (checksum, hit masks, reuse
+    profiles) reads its one address buffer.  ``checksum`` is taken only
+    when a fault injector is active at insertion (``None`` otherwise).
+    ``artifacts`` holds the derived artifacts by ``(kind, sub-key)`` and
+    is evicted with the trace.
     """
 
     trace: AccessTrace
     checksum: int | None
-    flat: np.ndarray | None
     artifacts: dict[tuple, object] = field(default_factory=dict)
 
 
@@ -283,18 +232,6 @@ class TraceCache:
         process_metrics().observe(stage, seconds)
         return artifact, seconds
 
-    def _flat_addrs(self, key: Hashable, trace: AccessTrace) -> np.ndarray:
-        """The trace's flat address array, shared across folds.
-
-        Serves the per-entry array materialised at insertion whenever the
-        caller's trace *is* the cached one; otherwise (memory caching off,
-        or an evicted entry) falls back to a direct materialisation.
-        """
-        entry = self._traces.get(key)
-        if entry is not None and entry.trace is trace and entry.flat is not None:
-            return entry.flat
-        return _flat_of(trace)
-
     def _verified(self, key: Hashable) -> AccessTrace | None:
         """The cached trace if present and intact, else ``None``.
 
@@ -313,8 +250,8 @@ class TraceCache:
                 del self._traces[key]
                 return None
             if fault_point(SITE_CACHE_CORRUPT, tag=str(key)):
-                _corrupt_trace(entry.trace)
-            if _checksum(entry.trace, entry.flat is None) != entry.checksum:
+                entry.trace = _corrupt_trace(entry.trace)
+            if trace_checksum(entry.trace) != entry.checksum:
                 del self._traces[key]
                 self.stats.bump("corruption_discards")
                 return None
@@ -335,14 +272,11 @@ class TraceCache:
             TRACE, key, None, None,
             lambda: self._timed("build_trace", TRACE.stage, key, builder),
         )
+        trace.seal()
         if self.max_traces == 0:
             return trace
-        streamed = _over_budget(trace)
-        flat = None if streamed else _flat_of(trace)
-        checksum = (
-            _checksum(trace, streamed) if active_injector() is not None else None
-        )
-        self._traces[key] = _TraceEntry(trace=trace, checksum=checksum, flat=flat)
+        checksum = trace_checksum(trace) if active_injector() is not None else None
+        self._traces[key] = _TraceEntry(trace=trace, checksum=checksum)
         while len(self._traces) > self.max_traces:
             self._traces.popitem(last=False)
             self.stats.bump("evictions")
@@ -402,30 +336,17 @@ class TraceCache:
         """Fold a reuse profile — incrementally when a base qualifies."""
         entry = self._traces.get(extend_from)
         base = entry.artifacts.get((REUSE.kind, line_size)) if entry else None
-        if base is not None and base.can_extend and base.n <= trace.total_accesses:
-            flat = self._flat_addrs(key, trace)
-            profile, seconds = self._timed(
-                "extend_reuse", "stage.reuse_extend", key,
-                lambda: base.extend(flat[base.n :]),
-            )
-            self.stats.bump("reuse_extends")
-        elif _over_budget(trace):
-            # Streaming fold: fold each chunk and carry the last-seen
-            # table across chunk boundaries — bit-identical to the
-            # one-shot fold (the verify oracle re-proves it below),
-            # without the flat all_addresses copy the worker budget
-            # forbids.
-            profile, seconds = self._timed(
-                "build_reuse", REUSE.stage, key,
-                lambda: fold_reuse_chunks(
-                    trace.iter_chunks(_fold_chunk_bytes()), line_size
-                ),
-            )
-        else:
+        flat = trace.all_addresses()
+        if base is None or not base.can_extend or base.n > flat.size:
             return self._timed(
                 "build_reuse", REUSE.stage, key,
-                lambda: build_reuse_profile(self._flat_addrs(key, trace), line_size),
+                lambda: build_reuse_profile(flat, line_size),
             )
+        profile, seconds = self._timed(
+            "extend_reuse", "stage.reuse_extend", key,
+            lambda: base.extend(flat[base.n :]),
+        )
+        self.stats.bump("reuse_extends")
         if verify_armed():
             self._verify_reuse(key, trace, line_size, profile)
         return profile, seconds
@@ -460,7 +381,7 @@ class TraceCache:
         registry.inc("reuse.parity_checks")
         with span("cache.verify_reuse", cat="cache", key=str(key)):
             direct = build_reuse_profile(
-                self._flat_addrs(key, trace), line_size, with_state=False
+                trace.all_addresses(), line_size, with_state=False
             )
         if not (
             np.array_equal(folded.gaps, direct.gaps)
@@ -478,7 +399,7 @@ class TraceCache:
         registry = process_metrics()
         registry.inc("mask.parity_checks")
         with span("cache.verify_mask", cat="cache", key=str(key)):
-            direct = llc.hit_mask(self._flat_addrs(key, trace))
+            direct = llc.hit_mask(trace.all_addresses())
         if derived.shape != direct.shape or not np.array_equal(derived, direct):
             registry.inc("mask.parity_failures")
             raise TraceError(
@@ -497,23 +418,18 @@ class TraceCache:
         self._traces.clear()
 
 
-def _corrupt_trace(trace: AccessTrace) -> None:
-    """Flip bits in a trace's largest phase (the injected corruption).
+def _corrupt_trace(trace: AccessTrace) -> AccessTrace:
+    """A copy of ``trace`` with bits flipped mid-buffer (the injected fault).
 
-    Corrupts a *copy* of the phase array: store-loaded phases are
-    read-only mmap views whose pages are shared with other processes, so
-    in-place mutation is both impossible and undesirable.  The trace's
-    cached flat array is invalidated so the corruption is visible to
-    ``all_addresses()`` consumers (the checksum path in particular).
+    Corrupts a *copy*: a sealed trace's buffer is read-only, and a
+    store-loaded one is an mmap whose pages are shared with other
+    processes.  The copy comes back sealed, so the checksum sees the
+    flipped bits.
     """
-    if not trace.phases:
-        return
-    phase = max(trace.phases, key=lambda p: p.addrs.size)
-    if phase.addrs.size:
-        addrs = phase.addrs.copy()
+    addrs = trace.all_addresses().copy()
+    if addrs.size:
         addrs[addrs.size // 2] ^= 0x5A5A
-        phase.addrs = addrs
-        trace.invalidate_flat()
+    return AccessTrace.from_columnar(addrs, trace.phase_records())
 
 
 _PROCESS_CACHE: TraceCache | None = None

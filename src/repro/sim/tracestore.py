@@ -620,8 +620,8 @@ class TraceStore:
         """Atomic tempfile+rename commit of one ``.npy``, chunk by chunk.
 
         Hand-writes the 1.0 array header (byte-identical to ``np.save``'s
-        output) and streams each chunk's buffer, so a trace's flat
-        address array never exists in memory.  Returns the CRC32 folded
+        output) and streams each chunk's buffer, so no array is ever
+        re-copied whole into a bytes object.  Returns the CRC32 folded
         over the chunk bytes — identical to the CRC of the whole array.
 
         The ``cache.store_torn`` fault truncates the temp file before the

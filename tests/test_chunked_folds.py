@@ -1,43 +1,31 @@
-"""Chunked streaming folds must be bit-exact with one-shot folds.
+"""Chunked reuse folds and streamed store writes are bit-exact.
 
-The cold pipeline never materialises a flat copy of an over-budget
-trace: checksums, reuse folds, and store writes all stream over
-:meth:`repro.mem.trace.AccessTrace.iter_chunks`.  That is only sound if
-every chunked path reproduces its one-shot twin *exactly* — same CRC,
-same reuse profile bytes, same stored array — for every way a chunk
-boundary can land: mid-phase, on a phase edge, one chunk swallowing the
-whole trace, or an empty tail.  This suite pins each of those down with
-generated traces, then closes the loop at the app level: a run folded
-under a starvation-sized ``REPRO_WORKER_BYTES`` (with the parity
-oracles armed) reports the same committed figures as an unconstrained
-run.
+A sealed trace is one owned address buffer
+(:meth:`repro.mem.trace.AccessTrace.seal`), so nothing in the package
+folds a trace in chunks any more.  Two chunked paths remain and must
+reproduce their one-shot twins *exactly* for every way a chunk boundary
+can land (mid-phase, on a phase edge, one chunk swallowing the whole
+trace, an empty tail): :func:`repro.sim.reusepack.fold_reuse_chunks`,
+the named fold entry point the benchmark's layer wrappers patch, and
+the trace store's write, which streams slices of the buffer.
 """
 
 import zlib
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceError
-from repro.mem.cache import LINE_SIZE, VERIFY_ENV
-from repro.mem.trace import (
-    WORKER_BYTES_ENV,
-    AccessKind,
-    AccessTrace,
-    worker_byte_budget,
-)
+from repro.mem.cache import LINE_SIZE
+from repro.mem.trace import AccessKind, AccessTrace
+from repro.sim import artifacts
+from repro.sim.artifacts import TRACE, TRACE_WRITE_CHUNK_BYTES
 from repro.sim.reusepack import (
     build_reuse_profile,
     fold_reuse_chunks,
     reuse_to_columnar,
 )
-from repro.sim.tracecache import (
-    TraceCache,
-    _chunked_checksum,
-    trace_checksum,
-)
+from repro.sim.tracecache import trace_checksum
 
 
 def make_trace(phase_sizes, seed=7) -> AccessTrace:
@@ -59,6 +47,13 @@ phase_lists = st.lists(st.integers(min_value=0, max_value=257), max_size=6)
 chunk_budgets = st.sampled_from((8, 16, 24, 72, 1 << 10, 1 << 20))
 
 
+def buffer_slices(trace: AccessTrace, max_bytes: int) -> list[np.ndarray]:
+    """The sealed buffer in program-order slices of at most ``max_bytes``."""
+    flat = trace.all_addresses()
+    step = max_bytes // 8
+    return [flat[i : i + step] for i in range(0, flat.size, step)]
+
+
 def same_profile(a, b) -> bool:
     """Bit-exact reuse-profile equality via the columnar serial form."""
     cols_a, meta_a = reuse_to_columnar(a)
@@ -68,53 +63,13 @@ def same_profile(a, b) -> bool:
     return meta_a == meta_b and cols_a.tobytes() == cols_b.tobytes()
 
 
-class TestIterChunks:
-    @given(sizes=phase_lists, budget=chunk_budgets)
-    @settings(max_examples=60, deadline=None)
-    def test_concatenated_chunks_reproduce_flat(self, sizes, budget):
-        trace = make_trace(sizes)
-        chunks = list(trace.iter_chunks(budget))
-        flat = trace.all_addresses()
-        if chunks:
-            assert np.array_equal(np.concatenate(chunks), flat)
-        else:
-            assert flat.size == 0
-        per_chunk = budget // 8
-        assert all(c.size <= per_chunk for c in chunks)
-
-    def test_chunks_are_zero_copy_views(self):
-        trace = make_trace([100, 3, 50])
-        for chunk in trace.iter_chunks(64):
-            assert chunk.base is not None  # a slice, not a copy
-
-    def test_boundary_splits_a_phase(self):
-        # One 10-element phase under a 3-element budget: 4 chunks, the
-        # last one short — and their concatenation is the phase verbatim.
-        trace = make_trace([10])
-        chunks = list(trace.iter_chunks(24))
-        assert [c.size for c in chunks] == [3, 3, 3, 1]
-        assert np.array_equal(np.concatenate(chunks), trace.all_addresses())
-
-    def test_single_chunk_covers_everything(self):
-        trace = make_trace([5, 7])
-        chunks = list(trace.iter_chunks(1 << 20))
-        assert [c.size for c in chunks] == [5, 7]  # phases never merge
-
-    def test_empty_trace_yields_nothing(self):
-        assert list(AccessTrace().iter_chunks(1 << 10)) == []
-
-    def test_budget_below_one_address_raises(self):
-        with pytest.raises(TraceError):
-            list(make_trace([4]).iter_chunks(7))
-
-
 class TestChunkedReuseFold:
     @given(sizes=phase_lists, budget=chunk_budgets)
     @settings(max_examples=40, deadline=None)
     def test_fold_matches_one_shot_bit_exactly(self, sizes, budget):
         trace = make_trace(sizes)
         one_shot = build_reuse_profile(trace.all_addresses(), LINE_SIZE)
-        chunked = fold_reuse_chunks(trace.iter_chunks(budget), LINE_SIZE)
+        chunked = fold_reuse_chunks(buffer_slices(trace, budget), LINE_SIZE)
         assert same_profile(chunked, one_shot)
 
     def test_empty_stream_folds_to_empty_profile(self):
@@ -124,28 +79,42 @@ class TestChunkedReuseFold:
 
     def test_empty_tail_chunks_are_ignored(self):
         trace = make_trace([64])
-        chunks = list(trace.iter_chunks(64)) + [np.empty(0, dtype=np.int64)]
+        chunks = buffer_slices(trace, 64) + [np.empty(0, dtype=np.int64)]
         folded = fold_reuse_chunks(iter(chunks))
         one_shot = build_reuse_profile(trace.all_addresses())
         assert same_profile(folded, one_shot)
 
 
-class TestChunkedChecksum:
-    @given(sizes=phase_lists, budget=chunk_budgets)
-    @settings(max_examples=40, deadline=None)
-    def test_chunked_crc_equals_flat_crc(self, sizes, budget):
-        trace = make_trace(sizes)
-        assert _chunked_checksum(trace, budget) == trace_checksum(trace)
-
+class TestTraceChecksum:
     def test_crc_is_the_flat_byte_crc(self):
         trace = make_trace([33, 9])
         flat = np.ascontiguousarray(trace.all_addresses(), dtype=np.int64)
-        assert _chunked_checksum(trace, 32) == zlib.crc32(
-            flat.view(np.uint8).data
-        )
+        assert trace_checksum(trace) == zlib.crc32(flat.view(np.uint8).data)
 
 
 class TestStreamedStoreWrites:
+    @given(sizes=phase_lists)
+    @settings(max_examples=30, deadline=None)
+    def test_encoded_chunks_are_slices_of_the_buffer(self, sizes):
+        trace = make_trace(sizes)
+        chunks, shape, record = TRACE.encode(trace, None)
+        chunks = list(chunks)
+        flat = trace.all_addresses()
+        assert shape == flat.shape and record["total"] == flat.size
+        assert all(np.shares_memory(c, flat) for c in chunks)
+        assert all(c.nbytes <= TRACE_WRITE_CHUNK_BYTES for c in chunks)
+        joined = np.concatenate(chunks) if chunks else flat[:0]
+        assert np.array_equal(joined, flat)
+
+    def test_chunks_split_at_the_write_bound(self, monkeypatch):
+        # Slices cut the buffer every 3 addresses, across phase edges.
+        monkeypatch.setattr(artifacts, "TRACE_WRITE_CHUNK_BYTES", 24)
+        trace = make_trace([4, 6])
+        chunks, _, _ = TRACE.encode(trace, None)
+        chunks = list(chunks)
+        assert [c.size for c in chunks] == [3, 3, 3, 1]
+        assert np.array_equal(np.concatenate(chunks), trace.all_addresses())
+
     @given(sizes=st.lists(st.integers(1, 200), min_size=1, max_size=4))
     @settings(max_examples=20, deadline=None)
     def test_streamed_save_round_trips(self, sizes, tmp_path_factory):
@@ -168,36 +137,3 @@ class TestStreamedStoreWrites:
         store.save_trace("plain", trace)
         raw = np.load(store.entry_dir("plain") / TRACE_ARRAY)
         assert np.array_equal(raw, trace.all_addresses())
-
-
-class TestAppLevelParity:
-    def test_starved_budget_matches_unconstrained_run(self, monkeypatch):
-        """End to end: chunked folds under a tiny budget change nothing.
-
-        ``REPRO_WORKER_BYTES`` small enough that every bench-relevant
-        trace is over budget forces the no-flat insertion path, chunked
-        checksums, and chunked reuse folds; the armed verify oracles
-        additionally cross-check every mask and reuse fold against the
-        one-shot path inside the cache itself.
-        """
-        from repro.config import nvm_dram_testbed
-        from repro.faults.chaos import TINY_SCALE, committed_figures
-        from repro.sim.parallel import AppSpec, JobSpec, execute_job
-
-        spec = JobSpec(
-            app=AppSpec.make("PR", "twitter", scale=TINY_SCALE),
-            platform=nvm_dram_testbed(scale=512),
-            flow="cell",
-            placement="fast",
-        )
-        monkeypatch.delenv(WORKER_BYTES_ENV, raising=False)
-        reference = committed_figures(
-            execute_job(spec, trace_cache=TraceCache(store=None))
-        )
-        monkeypatch.setenv(WORKER_BYTES_ENV, "4096")
-        monkeypatch.setenv(VERIFY_ENV, "1")
-        assert worker_byte_budget() == 4096
-        starved = committed_figures(
-            execute_job(spec, trace_cache=TraceCache(store=None))
-        )
-        assert starved == reference

@@ -1,5 +1,7 @@
 """Unit tests for access-trace containers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,46 +66,94 @@ class TestAccessTrace:
         assert a.all_addresses().tolist() == [1, 2]
 
 
-class TestFlatCacheStaleness:
-    """The cached flat array is keyed on phase *identity*, not size."""
+class TestSealedTrace:
+    """``all_addresses()`` seals a trace into one owned, read-only buffer."""
 
-    def test_same_length_array_swap_invalidates(self):
-        # The regression: a phase swapping in a same-length array (the
-        # fault injector's copy-and-flip corruption) used to pass the
-        # old size-only staleness check and serve stale addresses.
+    @staticmethod
+    def three_phase_trace() -> AccessTrace:
         trace = AccessTrace()
-        trace.add(np.array([1, 2, 3]))
-        assert trace.all_addresses().tolist() == [1, 2, 3]
-        trace.phases[0].addrs = np.array([7, 8, 9], dtype=np.int64)
-        assert trace.all_addresses().tolist() == [7, 8, 9]
+        trace.add(np.array([4, 5]), label="a")
+        trace.add(np.array([6]), is_write=True, label="b")
+        trace.add(np.array([7, 8, 9]), kind=AccessKind.SEQUENTIAL, label="c")
+        return trace
 
-    def test_phase_list_growth_invalidates(self):
-        trace = AccessTrace()
-        trace.add(np.array([1]))
-        trace.all_addresses()
-        trace.phases.append(TracePhase(np.array([2])))
-        assert trace.all_addresses().tolist() == [1, 2]
+    def test_phases_are_read_only_views_of_the_buffer(self):
+        trace = self.three_phase_trace()
+        flat = trace.all_addresses()
+        assert flat.tolist() == [4, 5, 6, 7, 8, 9]
+        assert not flat.flags.writeable
+        assert isinstance(trace.phases, tuple)
+        for phase in trace.phases:
+            assert np.shares_memory(phase.addrs, flat)
+            assert not phase.addrs.flags.writeable
+        assert [p.label for p in trace] == ["a", "b", "c"]
+        assert [p.is_write for p in trace] == [False, True, False]
+        assert trace.phases[2].prefetchable
 
     def test_unchanged_phases_reuse_cached_array(self):
-        trace = AccessTrace()
-        trace.add(np.array([4, 5]))
-        trace.add(np.array([6]))
+        trace = self.three_phase_trace()
         first = trace.all_addresses()
         assert trace.all_addresses() is first
+        assert trace.seal() is first
 
-    def test_invalidate_flat_forces_rebuild(self):
-        trace = AccessTrace()
-        trace.add(np.array([1, 2]))
-        first = trace.all_addresses()
-        trace.invalidate_flat()
-        rebuilt = trace.all_addresses()
-        assert rebuilt is not first
-        assert rebuilt.tolist() == first.tolist()
-
-    def test_in_place_resize_of_phase_list_detected(self):
-        trace = AccessTrace()
-        trace.add(np.array([1, 2]))
-        trace.add(np.array([3]))
+    def test_sealed_trace_rejects_growth(self):
+        trace = self.three_phase_trace()
         trace.all_addresses()
-        del trace.phases[1]
-        assert trace.all_addresses().tolist() == [1, 2]
+        with pytest.raises(TraceError):
+            trace.add(np.array([1]))
+        with pytest.raises(TraceError):
+            trace.extend(self.three_phase_trace())
+        with pytest.raises(TypeError):
+            del trace.phases[1]
+        assert trace.all_addresses().tolist() == [4, 5, 6, 7, 8, 9]
+
+    def test_phase_addrs_cannot_be_reassigned(self):
+        trace = self.three_phase_trace()
+        trace.all_addresses()
+        with pytest.raises(AttributeError):
+            trace.phases[0].addrs = np.array([7, 8], dtype=np.int64)
+        with pytest.raises(AttributeError):
+            TracePhase(np.array([1])).addrs = np.array([2])
+
+    def test_sealing_an_extension_leaves_the_source_alone(self):
+        source = self.three_phase_trace()
+        arrays = [p.addrs for p in source.phases]
+        grown = AccessTrace()
+        grown.extend(source)
+        grown.add(np.array([10]))
+        assert grown.all_addresses().tolist() == [4, 5, 6, 7, 8, 9, 10]
+        assert isinstance(source.phases, list)
+        assert all(p.addrs is a for p, a in zip(source.phases, arrays))
+        assert all(a.flags.writeable for a in arrays)
+        assert source.all_addresses().tolist() == [4, 5, 6, 7, 8, 9]
+
+    def test_from_columnar_copies_nothing(self):
+        flat = np.arange(6, dtype=np.int64) * 8
+        trace = AccessTrace.from_columnar(flat, self.three_phase_trace().phase_records())
+        assert np.shares_memory(trace.all_addresses(), flat)
+        assert all(np.shares_memory(p.addrs, flat) for p in trace.phases)
+        assert not trace.all_addresses().flags.writeable
+        assert [len(p) for p in trace.phases] == [2, 1, 3]
+        with pytest.raises(TraceError):
+            trace.add(np.array([1]))
+
+    def test_sealing_retains_one_copy(self):
+        """Sealing grows traced memory by far less than a second copy.
+
+        The phase arrays are dropped as they are copied, so the net
+        growth stays under the largest phase (a flat copy kept beside
+        the phases would add ``8·n``).
+        """
+        sizes = (200_000, 300_000, 250_000)
+        tracemalloc.start()
+        try:
+            trace = AccessTrace()
+            for i, n in enumerate(sizes):
+                trace.add(np.arange(n, dtype=np.int64) + i)
+            before = tracemalloc.get_traced_memory()[0]
+            trace.all_addresses()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 8 * max(sizes)
+        assert trace.total_accesses == sum(sizes)

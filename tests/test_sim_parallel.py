@@ -6,7 +6,7 @@ import pytest
 
 from repro.cachebudget import TRACE_STORE_ENV
 from repro.config import nvm_dram_testbed
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.faults.chaos import committed_figures
 from repro.sim import parallel
 from repro.sim.artifacts import TRACE
@@ -18,6 +18,7 @@ from repro.sim.parallel import (
     execute_job,
     resolve_jobs,
     run_jobs,
+    worker_byte_budget,
 )
 
 #: Huge divisor -> every dataset collapses to its floor size; jobs stay tiny.
@@ -195,6 +196,25 @@ class TestResolveJobs:
     def test_floor_is_one(self):
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-4) == 1
+
+
+class TestWorkerByteBudget:
+    def test_default_is_one_gib(self, monkeypatch):
+        monkeypatch.delenv(parallel.WORKER_BYTES_ENV, raising=False)
+        assert worker_byte_budget() == parallel.DEFAULT_WORKER_BYTES == 1 << 30
+
+    def test_environment_override(self, monkeypatch):
+        monkeypatch.setenv(parallel.WORKER_BYTES_ENV, "4096")
+        assert worker_byte_budget() == 4096
+
+    def test_non_positive_falls_back_to_default(self, monkeypatch):
+        monkeypatch.setenv(parallel.WORKER_BYTES_ENV, "0")
+        assert worker_byte_budget() == parallel.DEFAULT_WORKER_BYTES
+
+    def test_non_integer_raises(self, monkeypatch):
+        monkeypatch.setenv(parallel.WORKER_BYTES_ENV, "1GiB")
+        with pytest.raises(TraceError):
+            worker_byte_budget()
 
 
 class TestSerialFallback:
