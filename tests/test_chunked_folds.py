@@ -95,7 +95,7 @@ class TestTraceChecksum:
 class TestStreamedStoreWrites:
     @given(sizes=phase_lists)
     @settings(max_examples=30, deadline=None)
-    def test_encoded_chunks_are_slices_of_the_buffer(self, sizes):
+    def test_encoded_chunks_are_zero_copy_slices(self, sizes):
         trace = make_trace(sizes)
         chunks, shape, record = TRACE.encode(trace, None)
         chunks = list(chunks)
@@ -103,6 +103,14 @@ class TestStreamedStoreWrites:
         assert shape == flat.shape and record["total"] == flat.size
         assert all(np.shares_memory(c, flat) for c in chunks)
         assert all(c.nbytes <= TRACE_WRITE_CHUNK_BYTES for c in chunks)
+
+    @given(sizes=phase_lists)
+    @settings(max_examples=30, deadline=None)
+    def test_encoded_chunks_reproduce_flat(self, sizes):
+        trace = make_trace(sizes)
+        chunks, _, _ = TRACE.encode(trace, None)
+        chunks = list(chunks)
+        flat = trace.all_addresses()
         joined = np.concatenate(chunks) if chunks else flat[:0]
         assert np.array_equal(joined, flat)
 

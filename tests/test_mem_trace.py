@@ -103,9 +103,20 @@ class TestSealedTrace:
             trace.add(np.array([1]))
         with pytest.raises(TraceError):
             trace.extend(self.three_phase_trace())
+        assert trace.total_accesses == 6
+        assert trace.all_addresses().tolist() == [4, 5, 6, 7, 8, 9]
+
+    def test_sealed_phases_cannot_be_resized_in_place(self):
+        trace = self.three_phase_trace()
+        flat = trace.all_addresses()
         with pytest.raises(TypeError):
             del trace.phases[1]
-        assert trace.all_addresses().tolist() == [4, 5, 6, 7, 8, 9]
+        with pytest.raises(TypeError):
+            trace.phases[0] = TracePhase(np.array([1]))
+        with pytest.raises(AttributeError):
+            trace.phases.append(TracePhase(np.array([1])))
+        assert len(trace.phases) == 3
+        assert trace.all_addresses() is flat
 
     def test_phase_addrs_cannot_be_reassigned(self):
         trace = self.three_phase_trace()
