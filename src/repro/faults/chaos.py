@@ -185,11 +185,6 @@ def seed_matrix() -> tuple[ChaosCase, ...]:
             kind="profile-crc",
         ),
         ChaosCase(
-            "reuse-stale-crc",
-            FaultPlan(seed=115),
-            kind="reuse-crc",
-        ),
-        ChaosCase(
             "multitenant-worker-crash",
             FaultPlan((FaultSpec(SITE_POOL_CRASH, match="mt/alice"),), seed=111),
             kind="mt-pool",
@@ -609,21 +604,17 @@ def _run_store_lease_case(
     return outcome
 
 
-def _run_artifact_crc_case(
-    case: ChaosCase, platform: PlatformConfig, kind: str
-) -> ChaosOutcome:
-    """A stored ``profile`` or ``reuse`` artifact rots on disk.
+def _run_profile_crc_case(case: ChaosCase, platform: PlatformConfig) -> ChaosOutcome:
+    """A stored miss ``profile`` artifact rots on disk.
 
     Unlike the torn-write case (which injects during the commit), this
-    flips bytes in the committed ``<kind>-*.npy`` files directly — the
+    flips bytes in the committed ``profile-*.npy`` files directly — the
     bit-rot scenario where the sidecar still parses but the CRC no
     longer matches.  A fresh store view must reject the artifact,
     rebuild it from the (intact) trace and hit mask, re-save it, and
     produce identical figures; a second fresh view then proves the
-    re-saved artifact loads clean.  For ``reuse`` the stored hit masks
-    are also removed before each read (as a budget eviction would), so
-    the reader is forced through the reuse-derive path.  ``fired``
-    counts the files corrupted, since no injector site is involved.
+    re-saved artifact loads clean.  ``fired`` counts the files
+    corrupted, since no injector site is involved.
     """
     outcome = ChaosOutcome(case=case.name)
     spec = JobSpec(
@@ -633,18 +624,15 @@ def _run_artifact_crc_case(
     outcome.reference = reference
 
     def fresh_read(root: Path) -> tuple[TraceStore, dict]:
-        if kind == "reuse":
-            for path in sorted(root.rglob("mask-*")):
-                path.unlink()
         store = TraceStore(root)
         result = execute_job(spec, trace_cache=TraceCache(store=store))
         return store, committed_figures(result)
 
-    with tempfile.TemporaryDirectory(prefix=f"chaos-{kind}-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="chaos-profile-") as tmp:
         root = Path(tmp)
         execute_job(spec, trace_cache=TraceCache(store=TraceStore(root)))
         corrupted = 0
-        for path in sorted(root.rglob(f"{kind}-*.npy")):
+        for path in sorted(root.rglob("profile-*.npy")):
             blob = bytearray(path.read_bytes())
             if not blob:
                 continue
@@ -658,8 +646,8 @@ def _run_artifact_crc_case(
     outcome.identical = figures_identical(
         outcome.figures, reference
     ) and figures_identical(second_figures, reference)
-    saves = getattr(reader.stats, f"{kind}_saves")
-    loads = getattr(second.stats, f"{kind}_loads")
+    saves = reader.stats.profile_saves
+    loads = second.stats.profile_loads
     outcome.consistent = (
         reader.stats.rejects >= 1
         and saves >= 1
@@ -667,7 +655,7 @@ def _run_artifact_crc_case(
         and loads >= 1
     )
     outcome.detail = (
-        f"{reader.stats.rejects} stale {kind} artifact(s) rejected, "
+        f"{reader.stats.rejects} stale profile artifact(s) rejected, "
         "rebuilt, and re-served from the store"
         if outcome.consistent
         else (
@@ -1250,8 +1238,8 @@ def run_case(
         return _run_store_case(case, platform)
     if case.kind == "store-lease":
         return _run_store_lease_case(case, platform)
-    if case.kind in ("profile-crc", "reuse-crc"):
-        return _run_artifact_crc_case(case, platform, case.kind[: -len("-crc")])
+    if case.kind == "profile-crc":
+        return _run_profile_crc_case(case, platform)
     if case.kind == "mt":
         return _run_mt_case(case, platform)
     if case.kind == "mt-squeeze":

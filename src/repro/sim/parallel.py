@@ -35,15 +35,14 @@ The pool is **cache-aware**: before fanning out it derives a dispatch
 plan from the jobs' trace keys and the persistent trace store
 (:mod:`repro.sim.tracestore`).  Store-cold keys are **primed** first:
 one worker stage per key builds the trace, saves it to the store, and
-derives the hit mask and page profile from it, so the key's cells
-dispatch store-warm.  Priming concurrency is **admission-clamped** to
-the CPUs this process may run on and to the worker memory budget
-(``REPRO_WORKER_BYTES`` over the largest projected trace).  Priming is
-best effort: a key whose stage fails is rebuilt by its cells under the
-store's single-flight lease.  The cells then fan out
-longest-expected-first.  The parent also pre-builds every referenced
-dataset and publishes its CSR arrays as read-only shared-memory segments
-(:mod:`repro.graph.shm`), released in a ``finally`` even when workers
+derives the hit mask and page profile of every LLC geometry among the
+key's cells from one reuse fold, so the key's cells dispatch
+store-warm.  Priming concurrency is **admission-clamped** to the CPUs
+this process may run on.  Priming is best effort: a key whose stage
+fails is rebuilt by its cells under the store's single-flight lease.
+The cells then fan out longest-expected-first.  The parent also
+pre-builds every referenced dataset and publishes its CSR arrays as
+read-only shared-memory segments (:mod:`repro.graph.shm`), released in a ``finally`` even when workers
 crash.  Per-job cache telemetry (cold / warm / warm-from-store), the
 admission decision, and peak worker RSS land in :class:`PoolHealth`.
 
@@ -81,7 +80,7 @@ import numpy as np
 
 from repro.config import PlatformConfig
 from repro.core.runtime import RuntimeConfig
-from repro.errors import ConfigurationError, ReproError, TraceError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults.injector import (
     InjectedWorkerCrash,
     fault_point,
@@ -90,6 +89,7 @@ from repro.faults.injector import (
 )
 from repro.faults.plan import SITE_POOL_CRASH, SITE_POOL_EXIT, SITE_POOL_HANG
 from repro.graph import shm as graph_shm
+from repro.mem.cache import LINE_SIZE, WorkingSetCache
 from repro.obs import absorb_all, drain_all, reset_all
 from repro.obs.bus import Event, process_bus
 from repro.obs.metrics import process_metrics
@@ -120,28 +120,7 @@ JOB_BACKOFF_ENV = "REPRO_JOB_BACKOFF"
 #: How long an injected ``pool.hang`` sleeps when the spec has no param.
 DEFAULT_HANG_SECONDS = 30.0
 
-#: Resident bytes one priming worker may spend on its trace and fold
-#: state; the cold plan divides it by the largest projected trace to
-#: clamp priming concurrency.
-WORKER_BYTES_ENV = "REPRO_WORKER_BYTES"
-DEFAULT_WORKER_BYTES = 1 << 30
-
 FLOWS = ("static", "atmem", "coarse", "cell", "multitenant")
-
-
-def worker_byte_budget() -> int:
-    """The per-worker trace-memory budget in bytes (env-tunable)."""
-    raw = os.environ.get(WORKER_BYTES_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise TraceError(
-                f"{WORKER_BYTES_ENV} must be an integer byte count, got {raw!r}"
-            ) from None
-        if value > 0:
-            return value
-    return DEFAULT_WORKER_BYTES
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -641,9 +620,8 @@ def _emit_worker_rss() -> None:
     """Buffer this process's peak RSS for the parent's health accounting.
 
     The amount rides the obs blob home as a ``pool.worker_rss`` event and
-    max-folds into :attr:`PoolHealth.max_worker_rss_bytes`, the number to
-    hold against the ``REPRO_WORKER_BYTES`` budget the priming clamp
-    assumes.  ``ru_maxrss`` is kilobytes on Linux and bytes on macOS.
+    max-folds into :attr:`PoolHealth.max_worker_rss_bytes`.  ``ru_maxrss``
+    is kilobytes on Linux and bytes on macOS.
     """
     try:
         import resource
@@ -659,7 +637,7 @@ def _emit_worker_rss() -> None:
 
 
 def _registered_app(spec: JobSpec):
-    """The spec's app, registered on a throwaway runtime, plus its system.
+    """The spec's app, registered on a throwaway runtime.
 
     ``run_once`` requires registration first (virtual addresses are
     assigned in registration order).  Placement does not affect trace
@@ -673,31 +651,41 @@ def _registered_app(spec: JobSpec):
     runtime.default_tier = system.slow_tier
     app = spec.app()
     app.register(runtime)
-    return app, system
+    return app
 
 
-def prime_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> None:
+def prime_artifacts(
+    spec: JobSpec,
+    geometries: Sequence[tuple[int, int]],
+    cache: TraceCache | None = None,
+) -> None:
     """Prime one store-cold key: build its trace and fold its artifacts.
 
-    Four steps in one process: build the trace; save it to the store
-    whatever the write policy says, because the key's cells run in other
-    processes; derive the LLC hit mask (folding the reuse profile on the
-    way); derive the page miss profile.  The cache persists the derived
-    artifacts under the write policy, so the key's cells dispatch
-    store-warm afterwards.
+    One process builds the trace and saves it to the store whatever the
+    write policy says, because the key's cells run in other processes.
+    It then derives the LLC hit mask and the page miss profile of every
+    ``(size_bytes, line_size)`` geometry in ``geometries`` (those of the
+    key's cells).  The masks share the reuse profile the cache memoises
+    with the trace, so a key folds once however many geometries its
+    cells use (unless ``REPRO_TRACE_CACHE=0`` turns memoisation off).
+    The cache persists masks and profiles under the write policy, so
+    the key's cells dispatch store-warm afterwards.
     """
     cache = process_trace_cache() if cache is None else cache
     key = spec.trace_key()
-    app, system = _registered_app(spec)
-    trace = cache.trace(key, app.run_once)
+    trace = cache.trace(key, _registered_app(spec).run_once)
     store = cache.store
     if store is not None and not store.has(TRACE, key):
         store.save_trace(key, trace)
-    hits = cache.hit_mask(key, system.llc, trace)
-    cache.profile(key, system.llc, trace, hits)
+    for size_bytes, line_size in geometries:
+        llc = WorkingSetCache(size_bytes, line_size=line_size)
+        hits = cache.hit_mask(key, llc, trace)
+        cache.profile(key, llc, trace, hits)
 
 
-def _stage_entry(spec: JobSpec, attempt: int = 0):
+def _stage_entry(
+    spec: JobSpec, geometries: Sequence[tuple[int, int]], attempt: int = 0
+):
     """Worker-side wrapper for one key's priming (mirrors ``_pool_entry``).
 
     Same obs contract — reset at entry, drain into the payload — and the
@@ -714,7 +702,7 @@ def _stage_entry(spec: JobSpec, attempt: int = 0):
                 tag=spec.tag or spec.flow,
                 attempt=attempt,
             ):
-                prime_artifacts(spec)
+                prime_artifacts(spec, geometries)
             _emit_worker_rss()
             return ("ok", None, drain_all())
     except Exception as exc:  # noqa: BLE001 — reported best-effort in parent
@@ -730,6 +718,9 @@ class _ColdPlan:
 
     #: One representative (heaviest) job per store-cold trace key.
     jobs_by_key: dict
+    #: Sorted LLC ``(size_bytes, line_size)`` geometries of each cold
+    #: key's cells: the prime derives a mask and profile for each.
+    geometries: dict
     #: Priming concurrency after the admission clamp.
     admitted: int
 
@@ -893,47 +884,48 @@ class ExperimentPool:
 
         A prime holds a whole trace plus its fold state resident, so
         admitted concurrency is clamped to the usable CPUs
-        (:func:`pool_cpus`) and to the worker memory budget
-        (``REPRO_WORKER_BYTES`` over the largest projected trace).  The
-        clamp governs only priming — cell dispatch keeps the full worker
-        count, because warm cells stream artifacts from the store instead
-        of materialising them.
+        (:func:`pool_cpus`).  The clamp governs only priming — cell
+        dispatch keeps the full worker count, because warm cells stream
+        artifacts from the store instead of materialising them.
+
+        Each cold key also records the LLC geometry of every one of its
+        cells (a Fig. 5 and a Fig. 6 cell share a trace but not an LLC),
+        read from the platform config: building a memory system here
+        would grow the parent every worker forks from.
         """
         store = process_trace_store()
         if store is None:
             return None
         ordered = sorted(jobs, key=lambda j: (-j.spec.expected_cost(), j.index))
         cold: dict = {}
+        geometries: dict = {}
         for job in ordered:
             spec = job.spec
             if spec.app is None:
                 continue
             key = spec.trace_key()
-            if key in cold or store.has_entry(key):
-                continue
-            cold[key] = job
+            if key not in cold:
+                if store.has_entry(key):
+                    continue
+                cold[key] = job
+                geometries[key] = set()
+            geometries[key].add((spec.platform.llc_bytes, LINE_SIZE))
         if not cold:
             return None
-        # expected_cost() is paper-edges/scale; one edge is roughly eight
-        # traced accesses of eight bytes each (validated against fig5:
-        # cost 0.73M -> a 47 MB trace), so bytes ~= cost * 64.
-        projected = max(
-            int(job.spec.app.expected_cost() * 64) for job in cold.values()
-        )
-        budget = worker_byte_budget()
-        by_budget = max(1, budget // max(1, projected))
-        admitted = max(1, min(workers, pool_cpus(), by_budget, len(cold)))
+        admitted = max(1, min(workers, pool_cpus(), len(cold)))
         self.health.cold_keys = len(cold)
         self.health.cold_admitted = admitted
         process_bus().emit(
             "pool.note",
             f"cold plan: {len(cold)} store-cold key(s), admitted "
-            f"{admitted} of {workers} worker(s) (cpus {pool_cpus()}, "
-            f"~{max(1, projected >> 20)} MiB/key, "
-            f"budget {budget >> 20} MiB)",
+            f"{admitted} of {workers} worker(s) (cpus {pool_cpus()})",
             source="pool",
         )
-        return _ColdPlan(jobs_by_key=cold, admitted=admitted)
+        return _ColdPlan(
+            jobs_by_key=cold,
+            geometries={key: tuple(sorted(g)) for key, g in geometries.items()},
+            admitted=admitted,
+        )
 
     def _prime(self, plan: _ColdPlan, workers: int, timeout: float | None) -> bool:
         """Prime every store-cold key, one worker stage per key.
@@ -947,14 +939,16 @@ class ExperimentPool:
         ``False`` means the executor could not be revived and the batch
         should fall back to the serial path.
         """
-        queue = list(plan.jobs_by_key.values())
+        queue = list(plan.jobs_by_key.items())
         pending: dict = {}
         with span("pool.prime", cat="pool", keys=len(queue), admitted=plan.admitted):
             while queue or pending:
                 while queue and len(pending) < plan.admitted:
-                    job = queue.pop(0)
+                    key, job = queue.pop(0)
                     try:
-                        future = self._executor.submit(_stage_entry, job.spec, job.attempt)
+                        future = self._executor.submit(
+                            _stage_entry, job.spec, plan.geometries[key], job.attempt
+                        )
                     except (RuntimeError, BrokenProcessPool):
                         return self._abandon_priming("prime submit failed", workers)
                     pending[future] = job

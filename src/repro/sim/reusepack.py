@@ -14,11 +14,14 @@ profile therefore holds
 - ``values``/``counts`` — the gaps' histogram: the ascending distinct
   finite gaps and how often each occurs, made by the same fold:
 
-``8·n + 16·m`` bytes for ``n`` accesses and ``m`` distinct gaps, in
-memory and in the store.  From the histogram any capacity's hit
-threshold solves with two O(m) prefix sums and a binary search
-(:func:`repro.mem.cache.window_threshold` — no sort), and the hit mask
-for any LLC geometry is one vectorised int64 compare
+``8·n + 16·m`` bytes for ``n`` accesses and ``m`` distinct gaps, held
+in memory beside the trace: the store keeps the masks and miss profiles
+derived from a profile, not the profile itself (the columnar codec
+below stays for the store's ``save_reuse``/``load_reuse``, which the
+benchmark's layer wrappers patch by name).  From the histogram any
+capacity's hit threshold solves with two O(m) prefix sums and a binary
+search (:func:`repro.mem.cache.window_threshold` — no sort), and the
+hit mask for any LLC geometry is one vectorised int64 compare
 ``gaps <= threshold``.  A whole fig9/fig10 capacity sweep derives all
 its masks from *one* fold over the trace, and miss-ratio curves come
 from a ``searchsorted`` in the histogram.

@@ -16,8 +16,11 @@ The artifact lattice is ``trace -> reuse profile -> hit mask -> miss
 profile``, one :class:`~repro.sim.artifacts.ArtifactSpec` per kind, and
 every kind is served by one get path: memory, then the persistent store,
 then a single-flight build saved when the write policy says it pays.
-The reuse profile is keyed by the **trace alone** (gaps are LLC-size-
-independent), so a capacity sweep folds once and derives every
+The reuse profile is the exception: it lives in memory only, with its
+trace, and is never saved to or loaded from the store — it is about as
+large as the trace, and the masks and miss profiles derived from it are
+what the cells read.  It is keyed by the **trace alone** (gaps are
+LLC-size-independent), so a capacity sweep folds once and derives every
 geometry's mask with one compare (``stage.mask_derive``).
 ``REPRO_VERIFY=1`` arms the parity oracles: derived masks are re-checked
 against the direct ``llc.hit_mask`` (``mask.parity_*``) and incremental
@@ -193,10 +196,10 @@ class TraceCache:
         committed artifact — or builds in-memory when the winner skipped
         persistence under the write policy.  Each artifact persists on
         its own merit: a huge trace may be skipped while its 8x-packed
-        masks are still a bargain.
+        masks are still a bargain.  Reuse profiles bypass the store.
         """
         store = self.store
-        if store is None:
+        if store is None or spec is REUSE:
             return build()[0]
         # Per-kind entry points by name: load_<kind>(key[, sub], expected)
         # and save_<kind>(key[, sub], artifact).
@@ -318,7 +321,9 @@ class TraceCache:
 
         Keyed by the **trace key and line granularity only** — reuse gaps
         are LLC-size-independent, so one profile serves every capacity of
-        a sweep (see :mod:`repro.sim.reusepack`).
+        a sweep (see :mod:`repro.sim.reusepack`).  Memory only: the
+        profile is memoised beside its cached trace and never saved to
+        or loaded from the store.
 
         ``extend_from`` names a prior key whose trace is a **prefix** of
         this one (the multi-tenant host's phase chain guarantees it): if

@@ -11,10 +11,13 @@ ArtifactSpec`:
   ``.json`` sidecar pair per artifact::
 
       <root>/<digest>/trace-v1.npy          flat int64 addresses
-      <root>/<digest>/reuse-v4-<line>.npy   int64 [n + 2m] gaps, gap histogram
       <root>/<digest>/mask-v2-<llc>.npy     np.packbits-packed hit mask
       <root>/<digest>/profile-v1-<llc>.npy  int64 [2, nnz] CSR pages/counts
       <root>/<digest>/<stem>.json           key, sub-key, CRC32, lengths
+
+  The cache keeps reuse profiles in memory only: ``save_reuse`` and
+  ``load_reuse`` (``reuse-v4-<line>.npy``) have no caller in the
+  package and stay as named entry points.
 
   The format version is part of the name: an entry written under another
   layout is never found, and is rebuilt beside it.  Arrays are plain
@@ -257,7 +260,7 @@ class TraceStore:
 
         Writes and fsyncs 4 MiB under the store root, feeds the timing
         to the policy EWMA, and deletes the file.  Costs well under a
-        second even on a saturated disk; letting a ~190 MB reuse fold
+        second even on a saturated disk; letting a ~190 MB trace
         be the blind first sample instead can cost tens of seconds of
         writeback on a shared host.  Probe failures (read-only root,
         quota) leave the policy in its admit-blind fallback.

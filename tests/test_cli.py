@@ -42,6 +42,24 @@ class TestCommands:
         assert "speedup" in out
         assert "baseline" in out
 
+    def test_run_leaves_the_tracked_metrics_snapshot_unchanged(self, capsys):
+        import os
+        from pathlib import Path
+
+        from repro.obs.metrics import METRICS_PATH_ENV
+
+        tracked = (
+            Path(__file__).resolve().parents[1]
+            / "benchmarks" / "results" / "metrics-last.json"
+        )
+        before = tracked.read_bytes() if tracked.exists() else None
+        code = main([
+            "run", "--app", "BFS", "--dataset", "pokec", "--scale", "8192",
+        ])
+        assert code == 0
+        assert (tracked.read_bytes() if tracked.exists() else None) == before
+        assert Path(os.environ[METRICS_PATH_ENV]).is_file()
+
     def test_run_mcdram_platform(self, capsys):
         code = main([
             "run", "--app", "CC", "--dataset", "pokec",

@@ -1,11 +1,14 @@
-"""The reuse-fold entry points the benchmark's layer wrappers patch by name.
+"""The entry points the benchmark's layer wrappers patch by name.
 
 ``perfbench/layers.py`` looks each traced function up in its module's
-``__dict__``: renaming one raises ``KeyError`` only in a traced
-benchmark run.  This suite arms and disarms the wrappers, drives every
-fold path once, and checks the gap fold is traced inside the fold and
-extend spans — which holds only while the folds call
-``reuse_time_gaps`` through its module-level name.
+(or class's) ``__dict__``: renaming one raises ``KeyError`` only in a
+traced benchmark run.  This suite arms and disarms the wrappers, drives
+every fold path once, and checks the gap fold is traced inside the fold
+and extend spans — which holds only while the folds call
+``reuse_time_gaps`` through its module-level name.  It also checks that
+every pool and store entry point the wrappers patch is still defined
+under its name, including the per-kind store methods the cache no
+longer calls for every kind.
 """
 
 import importlib.util
@@ -15,7 +18,8 @@ import numpy as np
 
 from repro.mem import cache as mem_cache
 from repro.mem.cache import WorkingSetCache
-from repro.sim import reusepack
+from repro.sim import parallel, reusepack
+from repro.sim.tracestore import TraceStore
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -26,6 +30,21 @@ ENTRY_POINTS = (
     (mem_cache, "reuse_time_gaps"),
     (reusepack.ReuseProfile, "extend"),
     (reusepack.ReuseProfile, "hit_mask_for"),
+)
+
+#: ``(owner, name)`` of every pool and store entry point the wrappers patch.
+POOL_AND_STORE_ENTRY_POINTS = (
+    (parallel, "execute_job"),
+    (parallel, "_stage_entry"),
+    (parallel.ExperimentPool, "run"),
+    *(
+        (TraceStore, f"{verb}_{kind}")
+        for kind in ("trace", "mask", "profile", "reuse")
+        for verb in ("save", "load")
+    ),
+    (TraceStore, "should_persist"),
+    (TraceStore, "single_flight"),
+    (TraceStore, "wait_for_lease"),
 )
 
 
@@ -64,3 +83,15 @@ def test_arm_wraps_every_fold_entry_point_and_disarm_restores_them(tmp_path):
     # One gap fold per chunk and one for the one-shot fold and the extend.
     assert parents == ["reusepack.extend"] + ["reusepack.fold"] * 4
     assert [s["name"] for s in spans].count("reusepack.derive") == 1
+
+
+def test_arm_wraps_every_pool_and_store_entry_point_by_name(tmp_path):
+    originals = [owner.__dict__[name] for owner, name in POOL_AND_STORE_ENTRY_POINTS]
+    armed = load_layers().arm(tmp_path)
+    try:
+        for (owner, name), original in zip(POOL_AND_STORE_ENTRY_POINTS, originals):
+            assert owner.__dict__[name] is not original, name
+    finally:
+        armed.disarm()
+    for (owner, name), original in zip(POOL_AND_STORE_ENTRY_POINTS, originals):
+        assert owner.__dict__[name] is original, name

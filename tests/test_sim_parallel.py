@@ -5,9 +5,12 @@ import dataclasses
 import pytest
 
 from repro.cachebudget import TRACE_STORE_ENV
-from repro.config import nvm_dram_testbed
-from repro.errors import ConfigurationError, TraceError
+from repro.config import mcdram_dram_testbed, nvm_dram_testbed
+from repro.errors import ConfigurationError
 from repro.faults.chaos import committed_figures
+from repro.mem.cache import LINE_SIZE
+from repro.obs import reset_all
+from repro.obs.metrics import process_metrics
 from repro.sim import parallel
 from repro.sim.artifacts import TRACE
 from repro.sim.parallel import (
@@ -18,7 +21,6 @@ from repro.sim.parallel import (
     execute_job,
     resolve_jobs,
     run_jobs,
-    worker_byte_budget,
 )
 
 #: Huge divisor -> every dataset collapses to its floor size; jobs stay tiny.
@@ -121,10 +123,10 @@ class TestColdPriming:
         serial = self._serial(monkeypatch, specs)
         real_prime = parallel.prime_artifacts
 
-        def flaky_prime(spec, cache=None):
+        def flaky_prime(spec, geometries, cache=None):
             if spec.app.app == "PR":
                 raise RuntimeError("injected priming failure")
-            real_prime(spec, cache)
+            real_prime(spec, geometries, cache)
 
         # Patched before the pool forks, so every worker inherits it.
         monkeypatch.setattr(parallel, "prime_artifacts", flaky_prime)
@@ -198,23 +200,82 @@ class TestResolveJobs:
         assert resolve_jobs(-4) == 1
 
 
-class TestWorkerByteBudget:
-    def test_default_is_one_gib(self, monkeypatch):
-        monkeypatch.delenv(parallel.WORKER_BYTES_ENV, raising=False)
-        assert worker_byte_budget() == parallel.DEFAULT_WORKER_BYTES == 1 << 30
+def _two_geometry_specs():
+    """Fig. 5-style and Fig. 6-style cells over the same four trace keys."""
+    return [
+        dataclasses.replace(spec, platform=testbed(scale=512), tag=f"{name}/{spec.tag}")
+        for name, testbed in (("nvm", nvm_dram_testbed), ("knl", mcdram_dram_testbed))
+        for spec in _grid_specs(testbed(scale=512))
+    ]
 
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(parallel.WORKER_BYTES_ENV, "4096")
-        assert worker_byte_budget() == 4096
 
-    def test_non_positive_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(parallel.WORKER_BYTES_ENV, "0")
-        assert worker_byte_budget() == parallel.DEFAULT_WORKER_BYTES
+class TestColdPlan:
+    """Which keys a store-armed pool primes, how many at once, for which LLCs."""
 
-    def test_non_integer_raises(self, monkeypatch):
-        monkeypatch.setenv(parallel.WORKER_BYTES_ENV, "1GiB")
-        with pytest.raises(TraceError):
-            worker_byte_budget()
+    def _jobs(self, specs):
+        return [parallel._Job(spec=spec, index=i) for i, spec in enumerate(specs)]
+
+    def test_cold_admitted(self, monkeypatch, tmp_path, platform):
+        monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
+        jobs = self._jobs(_cold_specs(platform))  # three trace keys
+        pool = ExperimentPool(4)
+        for workers, cpus, admitted in ((4, 1, 1), (4, 2, 2), (4, 8, 3), (2, 8, 2)):
+            monkeypatch.setattr(parallel, "pool_cpus", lambda cpus=cpus: cpus)
+            plan = pool._cold_plan(jobs, workers)
+            assert plan.admitted == pool.health.cold_admitted == admitted
+            assert pool.health.cold_keys == len(plan.jobs_by_key) == 3
+
+    def test_every_llc_geometry_of_a_key_is_recorded(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
+        specs = _two_geometry_specs()
+        plan = ExperimentPool(2)._cold_plan(self._jobs(specs), 2)
+        both = tuple(
+            sorted(
+                (testbed(scale=512).llc_bytes, LINE_SIZE)
+                for testbed in (nvm_dram_testbed, mcdram_dram_testbed)
+            )
+        )
+        assert len(set(both)) == 2
+        assert set(plan.geometries) == {spec.trace_key() for spec in specs}
+        assert all(g == both for g in plan.geometries.values()), plan.geometries
+
+
+class TestTwoGeometryStore:
+    """One fold per key primes both testbeds' masks; no reuse profile is stored."""
+
+    def _pass(self, specs):
+        """One 2-worker pass: pool, figures, reuse folds, stored-reuse loads."""
+        reset_all()
+        pool = ExperimentPool(2)
+        figures = [committed_figures(r) for r in pool.run(specs)]
+        if not pool.last_mode.startswith("parallel"):
+            pytest.skip("pool fell back to serial on this host")
+        metrics = process_metrics()
+        folds = metrics.timings.get("stage.reuse_build")
+        reuse_loads = metrics.counters.get("cache.store_reuse_hits", 0)
+        return pool, figures, folds.count if folds else 0, reuse_loads
+
+    def test_cold_then_warm_folds_each_key_once(self, monkeypatch, tmp_path):
+        specs = _two_geometry_specs()
+        keys = {spec.trace_key() for spec in specs}
+        root = tmp_path / "store"
+        monkeypatch.setenv(TRACE_STORE_ENV, str(root))
+        # Workers fork from this process: start them with no cached traces.
+        parallel.process_trace_cache().clear()
+        cold_pool, cold, cold_folds, _ = self._pass(specs)
+        assert cold_pool.health.cold_keys == len(keys) == 4
+        # Every cold-pass cell found both testbeds' masks and profiles
+        # already built by the primes: none had to build one itself.
+        assert cold_pool.health.cold_jobs == 0, cold_pool.health.as_dict()
+        assert cold_folds == len(keys)
+        assert not list(root.rglob("reuse-v*"))
+        warm_pool, warm, warm_folds, warm_reuse_loads = self._pass(specs)
+        assert warm_pool.health.cold_keys == 0
+        assert warm_folds == 0
+        assert warm_reuse_loads == 0
+        monkeypatch.delenv(TRACE_STORE_ENV)
+        serial = [committed_figures(r) for r in ExperimentPool(1).run(specs)]
+        assert warm == cold == serial
 
 
 class TestSerialFallback:
