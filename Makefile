@@ -33,17 +33,18 @@ perfbench:
 	  echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])' || exit 1; \
 	done
 
-# A/B of one workload: BASE (exported with git archive into a temporary
-# directory) against the working tree, in alternating untraced pairs,
-# with each end-to-end metric's medians, quartiles, pairs won and gain
-# verdict (tools/perfbench_ab.py).
+# A/B of one or more workloads (WORKLOAD="fig5-cold serve-churn"): BASE
+# (exported with git archive into a temporary directory) against the
+# working tree, in alternating untraced pairs, with each end-to-end
+# metric's medians, quartiles, pairs won, gain verdict and worse-than-
+# bound flag (tools/perfbench_ab.py).  Fails on any failed pass.
 BASE ?= HEAD~1
 WORKLOAD ?= fig5-cold
 PAIRS ?= 10
 SEED ?= 7
 
 perfbench-ab:
-	$(PYTHON) tools/perfbench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
+	$(PYTHON) tools/perfbench_ab.py --base $(BASE) $(foreach w,$(WORKLOAD),--workload $(w)) --pairs $(PAIRS) --seed $(SEED)
 
 # Fault-injection seed matrix: every injected fault must be survived
 # with results bit-identical to a fault-free run (see DESIGN.md).

@@ -18,6 +18,13 @@ own result.  This module fans those cells out across worker processes:
   spec attached.  ``max_workers=1`` (or a pool that cannot start) falls
   back to in-process serial execution of the *same* job path.
 
+The serial path is **key-grouped**: it runs the pending jobs one trace
+key at a time (keys in first-appearance order, a key's jobs in spec
+order) and releases each key from the process
+:class:`~repro.sim.tracecache.TraceCache` after its last job succeeds.
+A serial batch so holds one key's trace and artifacts at a time, and a
+key whose cells span two LLC geometries (Fig. 5 and Fig. 6) folds once.
+
 The pool is **self-healing**: each job gets a wall-clock budget
 (``REPRO_JOB_TIMEOUT`` seconds; unset disables) and a bounded retry
 budget (``REPRO_JOB_RETRIES``, default 2) with exponential backoff
@@ -1115,7 +1122,20 @@ class ExperimentPool:
             self._settle(job, payload, results, done, retries)
 
     def _run_serial(self, jobs: list[_Job], results: list, done: list[bool]) -> None:
-        """In-process execution of whatever is unfinished, with retries."""
+        """In-process execution of whatever is unfinished, one key at a time.
+
+        Pending jobs run grouped by trace key: keys in order of first
+        appearance, a key's jobs in spec order, each result still landing
+        at ``results[job.index]``.  After a key's last job succeeds the
+        key is released from the process cache, with every artifact
+        memoised beside it (:meth:`TraceCache.release`): no later job of
+        the batch reads it, and an LRU would keep it resident until
+        ``REPRO_TRACE_CACHE`` newer keys pushed it out.  So a serial batch
+        holds one key's trace, reuse profile and masks at a time, and a
+        key whose cells span both testbeds folds once, not once per
+        testbed.  Results cannot change: each job seeds its own RNG from
+        its spec, and residency only decides what is rebuilt.
+        """
         pending = [job for job in jobs if not done[job.index]]
         if not pending:
             return
@@ -1125,43 +1145,52 @@ class ExperimentPool:
         self.last_mode = "serial"
         timeout = job_timeout()
         retries = job_retries()
+        by_key: dict[tuple, list[_Job]] = {}
+        for job in pending:
+            by_key.setdefault(job.spec.trace_key(), []).append(job)
+        cache = process_trace_cache()
+        for key, group in by_key.items():
+            for job in group:
+                results[job.index] = self._serial_job(job, timeout, retries)
+                done[job.index] = True
+            cache.release(key)
+
+    def _serial_job(self, job: _Job, timeout: float | None, retries: int):
+        """Run one job in-process until it succeeds or exhausts ``retries``."""
         bus = process_bus()
         registry = process_metrics()
-        for job in pending:
-            while True:
-                try:
-                    before = _cache_snapshot()
-                    results[job.index] = self._serial_attempt(job, timeout)
-                    done[job.index] = True
-                    kind = _classify_cache_use(before, _cache_snapshot())
+        while True:
+            try:
+                before = _cache_snapshot()
+                result = self._serial_attempt(job, timeout)
+            except Exception as exc:  # noqa: BLE001 — bounded retry below
+                job.attempt += 1
+                if job.attempt > retries:
+                    raise ExperimentJobError(
+                        job.spec, type(exc).__name__, str(exc),
+                        traceback.format_exc(),
+                    ) from exc
+                if is_injected(exc):
                     bus.emit(
-                        "pool.cache_use", kind, source="pool", tag=job.spec.tag
-                    )
-                    registry.inc(f"pool.{kind}_jobs")
-                    break
-                except Exception as exc:  # noqa: BLE001 — bounded retry below
-                    job.attempt += 1
-                    if job.attempt > retries:
-                        raise ExperimentJobError(
-                            job.spec, type(exc).__name__, str(exc),
-                            traceback.format_exc(),
-                        ) from exc
-                    if is_injected(exc):
-                        bus.emit(
-                            "pool.crash",
-                            f"job {job.index} crashed serially",
-                            source="pool",
-                        )
-                        registry.inc("pool.crashes")
-                    bus.emit(
-                        "pool.retry",
-                        f"job {job.index} failed serially "
-                        f"({type(exc).__name__}); retrying as attempt {job.attempt}",
-                        amount=job.attempt,
+                        "pool.crash",
+                        f"job {job.index} crashed serially",
                         source="pool",
                     )
-                    registry.inc("pool.retries")
-                    self._backoff(job.attempt)
+                    registry.inc("pool.crashes")
+                bus.emit(
+                    "pool.retry",
+                    f"job {job.index} failed serially "
+                    f"({type(exc).__name__}); retrying as attempt {job.attempt}",
+                    amount=job.attempt,
+                    source="pool",
+                )
+                registry.inc("pool.retries")
+                self._backoff(job.attempt)
+                continue
+            kind = _classify_cache_use(before, _cache_snapshot())
+            bus.emit("pool.cache_use", kind, source="pool", tag=job.spec.tag)
+            registry.inc(f"pool.{kind}_jobs")
+            return result
 
     def _serial_attempt(self, job: _Job, timeout: float | None):
         """One in-process try, with the pool fault sites mapped to raises.

@@ -29,11 +29,13 @@ raises :class:`repro.errors.TraceError`.
 
 The cache is an LRU over traces (a trace's derived artifacts travel with
 it) because grid traces are large; ``REPRO_TRACE_CACHE`` overrides the
-bound and ``0`` disables memory caching.  With ``REPRO_TRACE_STORE`` set
-it is an in-process view over the shared on-disk
-:class:`repro.sim.tracestore.TraceStore`: store hits are read-only
-``mmap`` views shared by every worker and session, and results stay
-bit-identical — the store holds exactly the bytes a build produces.
+bound and ``0`` disables memory caching.  A caller that knows a key's
+last reader has run drops it at once with :meth:`TraceCache.release`,
+as the serial pool does after each key's last job.  With
+``REPRO_TRACE_STORE`` set it is an in-process view over the shared
+on-disk :class:`repro.sim.tracestore.TraceStore`: store hits are
+read-only ``mmap`` views shared by every worker and session, and results
+stay bit-identical — the store holds exactly the bytes a build produces.
 
 **Integrity:** while a fault injector is active, each trace inserted
 carries a CRC32 and every hit is re-verified against it — the
@@ -83,6 +85,7 @@ CACHE_COUNTERS = (
     *(f"{spec.kind}_{event}" for spec in SPECS for event in ("hits", "misses")),
     "reuse_extends",  # reuse misses served by folding only a phase delta
     "evictions",
+    "releases",  # keys dropped by their last reader (``release``)
     "corruption_discards",  # corrupt / stale entries dropped and rebuilt
     *(f"store_{spec.kind}_hits" for spec in SPECS),
 )
@@ -417,6 +420,17 @@ class TraceCache:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._traces)
+
+    def release(self, key: Hashable) -> None:
+        """Drop the trace under ``key`` and every artifact memoised with it.
+
+        For a caller that knows no later reader needs ``key`` — the
+        serial pool after a key's last job.  The memory comes back at
+        once, where the LRU would hold it until ``max_traces`` newer keys
+        pushed it out.  A no-op for a key that is not cached.
+        """
+        if self._traces.pop(key, None) is not None:
+            self.stats.bump("releases")
 
     def clear(self) -> None:
         """Drop every cached artifact (counters are kept)."""

@@ -13,6 +13,7 @@ from repro.obs import reset_all
 from repro.obs.metrics import process_metrics
 from repro.sim import parallel
 from repro.sim.artifacts import TRACE
+from repro.sim.tracecache import TraceCache
 from repro.sim.parallel import (
     AppSpec,
     ExperimentJobError,
@@ -90,6 +91,12 @@ def _cold_specs(platform):
     ]
 
 
+def _folds() -> int:
+    """Reuse folds recorded in this process's registry since the last reset."""
+    folds = process_metrics().timings.get("stage.reuse_build")
+    return folds.count if folds else 0
+
+
 class TestColdPriming:
     """A cold store-armed 2-worker pass primes each key once, then matches serial."""
 
@@ -108,10 +115,14 @@ class TestColdPriming:
     def test_store_armed_pool_matches_serial(self, monkeypatch, tmp_path, platform):
         specs = _cold_specs(platform)
         serial = self._serial(monkeypatch, specs)
+        reset_all()
         pool, figures = self._cold_pool(monkeypatch, tmp_path, specs)
         assert figures == serial
         keys = {spec.trace_key() for spec in specs}
         assert pool.health.cold_keys == len(keys) == 3, pool.health.as_dict()
+        # The serial reference released its keys, so the workers fork
+        # with a cold cache and each prime folds its key.
+        assert _folds() == len(keys)
         store = parallel.process_trace_store()
         for key in keys:
             assert store.has(TRACE, key), key
@@ -250,10 +261,8 @@ class TestTwoGeometryStore:
         figures = [committed_figures(r) for r in pool.run(specs)]
         if not pool.last_mode.startswith("parallel"):
             pytest.skip("pool fell back to serial on this host")
-        metrics = process_metrics()
-        folds = metrics.timings.get("stage.reuse_build")
-        reuse_loads = metrics.counters.get("cache.store_reuse_hits", 0)
-        return pool, figures, folds.count if folds else 0, reuse_loads
+        reuse_loads = process_metrics().counters.get("cache.store_reuse_hits", 0)
+        return pool, figures, _folds(), reuse_loads
 
     def test_cold_then_warm_folds_each_key_once(self, monkeypatch, tmp_path):
         specs = _two_geometry_specs()
@@ -276,6 +285,69 @@ class TestTwoGeometryStore:
         monkeypatch.delenv(TRACE_STORE_ENV)
         serial = [committed_figures(r) for r in ExperimentPool(1).run(specs)]
         assert warm == cold == serial
+
+
+class TestKeyGroupedSerial:
+    """A serial batch runs one trace key at a time and releases it after."""
+
+    def _batch(self, monkeypatch):
+        """Fig. 5 then Fig. 6 cells: a key's two cells are four jobs apart."""
+        monkeypatch.delenv(TRACE_STORE_ENV, raising=False)
+        specs = _two_geometry_specs()
+        keys = [spec.trace_key() for spec in specs]
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+        cache = parallel.process_trace_cache()
+        cache.clear()
+        # A one-key LRU: run in spec order, every cell would refold its key.
+        monkeypatch.setattr(cache, "max_traces", 1)
+        reset_all()
+        return specs
+
+    def test_each_key_folds_once_and_is_released(self, monkeypatch):
+        specs = self._batch(monkeypatch)
+        pool = ExperimentPool(1)
+        figures = [committed_figures(r) for r in pool.run(specs)]
+        assert pool.last_mode == "serial"
+        keys = {spec.trace_key() for spec in specs}
+        assert _folds() == len(keys) == 4
+        assert len(parallel.process_trace_cache()) == 0
+        assert process_metrics().counters["cache.releases"] == len(keys)
+        fresh = [
+            committed_figures(execute_job(spec, trace_cache=TraceCache(store=None)))
+            for spec in specs
+        ]
+        assert figures == fresh
+
+    def test_a_retried_job_releases_its_key_after_the_retry(self, monkeypatch):
+        specs = self._batch(monkeypatch)
+        monkeypatch.setenv(parallel.JOB_BACKOFF_ENV, "0")
+        flaky = specs[4]  # the knl twin: the last job of the first key
+        events = []
+        real_execute = parallel.execute_job
+        real_release = TraceCache.release
+
+        def execute_once_flaky(spec, **kwargs):
+            if spec is flaky and ("fail", spec.tag) not in events:
+                events.append(("fail", spec.tag))
+                raise RuntimeError("injected serial failure")
+            result = real_execute(spec, **kwargs)
+            events.append(("ok", spec.tag))
+            return result
+
+        def logged_release(cache, key):
+            events.append(("release", key))
+            real_release(cache, key)
+
+        monkeypatch.setattr(parallel, "execute_job", execute_once_flaky)
+        monkeypatch.setattr(TraceCache, "release", logged_release)
+        pool = ExperimentPool(1)
+        pool.run(specs)
+        assert pool.health.retries == 1
+        expected = [("ok", specs[0].tag), ("fail", flaky.tag), ("ok", flaky.tag)]
+        expected.append(("release", specs[0].trace_key()))
+        for nvm, knl in zip(specs[1:4], specs[5:]):
+            expected += [("ok", nvm.tag), ("ok", knl.tag), ("release", nvm.trace_key())]
+        assert events == expected
 
 
 class TestSerialFallback:

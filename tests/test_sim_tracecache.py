@@ -118,6 +118,44 @@ class TestTraceAccounting:
         assert cache.stats.trace_misses == 1
 
 
+    def _fill(self, cache, key, llc):
+        """Cache ``key``'s trace, reuse profile, hit mask and miss profile."""
+        trace = cache.trace(key, reuse_trace)
+        cache.profile(key, llc, trace, cache.hit_mask(key, llc, trace))
+
+    def test_release_drops_the_trace_and_all_of_its_artifacts(self):
+        cache = TraceCache(max_traces=4)
+        llc = WorkingSetCache(4096)
+        for key in ("a", "b"):
+            self._fill(cache, key, llc)
+        counters = process_metrics().counters
+        mirrored = counters.get("cache.releases", 0.0)
+        before = cache.stats.as_dict()
+        cache.release("a")
+        assert len(cache) == 1
+        assert cache.stats.releases == 1
+        assert counters["cache.releases"] == mirrored + 1
+        # Release counts itself and nothing else.
+        assert cache.stats.as_dict() == {**before, "releases": 1}
+        # "a" comes back only by rebuilding every artifact; "b" kept its own.
+        self._fill(cache, "a", llc)
+        self._fill(cache, "b", llc)
+        after = cache.stats.as_dict()
+        for kind in ("trace", "reuse", "mask", "profile"):
+            assert after[f"{kind}_misses"] == before[f"{kind}_misses"] + 1, kind
+        assert after["trace_hits"] == before["trace_hits"] + 1
+        assert after["mask_hits"] == before["mask_hits"] + 1
+        assert after["profile_hits"] == before["profile_hits"] + 1
+
+    def test_release_of_an_unknown_key_is_a_noop(self):
+        cache = TraceCache(max_traces=4)
+        cache.trace("k", lambda: addr_trace([1]))
+        before = cache.stats.as_dict()
+        cache.release("missing")
+        assert len(cache) == 1
+        assert cache.stats.as_dict() == before
+
+
 class TestReuseDerivation:
     """Working-set masks derive from one reuse profile per trace."""
 

@@ -1,11 +1,13 @@
 """The gain verdict of ``tools/perfbench_ab.py`` on synthetic samples.
 
-Only the pure :func:`verdict` is exercised; no benchmark pass is run.
+Only the pure :func:`verdict` (gain verdict and worse-than-bound flag)
+is exercised; no benchmark pass is run.
 The module is imported by file path, as ``tests/test_lint_exceptions.py``
 imports ``tools/astlint.py``.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,75 @@ class TestVerdict:
     def test_malformed_input_raises(self, base, change, better):
         with pytest.raises(ValueError):
             verdict(base, change, better)
+
+    def test_negative_bound_raises(self):
+        with pytest.raises(ValueError):
+            verdict(BASE, BASE, "lower", -0.1)
+
+
+class TestWorseThanBound:
+    """``worse``: the change's median is past the bound, as a base fraction."""
+
+    def test_regression_inside_the_bound_is_not_worse(self):
+        # +4 % on a metric with a 24 % bound.
+        summary = verdict([10.0] * 5, [10.4] * 5, "lower", 0.24)
+        assert not summary["worse"]
+        assert not summary["gain"]
+
+    def test_regression_past_the_bound_is_worse(self):
+        summary = verdict([10.0] * 5, [12.5] * 5, "lower", 0.24)
+        assert summary["worse"]
+
+    def test_exactly_at_the_bound_is_not_worse(self):
+        summary = verdict([100.0] * 4, [125.0] * 4, "lower", 0.25)
+        assert not summary["worse"]
+
+    def test_higher_is_better_metrics_are_worse_when_they_drop(self):
+        base = [1.6377] * 5
+        assert verdict(base, [1.50] * 5, "higher", 0.05)["worse"]
+        assert not verdict(base, [1.60] * 5, "higher", 0.05)["worse"]
+        assert not verdict(base, [2.00] * 5, "higher", 0.05)["worse"]
+
+    def test_a_gain_is_never_worse(self):
+        change = [777.0 + i % 3 for i in range(10)]
+        summary = verdict(BASE, change, "lower", 0.15)
+        assert summary["gain"] and not summary["worse"]
+
+    def test_the_default_bound_flags_any_regression(self):
+        assert verdict([10.0] * 3, [10.01] * 3, "lower")["worse"]
+        assert not verdict([10.0] * 3, [10.0] * 3, "lower")["worse"]
+
+    def test_medians_not_single_pairs_decide(self):
+        # One wild change sample out of five leaves the median in bound.
+        change = [10.1, 10.2, 10.0, 30.0, 10.1]
+        assert not verdict([10.0] * 5, change, "lower", 0.15)["worse"]
+
+
+class TestRace:
+    """Failed passes are counted and their pairs left out (no pass is run)."""
+
+    METRICS = [{"name": "ref_wall_s", "unit": "s", "better": "lower", "bound": 0.24}]
+
+    def _result(self, value, failed=0, correct=True):
+        return {
+            "failed": failed,
+            "correct": correct,
+            "metrics": {"ref_wall_s": {"value": value}},
+        }
+
+    def test_failed_passes_drop_their_pairs_and_are_counted(self, monkeypatch, capsys):
+        passes = iter([
+            self._result(5.0), self._result(4.0),  # pair 1: base, change
+            self._result(4.1), None,  # pair 2: change first, base crashed
+            self._result(5.1), self._result(4.2, failed=1),  # pair 3
+            self._result(4.0, correct=False), self._result(5.0),  # pair 4
+            self._result(5.2), self._result(4.1),  # pair 5
+        ])
+        monkeypatch.setattr(perfbench_ab, "run_pass", lambda *args: next(passes))
+        sides = {"base": "b", "change": "c"}
+        failed = perfbench_ab.race(sides, "fig5-cold", 5, 7, self.METRICS)
+        assert failed == 3
+        out = capsys.readouterr().out
+        samples = json.loads(out.strip().splitlines()[-1])["samples"]
+        assert samples["ref_wall_s"] == {"base": [5.0, 5.2], "change": [4.0, 4.1]}
+        assert "won 2/2" in out

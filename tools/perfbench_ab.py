@@ -3,17 +3,23 @@
 Usage (from the root of the repository, or ``make perfbench-ab``)::
 
     python tools/perfbench_ab.py --base HEAD~1 --workload fig5-cold --pairs 10
+    python tools/perfbench_ab.py --workload grids-store-2 --workload serve-churn
 
 ``--base`` is exported with ``git archive`` into a temporary directory
 (no worktree, nothing written under the repository) and the working
-tree is the change.  Each pair runs one untraced
+tree is the change.  ``--workload`` may be repeated; each workload gets
+its own pairs.  Each pair runs one untraced
 ``perfbench/run.py --seconds 1`` pass on each side, alternating which
 side goes first.  For every end-to-end metric of ``BENCHMARK.json`` the
 report gives each side's median and quartiles, the pairs the change
-won, and the verdict of the sandbox rule for claiming a gain: the
-change wins at least nine tenths of the pairs (ties count for neither
-side) and the medians differ, in the better direction, by more than
-the base's own interquartile range.
+won, the verdict of the sandbox rule for claiming a gain (the change
+wins at least nine tenths of the pairs, ties counting for neither side,
+and the medians differ, in the better direction, by more than the
+base's own interquartile range), and a ``worse`` flag when the change's
+median is worse than the base's by more than the metric's ``bound``,
+read as a fraction of the base median.  A pass that exits non-zero,
+reports a failed job or is not ``correct`` drops its pair and makes the
+command exit non-zero.
 """
 
 from __future__ import annotations
@@ -30,17 +36,24 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def verdict(base: list[float], change: list[float], better: str) -> dict:
+def verdict(
+    base: list[float], change: list[float], better: str, bound: float = 0.0
+) -> dict:
     """Summarise paired samples (``base[i]`` ran beside ``change[i]``).
 
     ``better`` is ``"lower"`` or ``"higher"``.  ``gain`` is True only when
     the change won at least 9 of every 10 pairs *and* its median beats
     the base median by more than the base's interquartile range.
+    ``worse`` is True when the change's median is worse than the base
+    median by more than ``bound`` times the base median's magnitude
+    (``bound`` 0.24 allows a 24 % regression).
     """
     if len(base) != len(change) or not base:
         raise ValueError("need the same non-zero number of samples per side")
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound!r}")
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     base_q = np.percentile(base, (25, 50, 75))
@@ -55,19 +68,27 @@ def verdict(base: list[float], change: list[float], better: str) -> dict:
         "base_iqr": iqr,
         "margin": margin,
         "gain": 10 * wins >= 9 * len(base) and margin > iqr,
+        "worse": -margin > bound * abs(float(base_q[1])),
     }
 
 
-def run_pass(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced ``--seconds 1`` pass; returns its final JSON line."""
-    out = subprocess.run(
+def run_pass(checkout: Path, workload: str, seed: int) -> dict | None:
+    """One untraced ``--seconds 1`` pass: its final JSON line, or ``None``.
+
+    ``None`` means the pass exited non-zero; its stderr tail is printed.
+    """
+    proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", "1", "--trace", "0",
         ],
-        cwd=checkout, check=True, capture_output=True, text=True,
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-5:])
+        print(f"{workload} pass in {checkout} exited {proc.returncode}:\n{tail}")
+        return None
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def export(rev: str, into: Path) -> None:
@@ -81,42 +102,72 @@ def export(rev: str, into: Path) -> None:
 
 def format_row(name: str, unit: str, summary: dict) -> str:
     b, c = summary["base"], summary["change"]
+    flags = "GAIN" if summary["gain"] else "no gain"
+    if summary["worse"]:
+        flags += ", WORSE than bound"
     return (
         f"{name:<20} {unit:<4} base {b[1]:10.4f} [{b[0]:.4f}, {b[2]:.4f}]  "
         f"change {c[1]:10.4f} [{c[0]:.4f}, {c[2]:.4f}]  "
         f"won {summary['wins']}/{summary['pairs']}  "
         f"margin {summary['margin']:+.4f} vs IQR {summary['base_iqr']:.4f}  "
-        f"{'GAIN' if summary['gain'] else 'no gain'}"
+        f"{flags}"
     )
+
+
+def race(sides: dict, workload: str, pairs: int, seed: int, metrics: list) -> int:
+    """Run ``pairs`` alternating pairs of ``workload``; print its report.
+
+    Returns the number of failed passes.  A pair with a failed pass is
+    left out of the samples.
+    """
+    samples = {m["name"]: {"base": [], "change": []} for m in metrics}
+    failed = 0
+    for pair in range(pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        results = {side: run_pass(sides[side], workload, seed) for side in order}
+        bad = [
+            side for side, result in results.items()
+            if result is None or result["failed"] or not result["correct"]
+        ]
+        failed += len(bad)
+        if not bad:
+            for name, cell in samples.items():
+                for side, result in results.items():
+                    cell[side].append(float(result["metrics"][name]["value"]))
+        state = f"failed on {', '.join(bad)}" if bad else "done"
+        print(f"{workload} pair {pair + 1}/{pairs} {state} ({order[0]} first)", flush=True)
+    print(f"{workload}, seed {seed}: {failed} failed")
+    for m in metrics:
+        cell = samples[m["name"]]
+        if cell["base"]:
+            summary = verdict(cell["base"], cell["change"], m["better"], m["bound"])
+            print(format_row(m["name"], m["unit"], summary))
+    print(json.dumps({"workload": workload, "seed": seed, "samples": samples}))
+    return failed
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD~1")
-    parser.add_argument("--workload", default="fig5-cold")
+    parser.add_argument(
+        "--workload", action="append",
+        help="a perfbench workload; repeat for several (default fig5-cold)",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    workloads = args.workload or ["fig5-cold"]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    samples = {m["name"]: {"base": [], "change": []} for m in metrics}
     failed = 0
     with tempfile.TemporaryDirectory(prefix="perfbench-ab-") as tmp:
         base_dir = Path(tmp)
         export(args.base, base_dir)
-        sides = {"base": base_dir, "change": ROOT}
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                result = run_pass(sides[side], args.workload, args.seed)
-                failed += int(result["failed"]) + (not result["correct"])
-                for name, cell in samples.items():
-                    cell[side].append(float(result["metrics"][name]["value"]))
-            print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)", flush=True)
-    print(f"{args.workload}, seed {args.seed}, base {args.base}: {failed} failed")
-    for m in metrics:
-        cell = samples[m["name"]]
-        print(format_row(m["name"], m["unit"], verdict(cell["base"], cell["change"], m["better"])))
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "samples": samples}))
+        print(f"base {args.base}, seed {args.seed}, {args.pairs} pairs per workload")
+        for workload in workloads:
+            failed += race(
+                {"base": base_dir, "change": ROOT},
+                workload, args.pairs, args.seed, metrics,
+            )
     return 1 if failed else 0
 
 
