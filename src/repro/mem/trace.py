@@ -168,6 +168,21 @@ class AccessTrace:
         """Every phase's addresses in program order (seals the trace)."""
         return self.seal()
 
+    def shifted(self, delta: int) -> "AccessTrace":
+        """A sealed copy with ``delta`` added to every address.
+
+        One pass straight from the phases into the copy's buffer, so an
+        open trace is not sealed first.  A shift that takes an address
+        below zero raises :class:`TraceError`.
+        """
+        buffer = np.empty(self.total_accesses, dtype=np.int64)
+        start = 0
+        for phase in self.phases:
+            stop = start + len(phase)
+            np.add(phase.addrs, delta, out=buffer[start:stop])
+            start = stop
+        return AccessTrace.from_columnar(buffer, self.phase_records())
+
     # ------------------------------------------------------------------
     # columnar (de)serialisation, used by repro.sim.tracestore
     # ------------------------------------------------------------------

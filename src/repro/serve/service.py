@@ -69,7 +69,7 @@ from repro.serve.requests import (
     ServiceStopped,
     TenantJob,
 )
-from repro.sim.multitenant import MultiTenantHost
+from repro.sim.multitenant import MultiTenantHost, TenantPlan
 from repro.sim.parallel import AppSpec
 
 
@@ -161,7 +161,7 @@ class PlacementService:
         self._reservations: dict[str, int] = {}
         self._qos: dict[str, QoS] = {}
         self._tenant_apps: dict[str, AppSpec] = {}
-        self._plans: dict[str, tuple] = {}
+        self._plans: dict[str, TenantPlan] = {}
         self._baselines: dict[str, object] = {}
         self._stale_results: dict[str, dict] = {}
         self._fast_capacity = 0

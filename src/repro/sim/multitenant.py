@@ -11,6 +11,18 @@ memory system (shared fast-tier allocator).  Each tenant gets its own
 ATMem runtime and its own profile/optimize cycle; placement decisions
 compete for whatever fast capacity is left when they run.  The host
 reports per-tenant speedups and the fast-memory footprint each one took.
+
+**Recipe keys, relative frames.**  A tenant's objects are consecutive,
+page-aligned bump reservations, so two admits of one recipe lay their
+objects out identically relative to the first one and differ by a single
+page-aligned shift.  Through a :attr:`MultiTenantHost.trace_cache` a
+tenant's trace is therefore keyed by its recipe and that relative layout
+(plus its phase) and cached *relative to the tenant's base* — every
+admit of the recipe, behind any neighbours, shares one trace and one
+reuse fold.  The shift moves every line by the same whole number of
+lines, so reuse gaps and hit masks are bit-identical; it only renames
+pages.  So only what reads absolute addresses is relocated: the miss
+profile (``pages + (base >> PAGE_SHIFT)``) and the miss-observer feed.
 """
 
 from __future__ import annotations
@@ -24,11 +36,14 @@ from repro.apps.base import GraphApp
 from repro.config import PlatformConfig
 from repro.core.runtime import AtMemRuntime, RuntimeConfig
 from repro.errors import ConfigurationError, ConsistencyError
-from repro.mem.address_space import PAGE_SIZE
+from repro.mem.address_space import PAGE_SHIFT, PAGE_SIZE
+from repro.mem.cache import verify_armed
 from repro.mem.trace import AccessTrace
 from repro.obs.bus import emit
-from repro.sim.executor import TraceExecutor
+from repro.obs.metrics import process_metrics
+from repro.sim.executor import MissObserver, TraceExecutor
 from repro.sim.metrics import RunCost
+from repro.sim.profilepack import TraceProfile, build_profile
 from repro.sim.tracecache import TraceCache
 
 
@@ -68,6 +83,33 @@ class _PrefixedRegistry:
         self._runtime.atmem_free(obj)
 
 
+class _RelocatedObserver:
+    """Hands a runtime the misses of a relative trace at absolute addresses."""
+
+    def __init__(self, observer: MissObserver, base: int) -> None:
+        self._observer = observer
+        self._base = base
+
+    def observe_misses(self, miss_addrs: np.ndarray) -> None:
+        self._observer.observe_misses(miss_addrs + self._base)
+
+
+@dataclass(frozen=True)
+class TenantPlan:
+    """What one tenant's profile leaves for its measure.
+
+    ``trace`` and ``hits`` are in the tenant's frame: relative to
+    ``base`` (its first reservation) when they came through the trace
+    cache, absolute with ``base`` 0 otherwise.  ``profile`` always has
+    absolute pages — a cached one is relocated by ``base`` once, here.
+    """
+
+    trace: AccessTrace
+    hits: np.ndarray
+    profile: TraceProfile
+    base: int = 0
+
+
 @dataclass
 class TenantResult:
     """Outcome for one tenant on the shared host."""
@@ -89,11 +131,11 @@ class MultiTenantHost:
 
     platform: PlatformConfig
     runtime_config: RuntimeConfig = field(default_factory=RuntimeConfig)
-    #: Optional shared cache for tenant traces / LLC hit masks.  Keys
-    #: cover the *whole admission chain* (see :meth:`_tenant_key`): a
-    #: tenant's virtual addresses depend on every registration before it,
-    #: so the same app admitted behind different neighbours gets a
-    #: different key and never shares a trace it shouldn't.
+    #: Optional shared cache for tenant traces and their artifacts.  Keys
+    #: name a tenant's recipe and relative object layout, not its
+    #: addresses (see :meth:`_tenant_frame`): one recipe admitted behind
+    #: any neighbours shares one trace, cached relative to its base.  A
+    #: tenant whose factory has no ``trace_key`` runs uncached.
     trace_cache: TraceCache | None = None
 
     def __post_init__(self) -> None:
@@ -106,27 +148,38 @@ class MultiTenantHost:
         self._phases: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def _tenant_key(self, name: str, app_factory) -> tuple | None:
-        """Content key for this tenant's trace, or ``None`` if unkeyable."""
-        key_fn = getattr(app_factory, "trace_key", None)
-        if not callable(key_fn):
+    def _tenant_frame(self, name: str) -> tuple[tuple, int] | None:
+        """The tenant's trace key and base address; ``None`` if unkeyable.
+
+        The key is ``("mt", platform, recipe, layout)``: ``layout`` holds
+        each object's ``(name, offset from base, nbytes)``, which with
+        the recipe covers everything the trace depends on once it is
+        taken relative to ``base``, the tenant's first (page-aligned)
+        reservation.
+        """
+        _, _, runtime, recipe = self.tenant(name)
+        objects = list(runtime.objects.values())
+        if recipe is None or not objects:
             return None
-        chain = tuple((t_name, t_key) for t_name, _, _, t_key in self._tenants)
-        if any(t_key is None for _, t_key in chain):
-            return None  # an unkeyable neighbour makes the layout unkeyable
-        return ("mt", self.platform.name, chain, (name, key_fn()))
+        base = min(obj.base_va for obj in objects)
+        prefix = len(name) + 1
+        layout = tuple(
+            (obj.name[prefix:], obj.base_va - base, obj.nbytes) for obj in objects
+        )
+        return ("mt", self.platform.name, recipe, layout), base
 
     def admit(self, name: str, app_factory: Callable[[], GraphApp]) -> GraphApp:
         """Register a tenant's application on the shared system."""
         if any(t[0] == name for t in self._tenants):
             raise ConfigurationError(f"tenant {name!r} already admitted")
-        key = self._tenant_key(name, app_factory)
+        key_fn = getattr(app_factory, "trace_key", None)
+        recipe = key_fn() if callable(key_fn) else None
         runtime = AtMemRuntime(
             self.system, config=self.runtime_config, platform=self.platform
         )
         app = app_factory()
         app.register(_PrefixedRegistry(runtime, name))
-        self._tenants.append((name, app, runtime, key))
+        self._tenants.append((name, app, runtime, recipe))
         return app
 
     def depart(self, name: str) -> None:
@@ -134,8 +187,8 @@ class MultiTenantHost:
 
         Every page the tenant's objects mapped goes back to its tier's
         allocator (``atmem_free`` unmaps the whole range regardless of
-        which tier each page migrated to), and the tenant disappears
-        from the admission chain.  A :meth:`check_consistency` audit
+        which tier each page migrated to), and the tenant leaves the
+        admission order.  A :meth:`check_consistency` audit
         runs afterwards so a buggy release cannot silently leak frames
         into later placements.
         """
@@ -170,18 +223,18 @@ class MultiTenantHost:
         self.optimize()
         return self.measure(plans, baselines)
 
-    def profile(self) -> tuple[dict[str, tuple], dict[str, RunCost]]:
+    def profile(self) -> tuple[dict[str, TenantPlan], dict[str, RunCost]]:
         """Phase 1: everyone profiles on the baseline placement.
 
-        Each tenant's trace and LLC hit mask are kept for the measure
-        phase: ``run_once`` is contractually idempotent and the hit mask
-        depends only on the address stream, so the measured iteration
-        reuses both instead of recomputing them.  With a
-        :attr:`trace_cache` both artifacts are fetched through it under
-        the tenant's admission-chain key.
+        Each tenant's trace, LLC hit mask and miss profile are kept for
+        the measure phase (:class:`TenantPlan`): ``run_once`` is
+        contractually idempotent and neither artifact depends on
+        placement, so the measured iteration reuses all three.  With a
+        :attr:`trace_cache` they are fetched through it under the
+        tenant's recipe key (see :meth:`profile_tenant`).
         """
         baselines: dict[str, RunCost] = {}
-        plans: dict[str, tuple] = {}
+        plans: dict[str, TenantPlan] = {}
         for name, _, _, _ in self._tenants:
             plans[name], baselines[name] = self.profile_tenant(name)
         return plans, baselines
@@ -192,7 +245,7 @@ class MultiTenantHost:
             self.optimize_tenant(name)
 
     def measure(
-        self, plans: dict[str, tuple], baselines: dict[str, RunCost]
+        self, plans: dict[str, TenantPlan], baselines: dict[str, RunCost]
     ) -> dict[str, TenantResult]:
         """Phase 3: everyone measures on the final shared placement."""
         results: dict[str, TenantResult] = {}
@@ -252,54 +305,99 @@ class MultiTenantHost:
         return key + (("phase", phase),)
 
     @staticmethod
-    def _phase_trace(app: GraphApp, phase: int) -> AccessTrace:
-        """The cumulative stream through ``phase`` runs past the first."""
-        trace = app.run_once()
-        if phase == 0:
-            return trace
+    def _phase_trace(
+        app: GraphApp,
+        phase: int,
+        *,
+        origin: int = 0,
+        prev: AccessTrace | None = None,
+    ) -> AccessTrace:
+        """The cumulative stream through ``phase`` runs past the first.
+
+        Addresses are taken relative to ``origin``.  ``prev``, phase
+        ``phase - 1``'s trace in the same frame, saves all but one run.
+        """
+
+        def run() -> AccessTrace:
+            trace = app.run_once()
+            return trace.shifted(-origin) if origin else trace
+
+        parts = [prev] if prev is not None else [run() for _ in range(phase)]
+        parts.append(run())
+        if len(parts) == 1:
+            return parts[0]
         full = AccessTrace()
-        full.extend(trace)
-        for _ in range(phase):
-            full.extend(app.run_once())
+        for part in parts:
+            full.extend(part)
         return full
 
-    def profile_tenant(self, name: str) -> tuple[tuple, RunCost]:
+    def profile_tenant(self, name: str) -> tuple[TenantPlan, RunCost]:
         """Profile one tenant on its current placement; returns (plan, baseline).
 
-        After a :meth:`phase_change` the profiled stream is the phase's
-        cumulative trace under a phase-suffixed key, and the previous
-        phase's reuse profile (if still cached) is extended over the
-        delta only — ``stage.reuse_extend`` instead of a whole-stream
-        ``stage.reuse_build``.
+        With a :attr:`trace_cache` the trace, hit mask and miss profile
+        are cached under the tenant's recipe key in its relative frame
+        (:meth:`_tenant_frame`), and only the miss profile and the
+        observer feed are relocated to this tenant's base.  After a
+        :meth:`phase_change` the stream is the phase's cumulative trace
+        under a phase-suffixed key: it is built from the cached previous
+        phase plus one run, and that phase's reuse profile (if still
+        cached) is extended over the delta only — ``stage.reuse_extend``
+        instead of a whole-stream ``stage.reuse_build``.
         """
-        _, app, runtime, key = self.tenant(name)
+        _, app, runtime, _ = self.tenant(name)
         phase = self._phases.get(name, 0)
-        pkey = self._phase_key(key, phase)
+        frame = self._tenant_frame(name) if self.trace_cache is not None else None
         runtime.atmem_profiling_start()
-        if self.trace_cache is not None and pkey is not None:
-            trace = self.trace_cache.trace(
-                pkey, lambda: self._phase_trace(app, phase)
-            )
-            if phase > 0:
-                # Prime the reuse profile with the previous phase named
-                # as the extension base; hit_mask then derives from it.
-                self.trace_cache.reuse_profile(
-                    pkey,
-                    trace,
-                    self.system.llc.line_size,
-                    extend_from=self._phase_key(key, phase - 1),
-                )
-            hits = self.trace_cache.hit_mask(pkey, self.system.llc, trace)
-            profile = self.trace_cache.profile(pkey, self.system.llc, trace, hits)
-        else:
+        if frame is None:
             trace = self._phase_trace(app, phase)
             hits = self.system.llc.hit_mask(trace.all_addresses())
-            profile = None
-        baseline = self.executor.run(
-            trace, miss_observer=runtime, hits=hits, profile=profile
-        )
+            plan = TenantPlan(trace, hits, build_profile(trace, hits))
+        else:
+            plan = self._cached_plan(app, phase, *frame)
+        baseline = self._execute(plan, runtime)
         runtime.atmem_profiling_stop()
-        return (trace, hits), baseline
+        return plan, baseline
+
+    def _cached_plan(
+        self, app: GraphApp, phase: int, key: tuple, base: int
+    ) -> TenantPlan:
+        """A plan from the trace cache, relocated to ``base``."""
+        cache = self.trace_cache
+        llc = self.system.llc
+        pkey = self._phase_key(key, phase)
+        prev_key = self._phase_key(key, phase - 1) if phase else None
+        trace = cache.trace(
+            pkey,
+            lambda: self._phase_trace(
+                app, phase, origin=base, prev=cache.peek(prev_key)
+            ),
+        )
+        if phase:
+            # Prime the reuse profile with the previous phase named as
+            # the extension base; hit_mask then derives from it.
+            cache.reuse_profile(pkey, trace, llc.line_size, extend_from=prev_key)
+        hits = cache.hit_mask(pkey, llc, trace)
+        profile = cache.profile(pkey, llc, trace, hits)
+        process_metrics().inc("tenant.relocations")
+        return TenantPlan(trace, hits, profile.relocated(base >> PAGE_SHIFT), base)
+
+    def _execute(
+        self, plan: TenantPlan, observer: MissObserver | None = None
+    ) -> RunCost:
+        """Price one run of ``plan``, feeding ``observer`` absolute misses.
+
+        The host's executor counts no TLB misses, so only the observer
+        reads the trace's addresses — except the ``REPRO_VERIFY`` replay
+        oracle, which gets an absolute copy of a relative trace.
+        """
+        trace, base = plan.trace, plan.base
+        if base and verify_armed():
+            trace, base = trace.shifted(base), 0
+        if observer is not None and base:
+            observer = _RelocatedObserver(observer, base)
+        return self.executor.run(
+            trace, miss_observer=observer, hits=plan.hits, profile=plan.profile
+        )
 
     def optimize_tenant(self, name: str) -> None:
         """Run one tenant's analyze-and-migrate pass against shared capacity."""
@@ -307,27 +405,24 @@ class MultiTenantHost:
         runtime.atmem_optimize()
 
     def measure_tenant(
-        self, name: str, plan: tuple, baseline: RunCost
+        self, name: str, plan: TenantPlan, baseline: RunCost
     ) -> TenantResult:
         """Measure one tenant on the current shared placement."""
-        _, _, runtime, key = self.tenant(name)
-        pkey = self._phase_key(key, self._phases.get(name, 0))
-        trace, hits = plan
-        profile = None
-        if self.trace_cache is not None and pkey is not None:
-            profile = self.trace_cache.profile(pkey, self.system.llc, trace, hits)
-        optimized = self.executor.run(trace, hits=hits, profile=profile)
+        _, _, runtime, _ = self.tenant(name)
         return TenantResult(
             name=name,
             baseline=baseline,
-            optimized=optimized,
+            optimized=self._execute(plan),
             fast_bytes=self._tenant_fast_bytes(runtime),
             data_ratio=runtime.fast_tier_ratio(),
         )
 
     @property
     def tenants(self) -> list[tuple[str, GraphApp, AtMemRuntime, tuple | None]]:
-        """The admitted tenants: ``(name, app, runtime, trace_key)``."""
+        """The admitted tenants: ``(name, app, runtime, recipe)``.
+
+        ``recipe`` is the factory's ``trace_key()`` (``None``: uncached).
+        """
         return list(self._tenants)
 
     def _tenant_fast_bytes(self, runtime: AtMemRuntime) -> int:

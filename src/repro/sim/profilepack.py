@@ -29,7 +29,7 @@ profile — the same sharing contract as hit masks in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,6 +88,15 @@ class TraceProfile:
             np.cumsum(self.counts, out=prefix[1:])
             self._phase_misses = prefix[self.row_ptr[1:]] - prefix[self.row_ptr[:-1]]
         return self._phase_misses
+
+    def relocated(self, page_shift: int) -> "TraceProfile":
+        """This profile with every page moved by ``page_shift`` pages.
+
+        The profile of a trace shifted by ``page_shift << PAGE_SHIFT``
+        bytes under the same hit mask: misses land on renamed pages, and
+        nothing else changes.  O(nnz); the other columns are shared.
+        """
+        return replace(self, pages=self.pages + page_shift)
 
     def matches(self, trace: AccessTrace) -> bool:
         """Whether this profile describes ``trace`` (shape-level check).

@@ -288,6 +288,15 @@ class TraceCache:
             self.stats.bump("evictions")
         return trace
 
+    def peek(self, key: Hashable) -> AccessTrace | None:
+        """The trace under ``key`` if it is in memory, else ``None``.
+
+        Builds and loads nothing and counts no hit or miss: for a
+        builder that can start from a related key's trace, as a tenant's
+        phase k starts from its phase k-1.
+        """
+        return self._verified(key)
+
     def hit_mask(
         self, key: Hashable, llc: WorkingSetCache, trace: AccessTrace
     ) -> np.ndarray:

@@ -90,6 +90,19 @@ class TestSealedTrace:
         assert [p.is_write for p in trace] == [False, True, False]
         assert trace.phases[2].prefetchable
 
+    def test_shifted_copy_is_sealed_and_leaves_the_original_open(self):
+        trace = self.three_phase_trace()
+        moved = trace.shifted(100)
+        assert moved.all_addresses().tolist() == [104, 105, 106, 107, 108, 109]
+        assert not moved.all_addresses().flags.writeable
+        assert moved.phase_records() == trace.phase_records()
+        trace.add(np.array([1]))  # the original was not sealed
+        assert moved.shifted(-100).all_addresses().tolist() == [4, 5, 6, 7, 8, 9]
+
+    def test_shift_below_zero_rejected(self):
+        with pytest.raises(TraceError):
+            self.three_phase_trace().shifted(-5)
+
     def test_unchanged_phases_reuse_cached_array(self):
         trace = self.three_phase_trace()
         first = trace.all_addresses()

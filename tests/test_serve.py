@@ -41,6 +41,7 @@ from repro.serve import (
     serve_trace,
 )
 from repro.sim.parallel import AppSpec
+from repro.sim.tracecache import TraceCache
 
 TINY = 1 << 20  # datasets collapse to their floor size: fast tests
 
@@ -397,24 +398,25 @@ class TestCircuitBreaker:
 
 
 class TestJournalRecovery:
+    @staticmethod
+    def _table(report) -> str:
+        return json.dumps(
+            [
+                {
+                    "name": t["name"],
+                    "app": t.get("app"),
+                    "phase": t.get("phase", 0),
+                    "placements": t["placements"],
+                }
+                for t in report["tenant_table"]
+            ],
+            sort_keys=True,
+        )
+
     def test_kill_and_recover_resumes_bit_identical(self, tmp_path):
         jobs = generate_arrivals(12, seed=23)
         platform = nvm_dram_testbed(scale=512)
-
-        def _table(report):
-            return json.dumps(
-                [
-                    {
-                        "name": t["name"],
-                        "app": t.get("app"),
-                        "phase": t.get("phase", 0),
-                        "placements": t["placements"],
-                    }
-                    for t in report["tenant_table"]
-                ],
-                sort_keys=True,
-            )
-
+        _table = self._table
         quiet = serve_trace(
             jobs,
             ServiceConfig(platform=platform, journal_root=tmp_path / "a"),
@@ -431,6 +433,28 @@ class TestJournalRecovery:
         )
         assert resumed["health"]["counters"].get("recoveries", 0) == 1
         assert _table(resumed) == _table(quiet)
+
+    def test_recovery_through_a_surviving_trace_cache(self, tmp_path):
+        """A trace cache that outlives the killed service stays exact.
+
+        The recovered service re-admits its tenants at new addresses;
+        traces cached before the kill must reach it relocated.
+        """
+        # Seed 17 departs a tenant before the kill, so the recovered
+        # layout differs from the one the cached traces were built on.
+        jobs, kill = generate_arrivals(16, seed=17), 10
+        platform = nvm_dram_testbed(scale=512)
+        quiet = serve_trace(
+            jobs, ServiceConfig(platform=platform, journal_root=tmp_path / "a")
+        )
+        cache = TraceCache(store=None)
+        config = ServiceConfig(platform=platform, journal_root=tmp_path / "b")
+        partial = serve_trace(jobs, config, kill_after=kill, trace_cache=cache)
+        assert partial["killed"]
+        resumed = serve_trace(jobs[kill:], config, trace_cache=cache)
+        assert resumed["health"]["counters"].get("recoveries", 0) == 1
+        assert cache.stats.trace_hits > 0
+        assert self._table(resumed) == self._table(quiet)
 
     def test_torn_journal_line_recovers_valid_prefix(self, tmp_path):
         journal = ServiceJournal(tmp_path)

@@ -7,7 +7,14 @@ from repro.apps import make_app
 from repro.config import mcdram_dram_testbed, nvm_dram_testbed
 from repro.errors import ConfigurationError
 from repro.graph.generators import chung_lu_graph
+from repro.mem.address_space import ARENA_BASE
+from repro.mem.cache import VERIFY_ENV
+from repro.obs.metrics import process_metrics
+from repro.serve.arrivals import DEFAULT_ROSTER
+from repro.serve.service import canonical_placements
 from repro.sim.multitenant import MultiTenantHost
+from repro.sim.parallel import AppSpec
+from repro.sim.tracecache import TraceCache
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +197,6 @@ class TestPhases:
         )
 
     def test_phase_change_profiles_extend_incrementally(self, graphs):
-        from repro.sim.tracecache import TraceCache
-
         cache = TraceCache(max_traces=8)
         host = MultiTenantHost(nvm_dram_testbed(), trace_cache=cache)
 
@@ -208,3 +213,164 @@ class TestPhases:
         host.phase_change("a")
         host.profile_tenant("a")
         assert cache.stats.reuse_extends == 2
+
+
+# ----------------------------------------------------------------------
+# recipe keys and relocation
+# ----------------------------------------------------------------------
+TINY = 1 << 20  # datasets collapse to their floor size
+ROSTER = tuple(AppSpec.make(app, data, scale=TINY) for app, data in DEFAULT_ROSTER)
+
+
+def _counter(name: str) -> float:
+    return process_metrics().counters.get(name, 0.0)
+
+
+class _Recorded:
+    """One tenant's observable outcome on a host, for bit-exact comparison."""
+
+    def __init__(self, host, name, *, phases=0):
+        _, _, runtime, _ = host.tenant(name)
+        observed = []
+        runtime.observe_misses = lambda addrs, real=runtime.observe_misses: (
+            observed.append(np.array(addrs)), real(addrs)
+        )
+        for _ in range(phases):
+            host.phase_change(name)
+        plan, self.baseline = host.profile_tenant(name)
+        del runtime.observe_misses
+        host.optimize_tenant(name)
+        self.result = host.measure_tenant(name, plan, self.baseline)
+        self.placements = canonical_placements(
+            runtime, host.system, prefix=f"{name}/"
+        )
+        self.misses = np.concatenate(observed)
+        self.objects = [
+            (obj.base_va, obj.end_va) for obj in runtime.objects.values()
+        ]
+
+    def assert_equals(self, other: "_Recorded") -> None:
+        assert self.baseline == other.baseline
+        assert self.result == other.result
+        assert self.placements == other.placements
+        np.testing.assert_array_equal(self.misses, other.misses)
+
+    def misses_inside_objects(self) -> bool:
+        inside = np.zeros(self.misses.size, dtype=bool)
+        for lo, hi in self.objects:
+            inside |= (self.misses >= lo) & (self.misses < hi)
+        return bool(inside.all())
+
+
+class TestRecipeKeys:
+    """Tenant traces keyed by recipe, cached relative and relocated on admit."""
+
+    def test_readmitted_tenant_is_fed_its_own_addresses(self):
+        """A departed and re-admitted tenant must not see the old layout."""
+        platform = nvm_dram_testbed(scale=512)
+        bfs = ROSTER[1]
+        cached = MultiTenantHost(platform, trace_cache=TraceCache(store=None))
+        plain = MultiTenantHost(platform)
+        for host in (cached, plain):
+            host.admit("t00", bfs)
+            _Recorded(host, "t00")
+            host.depart("t00")
+            host.admit("t00", bfs)
+        _, _, runtime, _ = cached.tenant("t00")
+        first = min(obj.base_va for obj in runtime.objects.values())
+        assert first > ARENA_BASE  # the second admit really moved
+        again, reference = _Recorded(cached, "t00"), _Recorded(plain, "t00")
+        assert again.misses_inside_objects()
+        again.assert_equals(reference)
+
+    def test_relocated_runs_match_an_uncached_host(self):
+        """Every recipe behind 0, 1 and 2 neighbours, and after a departure."""
+        platform = nvm_dram_testbed(scale=512)
+        cache = TraceCache(store=None)
+        relocations = _counter("tenant.relocations")
+        admitted = 0
+        for rotation in range(len(ROSTER)):
+            order = ROSTER[rotation:] + ROSTER[:rotation]
+            cached = MultiTenantHost(platform, trace_cache=cache)
+            plain = MultiTenantHost(platform)
+            steps = [(f"t{i}", spec) for i, spec in enumerate(order)]
+            steps.append(("again", order[0]))  # re-admit after t0 departs
+            for name, spec in steps:
+                if name == "again":
+                    cached.depart("t0")
+                    plain.depart("t0")
+                cached.admit(name, spec)
+                plain.admit(name, spec)
+                mine, reference = _Recorded(cached, name), _Recorded(plain, name)
+                assert mine.misses_inside_objects()
+                mine.assert_equals(reference)
+                admitted += 1
+        # One trace and one fold per recipe; every other admit relocated.
+        assert cache.stats.trace_misses == len(ROSTER)
+        assert cache.stats.reuse_misses == len(ROSTER)
+        assert _counter("tenant.relocations") - relocations == admitted
+
+    def test_phase_chain_passes_every_parity_oracle(self, monkeypatch):
+        monkeypatch.setenv(VERIFY_ENV, "1")
+        names = ("mask", "reuse", "pricing")
+        before = {
+            n: (_counter(f"{n}.parity_checks"), _counter(f"{n}.parity_failures"))
+            for n in names
+        }
+        platform = nvm_dram_testbed(scale=512)
+        cached = MultiTenantHost(platform, trace_cache=TraceCache(store=None))
+        plain = MultiTenantHost(platform)
+        for host in (cached, plain):
+            host.admit("n", ROSTER[0])
+            host.admit("a", ROSTER[2])
+        for phases in (0, 1, 1):
+            mine = _Recorded(cached, "a", phases=phases)
+            mine.assert_equals(_Recorded(plain, "a", phases=phases))
+        for n in names:
+            checks, failures = before[n]
+            assert _counter(f"{n}.parity_checks") > checks, n
+            assert _counter(f"{n}.parity_failures") == failures, n
+
+    def test_phase_builds_from_the_cached_previous_phase(self):
+        cache = TraceCache(store=None)
+        host = MultiTenantHost(nvm_dram_testbed(scale=512), trace_cache=cache)
+        app = host.admit("a", ROSTER[0])
+        calls = []
+        real = app.run_once
+        app.run_once = lambda: (calls.append(1), real())[1]
+        host.profile_tenant("a")
+        assert len(calls) == 1
+        host.phase_change("a")
+        plan, _ = host.profile_tenant("a")
+        assert len(calls) == 2  # phase 1 = cached phase 0 + one run
+        key, base = host._tenant_frame("a")
+        full = MultiTenantHost._phase_trace(app, 1, origin=base)
+        np.testing.assert_array_equal(
+            plan.trace.all_addresses(), full.all_addresses()
+        )
+        # With phase 1 gone, phase 2 falls back to the full build.
+        cache.release(MultiTenantHost._phase_key(key, 1))
+        calls.clear()
+        host.phase_change("a")
+        host.profile_tenant("a")
+        assert len(calls) == 3
+
+    def test_unkeyable_tenant_runs_uncached_alone(self, graphs):
+        cache = TraceCache(store=None)
+        host = MultiTenantHost(nvm_dram_testbed(), trace_cache=cache)
+        host.admit("plain", lambda: make_app("PR", graphs[0]))
+        host.admit("keyed", ROSTER[0])
+        assert host._tenant_frame("plain") is None
+        host.run()
+        # The unkeyable neighbour does not stop the keyed tenant caching.
+        assert cache.stats.trace_misses == 1
+        assert len(cache) == 1
+
+    def test_key_names_recipe_and_relative_layout(self):
+        host = MultiTenantHost(nvm_dram_testbed(scale=512))
+        host.admit("x", ROSTER[0])
+        host.admit("y", ROSTER[0])
+        (kx, bx), (ky, by) = host._tenant_frame("x"), host._tenant_frame("y")
+        assert kx == ky and by > bx
+        assert kx[2] == ROSTER[0].trace_key()
+        assert kx[3][0][1] == 0  # offsets are relative to the first object

@@ -21,6 +21,7 @@ from repro.config import nvm_dram_testbed
 from repro.core.runtime import AtMemRuntime
 from repro.errors import TraceError
 from repro.graph.datasets import dataset_by_name
+from repro.mem.address_space import PAGE_SHIFT
 from repro.mem.cache import VERIFY_ENV
 from repro.mem.trace import AccessTrace
 from repro.obs.metrics import process_metrics
@@ -195,6 +196,17 @@ def pr_fixture():
     trace = app.run_once()
     hits = system.llc.hit_mask(trace.all_addresses())
     return system, runtime, trace, hits, build_profile(trace, hits)
+
+
+def test_relocated_profile_is_the_profile_of_the_shifted_trace():
+    system, _, trace, hits, profile = pr_fixture()
+    shift = 7 << PAGE_SHIFT
+    moved = profile.relocated(7)
+    direct = build_profile(trace.shifted(shift), hits)
+    for name in ("pages", "counts", "row_ptr", "phase_n"):
+        np.testing.assert_array_equal(getattr(moved, name), getattr(direct, name))
+    assert moved.labels == direct.labels
+    np.testing.assert_array_equal(profile.pages + 7, moved.pages)
 
 
 def test_profile_path_increments_profile_counter(no_replay):

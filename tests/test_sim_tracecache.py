@@ -147,6 +147,16 @@ class TestTraceAccounting:
         assert after["mask_hits"] == before["mask_hits"] + 1
         assert after["profile_hits"] == before["profile_hits"] + 1
 
+    def test_peek_neither_builds_nor_counts(self):
+        cache = TraceCache(max_traces=4)
+        assert cache.peek("k") is None
+        trace = cache.trace("k", lambda: addr_trace([1, 2]))
+        before = cache.stats.as_dict()
+        assert cache.peek("k") is trace
+        assert cache.peek("other") is None
+        assert cache.stats.as_dict() == before
+        assert len(cache) == 1
+
     def test_release_of_an_unknown_key_is_a_noop(self):
         cache = TraceCache(max_traces=4)
         cache.trace("k", lambda: addr_trace([1]))
