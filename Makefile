@@ -38,13 +38,14 @@ perfbench:
 # working tree, in alternating untraced pairs, with each end-to-end
 # metric's medians, quartiles, pairs won, gain verdict and worse-than-
 # bound flag (tools/perfbench_ab.py).  Fails on any failed pass.
+# RECORD=DIR also writes each workload's report as JSON into DIR.
 BASE ?= HEAD~1
 WORKLOAD ?= fig5-cold
 PAIRS ?= 10
 SEED ?= 7
 
 perfbench-ab:
-	$(PYTHON) tools/perfbench_ab.py --base $(BASE) $(foreach w,$(WORKLOAD),--workload $(w)) --pairs $(PAIRS) --seed $(SEED)
+	$(PYTHON) tools/perfbench_ab.py --base $(BASE) $(foreach w,$(WORKLOAD),--workload $(w)) --pairs $(PAIRS) --seed $(SEED) $(if $(RECORD),--record $(RECORD))
 
 # Fault-injection seed matrix: every injected fault must be survived
 # with results bit-identical to a fault-free run (see DESIGN.md).

@@ -71,18 +71,30 @@ class Series:
         return "\n".join(lines)
 
 
+def results_dir() -> Path:
+    """Where :func:`emit` saves artifacts, relative to the repository root."""
+    from repro.bench.workloads import DEFAULT_BENCH_SCALE, bench_scale
+
+    scale = bench_scale()
+    base = Path("benchmarks", "results")
+    return base if scale == DEFAULT_BENCH_SCALE else base / f"scale-{scale}"
+
+
 def emit(artifact: Table | Series, filename: str | None = None) -> str:
     """Print an artifact and optionally save it under benchmarks/results.
 
     Alongside the text artifact, a machine-readable JSON record is kept
     under ``benchmarks/results/json/`` (see
     :mod:`repro.bench.recorder`) so regression tooling never has to parse
-    the rendered tables.
+    the rendered tables.  The tracked records are those of the default
+    scale; a run at any other ``REPRO_BENCH_SCALE`` writes under
+    ``benchmarks/results/scale-<N>/`` instead (git-ignored), so a quick
+    small-scale reproduce never overwrites them.
     """
     text = artifact.render()
     print("\n" + text)
     if filename:
-        out_dir = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+        out_dir = Path(__file__).resolve().parents[3] / results_dir()
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / filename).write_text(text + "\n", encoding="utf-8")
         _record_json(artifact, filename.rsplit(".", 1)[0], out_dir / "json")

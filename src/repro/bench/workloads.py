@@ -41,9 +41,13 @@ APP_KWARGS = {
 }
 
 
+#: The scale the tracked ``benchmarks/results`` records were generated at.
+DEFAULT_BENCH_SCALE = 2048
+
+
 def bench_scale() -> int:
     """The input/capacity scale for benchmark runs (env-tunable)."""
-    return int(os.environ.get("REPRO_BENCH_SCALE", "2048"))
+    return int(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_BENCH_SCALE))
 
 
 def bench_platform(name: str) -> PlatformConfig:

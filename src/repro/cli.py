@@ -193,7 +193,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     import importlib
     import os
 
-    from repro.bench.report import emit
+    from repro.bench.report import emit, results_dir
     from repro.faults.plan import FAULT_PLAN_ENV, parse_plan
     from repro.sim.parallel import JOB_TIMEOUT_ENV, JOBS_ENV
 
@@ -220,7 +220,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         builder = getattr(importlib.import_module(module_name), fn_name)
         emit(builder(), f"{experiment}.txt")
     print(f"\nregenerated {len(wanted)} experiment(s); artifacts under "
-          "benchmarks/results/")
+          f"{results_dir()}/")
     return 0
 
 

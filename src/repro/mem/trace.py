@@ -10,6 +10,11 @@ Optane NVM amplifies random cache-line traffic (see
 
 Addresses are *virtual* byte addresses of the first byte of each accessed
 element.  The cache, TLB, and cost models derive line/page numbers from them.
+
+A stream that only ever grows at its end — a tenant's phase chain, and
+the reuse gaps folded over it — lives in one append-only
+:class:`ChainRow`: :func:`append_to_row` hands out each stage as a
+read-only prefix view and writes only the next delta at the row's tip.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import TraceError
+from repro.obs.metrics import process_metrics
 
 
 class AccessKind(enum.Enum):
@@ -76,21 +82,81 @@ class TracePhase:
         return int(self.addrs.size)
 
 
+class ChainRow:
+    """An append-only ``int64`` row; its used prefix is never written again.
+
+    ``buffer`` has room for ``buffer.size`` values, of which the first
+    ``used`` have been handed out as read-only views by
+    :func:`append_to_row`.  Capacity past ``used`` was never written, so
+    its pages are not resident.
+    """
+
+    __slots__ = ("buffer", "used")
+
+    def __init__(self, capacity: int) -> None:
+        self.buffer = np.empty(capacity, dtype=np.int64)
+        self.used = 0
+
+
+def append_to_row(
+    prefix: np.ndarray, row: ChainRow | None, *deltas: np.ndarray
+) -> tuple[np.ndarray, ChainRow]:
+    """``prefix`` followed by ``deltas``: a read-only view and its row.
+
+    When ``prefix`` is ``row``'s used prefix — it starts at the row and
+    its length is ``row.used`` — and the deltas fit the spare capacity,
+    they are written at the tip in place (``chain.appends``).  Any other
+    case (no row, a prefix that stops short of the tip because a longer
+    view of the row was handed out, or a full row) copies ``prefix`` into
+    a fresh row of twice the new length (``chain.copies``), so appends
+    cost amortised O(delta).  Bytes below ``row.used`` are never written:
+    every view handed out stays valid and unchanged.
+    """
+    n = prefix.size
+    total = n + sum(delta.size for delta in deltas)
+    at_tip = (
+        row is not None
+        and row.used == n
+        and total <= row.buffer.size
+        and prefix.ctypes.data == row.buffer.ctypes.data
+    )
+    if at_tip:
+        process_metrics().inc("chain.appends")
+    else:
+        row = ChainRow(2 * total)
+        row.buffer[:n] = prefix
+        process_metrics().inc("chain.copies")
+    start = n
+    for delta in deltas:
+        row.buffer[start : start + delta.size] = delta
+        start += delta.size
+    row.used = total
+    view = row.buffer[:total]
+    view.flags.writeable = False
+    return view, row
+
+
 @dataclass
 class AccessTrace:
     """An ordered sequence of :class:`TracePhase` for one application run.
 
-    A trace is built phase by phase (:meth:`add`, :meth:`extend`) and then
+    A trace is built phase by phase (:meth:`add`) and then
     **sealed** (:meth:`seal`, on the first :meth:`all_addresses`): its
     program-order addresses move into one owned ``int64`` buffer, each
     phase becomes a read-only view of it, and ``phases`` becomes a tuple.
     A sealed trace is immutable — the LLC models, the cache's checksums
     and the trace store all read that one buffer, and no second copy of
     the addresses ever exists.
+
+    A phase chain (:meth:`appended`) keeps that rule across traces: each
+    stage's buffer is a read-only prefix view of one :class:`ChainRow`
+    (``_row``), so stage k+1 adds only its delta and the stages share
+    their common prefix instead of each holding a copy of it.
     """
 
     phases: list[TracePhase] | tuple[TracePhase, ...] = field(default_factory=list)
     _buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _row: ChainRow | None = field(default=None, repr=False, compare=False)
 
     def _check_open(self) -> None:
         if self._buffer is not None:
@@ -119,15 +185,6 @@ class AccessTrace:
             )
         )
 
-    def extend(self, other: "AccessTrace") -> None:
-        """Append all phases of another trace, preserving order.
-
-        The phases are shared, not copied: sealing this trace later
-        replaces its own phase objects and leaves ``other``'s alone.
-        """
-        self._check_open()
-        self.phases.extend(other.phases)
-
     @property
     def total_accesses(self) -> int:
         """Total number of element accesses across all phases."""
@@ -137,10 +194,9 @@ class AccessTrace:
         """Move every phase into one owned buffer; returns the buffer.
 
         Each phase is copied into place and then *replaced* by a new
-        phase over a read-only view (a phase shared with another trace
-        through :meth:`extend` keeps its own array), and the original is
-        dropped right after its copy — the transient is the buffer plus
-        one phase, never two full copies.  Idempotent.
+        phase over a read-only view, and the original is dropped right
+        after its copy — the transient is the buffer plus one phase,
+        never two full copies.  Idempotent.
         """
         if self._buffer is not None:
             return self._buffer
@@ -167,6 +223,21 @@ class AccessTrace:
     def all_addresses(self) -> np.ndarray:
         """Every phase's addresses in program order (seals the trace)."""
         return self.seal()
+
+    def appended(self, other: "AccessTrace") -> "AccessTrace":
+        """A sealed trace of this trace's phases followed by ``other``'s.
+
+        Built by :func:`append_to_row` from this trace's buffer: when this
+        trace is the tip of its row (a chain's newest stage), only
+        ``other``'s addresses are written and the two traces are prefix
+        views of one row.  Seals this trace; ``other`` is only read.
+        """
+        addrs, row = append_to_row(
+            self.all_addresses(), self._row, *(p.addrs for p in other.phases)
+        )
+        return AccessTrace.from_columnar(
+            addrs, self.phase_records() + other.phase_records(), row=row
+        )
 
     def shifted(self, delta: int) -> "AccessTrace":
         """A sealed copy with ``delta`` added to every address.
@@ -201,14 +272,15 @@ class AccessTrace:
 
     @classmethod
     def from_columnar(
-        cls, flat: np.ndarray, records: list[dict]
+        cls, flat: np.ndarray, records: list[dict], *, row: ChainRow | None = None
     ) -> "AccessTrace":
         """Rebuild a trace from a flat address array plus phase records.
 
         The trace comes back sealed over ``flat`` itself: phases are
         zero-copy read-only views, so when ``flat`` is a memory-mapped
         store array the whole trace stays page-cache resident and shared
-        across processes.
+        across processes.  ``row`` is the :class:`ChainRow` ``flat`` is a
+        prefix of, if any, so :meth:`appended` can grow it in place.
         """
         buffer = np.ascontiguousarray(flat, dtype=np.int64).view()
         buffer.flags.writeable = False
@@ -231,7 +303,7 @@ class AccessTrace:
                 f"phase records cover {start} accesses but the flat array "
                 f"has {buffer.size}"
             )
-        return cls(phases=tuple(phases), _buffer=buffer)
+        return cls(phases=tuple(phases), _buffer=buffer, _row=row)
 
     def __iter__(self):
         return iter(self.phases)

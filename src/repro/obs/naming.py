@@ -22,6 +22,7 @@ import re
 #: family -> one-line owner note (kept alphabetical; lint sorts errors).
 FAMILIES: dict[str, str] = {
     "cache": "trace/profile/mask construction (repro.sim.tracecache)",
+    "chain": "append-only phase-chain rows (repro.mem.trace)",
     "executor": "simulated execution accounting (repro.sim.executor)",
     "fault": "injected-fault span markers (repro.faults)",
     "faults": "injected-fault counters (repro.faults)",

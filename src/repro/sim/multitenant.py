@@ -23,6 +23,16 @@ reuse fold.  The shift moves every line by the same whole number of
 lines, so reuse gaps and hit masks are bit-identical; it only renames
 pages.  So only what reads absolute addresses is relocated: the miss
 profile (``pages + (base >> PAGE_SHIFT)``) and the miss-observer feed.
+
+**Phase chains, one row each.**  After a :meth:`MultiTenantHost.phase_change`
+the tenant's stream is cumulative, so phase k's trace is phase k−1's
+plus one run.  Phases 1, 2, ... of a chain are read-only prefix views of
+one append-only address row, and their reuse profiles' gaps of one gap
+row (:func:`repro.mem.trace.append_to_row`): building phase k from the
+cached phase k−1 writes only the new run and its gaps.  A phase rebuilt
+from an older link (its cached copy was evicted while a plan still holds
+it) copies into a fresh row, so no view that is handed out ever changes;
+``chain.appends`` and ``chain.copies`` count the two cases.
 """
 
 from __future__ import annotations
@@ -316,20 +326,20 @@ class MultiTenantHost:
 
         Addresses are taken relative to ``origin``.  ``prev``, phase
         ``phase - 1``'s trace in the same frame, saves all but one run.
+        Each run is added with :meth:`AccessTrace.appended`, so the
+        phases of a chain from 1 on are prefix views of one append-only
+        row: phase k built from the row's tip, phase k−1, writes only its
+        own run, and phase k−1 keeps its view.
         """
 
         def run() -> AccessTrace:
             trace = app.run_once()
             return trace.shifted(-origin) if origin else trace
 
-        parts = [prev] if prev is not None else [run() for _ in range(phase)]
-        parts.append(run())
-        if len(parts) == 1:
-            return parts[0]
-        full = AccessTrace()
-        for part in parts:
-            full.extend(part)
-        return full
+        trace = prev if prev is not None else run()
+        for _ in range(1 if prev is not None else phase):
+            trace = trace.appended(run())
+        return trace
 
     def profile_tenant(self, name: str) -> tuple[TenantPlan, RunCost]:
         """Profile one tenant on its current placement; returns (plan, baseline).

@@ -58,7 +58,7 @@ from repro.mem.cache import (
     reuse_time_gaps,
     window_threshold,
 )
-from repro.mem.trace import AccessTrace
+from repro.mem.trace import AccessTrace, ChainRow, append_to_row
 
 #: Columnar layout version; part of the stored file name (repro.sim.artifacts),
 #: so a file of another version is never read.
@@ -80,7 +80,8 @@ class ReuseProfile:
     instead of refolding the whole stream.  The state is in-process
     only — it is never serialized, so store-loaded profiles answer
     :attr:`can_extend` with ``False`` and extension falls back to a
-    full refold.
+    full refold.  ``_row`` is the append-only row an extended profile's
+    ``gaps`` are a prefix view of (see :meth:`extend`).
     """
 
     gaps: np.ndarray  # int64 [n], program order; GAP_COLD = first touch
@@ -88,6 +89,7 @@ class ReuseProfile:
     counts: np.ndarray  # int64 [m], occurrences of each value
     line_size: int = LINE_SIZE
     _fold_state: LastSeen | None = field(default=None, repr=False, compare=False)
+    _row: ChainRow | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -122,6 +124,14 @@ class ReuseProfile:
         mutated (it stays cached under its own key); the result carries
         its own forwarded table so extensions chain per phase.
 
+        The gaps go into an append-only row
+        (:func:`repro.mem.trace.append_to_row`): extending the newest
+        profile of a chain writes only the delta's gaps at the row's tip,
+        and the result's ``gaps`` is a read-only prefix view shared with
+        its base.  Extending any other profile (the same base twice, or
+        an older link) copies the base's gaps into a fresh row and leaves
+        every existing view as it was.
+
         Raises :class:`TraceError` when the profile has no fold state
         (store-loaded profiles don't) — callers should check
         :attr:`can_extend` and fall back to a full refold.
@@ -137,12 +147,14 @@ class ReuseProfile:
         values, counts = add_histograms(
             (self.values, self.counts), (fold.values, fold.counts)
         )
+        gaps, row = append_to_row(self.gaps, self._row, fold.gaps)
         return ReuseProfile(
-            gaps=np.concatenate([np.asarray(self.gaps), fold.gaps]),
+            gaps=gaps,
             values=values,
             counts=counts,
             line_size=self.line_size,
             _fold_state=fold.state,
+            _row=row,
         )
 
     # ------------------------------------------------------------------

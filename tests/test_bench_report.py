@@ -1,5 +1,7 @@
 """Unit tests for benchmark report rendering."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench.report import Series, Table, emit
@@ -72,6 +74,33 @@ class TestEmit:
         assert "== t ==" in capsys.readouterr().out
         saved = tmp_path.parents[0] if False else (tmp_path / "benchmarks" / "results" / "unit.txt")
         assert saved.read_text().startswith("== t ==")
+
+    def test_emit_at_another_scale_keeps_the_default_records(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.bench.report as report_mod
+
+        monkeypatch.setattr(
+            report_mod, "__file__", str(tmp_path / "src" / "repro" / "bench" / "report.py")
+        )
+        results = tmp_path / "benchmarks" / "results"
+        t = Table(title="default", columns=["a"])
+        t.add_row(1)
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "2048")
+        emit(t, "unit.txt")
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "16384")
+        small = Table(title="small", columns=["a"])
+        small.add_row(2)
+        emit(small, "unit.txt")
+        assert (results / "unit.txt").read_text().startswith("== default ==")
+        assert (results / "scale-16384" / "unit.txt").read_text().startswith(
+            "== small =="
+        )
+        assert sorted(p.name for p in (results / "json").iterdir()) == ["unit.json"]
+        assert [p.name for p in (results / "scale-16384" / "json").iterdir()] == [
+            "unit.json"
+        ]
+        assert report_mod.results_dir() == Path("benchmarks", "results", "scale-16384")
 
     def test_emit_without_filename_only_prints(self, capsys):
         s = Series(title="s", x_label="x", y_label="y")

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.mem.trace import AccessKind, AccessTrace, TracePhase
+from repro.mem.trace import AccessKind, AccessTrace, TracePhase, append_to_row
+from repro.obs.metrics import process_metrics
+
+
+def _counter(name: str) -> float:
+    return process_metrics().counters.get(name, 0.0)
 
 
 class TestTracePhase:
@@ -57,13 +62,13 @@ class TestAccessTrace:
         assert addrs.size == 0
         assert addrs.dtype == np.int64
 
-    def test_extend(self):
+    def test_appended(self):
         a = AccessTrace()
         a.add(np.array([1]))
         b = AccessTrace()
         b.add(np.array([2]))
-        a.extend(b)
-        assert a.all_addresses().tolist() == [1, 2]
+        assert a.appended(b).all_addresses().tolist() == [1, 2]
+        assert a.all_addresses().tolist() == [1]
 
 
 class TestSealedTrace:
@@ -114,8 +119,6 @@ class TestSealedTrace:
         trace.all_addresses()
         with pytest.raises(TraceError):
             trace.add(np.array([1]))
-        with pytest.raises(TraceError):
-            trace.extend(self.three_phase_trace())
         assert trace.total_accesses == 6
         assert trace.all_addresses().tolist() == [4, 5, 6, 7, 8, 9]
 
@@ -139,13 +142,13 @@ class TestSealedTrace:
         with pytest.raises(AttributeError):
             TracePhase(np.array([1])).addrs = np.array([2])
 
-    def test_sealing_an_extension_leaves_the_source_alone(self):
+    def test_appending_leaves_the_appended_trace_open(self):
         source = self.three_phase_trace()
         arrays = [p.addrs for p in source.phases]
-        grown = AccessTrace()
-        grown.extend(source)
-        grown.add(np.array([10]))
-        assert grown.all_addresses().tolist() == [4, 5, 6, 7, 8, 9, 10]
+        head = AccessTrace()
+        head.add(np.array([10]))
+        grown = head.appended(source)
+        assert grown.all_addresses().tolist() == [10, 4, 5, 6, 7, 8, 9]
         assert isinstance(source.phases, list)
         assert all(p.addrs is a for p, a in zip(source.phases, arrays))
         assert all(a.flags.writeable for a in arrays)
@@ -181,3 +184,65 @@ class TestSealedTrace:
             tracemalloc.stop()
         assert grown < 8 * max(sizes)
         assert trace.total_accesses == sum(sizes)
+
+
+class TestChainRows:
+    """``append_to_row``: prefix views of one append-only row."""
+
+    @staticmethod
+    def chunk(start: int, n: int = 4) -> np.ndarray:
+        return np.arange(start, start + n, dtype=np.int64)
+
+    def test_returns_a_read_only_prefix_view(self):
+        view, row = append_to_row(self.chunk(0), None, self.chunk(10))
+        assert view.tolist() == [0, 1, 2, 3, 10, 11, 12, 13]
+        assert not view.flags.writeable
+        assert np.shares_memory(view, row.buffer)
+        assert row.used == view.size and row.buffer.size >= 2 * view.size
+        with pytest.raises(ValueError):
+            view[0] = 7
+
+    def test_appends_at_the_tip_in_place(self):
+        first, row = append_to_row(self.chunk(0), None, self.chunk(10))
+        appends = _counter("chain.appends")
+        second, same = append_to_row(first, row, self.chunk(20))
+        assert same is row and _counter("chain.appends") == appends + 1
+        assert np.shares_memory(first, second)
+        assert second.tolist() == first.tolist() + self.chunk(20).tolist()
+
+    def test_never_writes_below_the_used_length(self):
+        short, row = append_to_row(self.chunk(0), None, self.chunk(10))
+        longer, _ = append_to_row(short, row, self.chunk(20))
+        kept = longer.copy()
+        copies = _counter("chain.copies")
+        # ``short`` no longer ends at the tip: a different delta must not
+        # land over ``longer``'s bytes.
+        other, fresh = append_to_row(short, row, self.chunk(30))
+        assert fresh is not row and _counter("chain.copies") == copies + 1
+        np.testing.assert_array_equal(longer, kept)
+        assert other.tolist() == short.tolist() + self.chunk(30).tolist()
+        assert row.used == longer.size
+
+    def test_a_full_row_grows_into_a_fresh_one(self):
+        view, row = append_to_row(self.chunk(0), None, self.chunk(10))
+        expected = view.tolist()
+        fresh = 0
+        for start in range(20, 120, 10):
+            view, grown = append_to_row(view, row, self.chunk(start))
+            expected += self.chunk(start).tolist()
+            fresh += grown is not row
+            row = grown
+        assert view.tolist() == expected
+        assert 0 < fresh <= 3  # rows double: most appends are in place
+
+    def test_appended_traces_share_one_row(self):
+        base = TestSealedTrace.three_phase_trace()
+        first = base.appended(TestSealedTrace.three_phase_trace())
+        second = first.appended(TestSealedTrace.three_phase_trace())
+        assert np.shares_memory(first.all_addresses(), second.all_addresses())
+        assert not np.shares_memory(base.all_addresses(), first.all_addresses())
+        assert second.all_addresses().tolist() == [4, 5, 6, 7, 8, 9] * 3
+        assert second.phase_records() == base.phase_records() * 3
+        assert all(
+            np.shares_memory(p.addrs, second.all_addresses()) for p in second
+        )

@@ -374,3 +374,75 @@ class TestRecipeKeys:
         assert kx == ky and by > bx
         assert kx[2] == ROSTER[0].trace_key()
         assert kx[3][0][1] == 0  # offsets are relative to the first object
+
+
+class TestPhaseChains:
+    """A phase chain's traces and reuse gaps are prefix views of one row."""
+
+    @staticmethod
+    def chain(phases: int):
+        """A cached host with one tenant profiled at phases 0..``phases``."""
+        cache = TraceCache(store=None)
+        host = MultiTenantHost(nvm_dram_testbed(scale=512), trace_cache=cache)
+        host.admit("a", ROSTER[0])
+        key, _ = host._tenant_frame("a")
+        line_size = host.system.llc.line_size
+        stages = []
+        for phase in range(phases + 1):
+            if phase:
+                host.phase_change("a")
+            plan, _ = host.profile_tenant("a")
+            pkey = MultiTenantHost._phase_key(key, phase)
+            gaps = cache.reuse_profile(pkey, plan.trace, line_size).gaps
+            stages.append((plan, gaps))
+        return host, cache, key, stages
+
+    def test_later_phases_share_one_address_row_and_one_gap_row(self):
+        _, _, _, stages = self.chain(3)
+        addrs = [plan.trace.all_addresses() for plan, _ in stages]
+        gaps = [g for _, g in stages]
+        for rows in (addrs, gaps):
+            assert all(r.size == (k + 1) * rows[0].size for k, r in enumerate(rows))
+            assert not np.shares_memory(rows[0], rows[1])
+            assert np.shares_memory(rows[1], rows[2])
+            assert np.shares_memory(rows[1], rows[3])
+            assert not any(r.flags.writeable for r in rows[1:])
+
+    def test_rebuilt_phase_leaves_a_held_view_alone(self):
+        host, cache, key, stages = self.chain(2)
+        held, held_gaps = stages[2]
+        kept = held.trace.all_addresses().copy(), held_gaps.copy()
+        copies = _counter("chain.copies")
+        cache.release(MultiTenantHost._phase_key(key, 2))
+        rebuilt, _ = host.profile_tenant("a")  # phase 2 again, from phase 1
+        assert _counter("chain.copies") >= copies + 2  # addresses and gaps
+        fresh = rebuilt.trace.all_addresses()
+        assert not np.shares_memory(fresh, held.trace.all_addresses())
+        np.testing.assert_array_equal(held.trace.all_addresses(), kept[0])
+        np.testing.assert_array_equal(held_gaps, kept[1])
+        np.testing.assert_array_equal(fresh, kept[0])
+        np.testing.assert_array_equal(rebuilt.hits, held.hits)
+
+    def test_four_phase_chain_passes_the_parity_oracles(self, monkeypatch):
+        monkeypatch.setenv(VERIFY_ENV, "1")
+        before = {
+            n: (_counter(f"{n}.parity_checks"), _counter(f"{n}.parity_failures"))
+            for n in ("mask", "reuse")
+        }
+        appends = _counter("chain.appends")
+        self.chain(3)
+        assert _counter("chain.appends") > appends
+        for n, (checks, failures) in before.items():
+            assert _counter(f"{n}.parity_checks") > checks, n
+            assert _counter(f"{n}.parity_failures") == failures, n
+
+    def test_chain_matches_an_uncached_host(self):
+        platform = nvm_dram_testbed(scale=512)
+        cached = MultiTenantHost(platform, trace_cache=TraceCache(store=None))
+        plain = MultiTenantHost(platform)
+        for host in (cached, plain):
+            host.admit("n", ROSTER[1])
+            host.admit("a", ROSTER[0])
+        for phases in (0, 1, 1, 1):
+            mine = _Recorded(cached, "a", phases=phases)
+            mine.assert_equals(_Recorded(plain, "a", phases=phases))

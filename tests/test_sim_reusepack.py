@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.errors import TraceError
 from repro.mem.cache import GAP_COLD, LINE_SIZE, WorkingSetCache
 from repro.mem.stack_distance import COLD, lru_hit_mask, stack_distances
+from repro.obs.metrics import process_metrics
 from repro.sim.artifacts import REUSE
 from repro.sim.reusepack import (
     REUSE_FORMAT,
@@ -46,6 +47,10 @@ def mixed_trace(seed: int = 7, n: int = 20_000) -> np.ndarray:
     rng.shuffle(parts)
     return np.concatenate(parts)
 
+
+
+def _counter(name: str) -> float:
+    return process_metrics().counters.get(name, 0.0)
 
 class TestDerivability:
     def test_line_size_mismatch_raises(self):
@@ -353,6 +358,34 @@ class TestExtend:
         profile.extend(self._dense(14, 1_000))
         np.testing.assert_array_equal(profile.gaps, gaps_before)
         np.testing.assert_array_equal(profile._fold_state[1], state_before)
+
+    def test_extending_an_extension_appends_in_place(self):
+        parts = [self._dense(s, 1_200) for s in (21, 22, 23)]
+        first = build_reuse_profile(parts[0]).extend(parts[1])
+        appends = _counter("chain.appends")
+        second = first.extend(parts[2])
+        assert _counter("chain.appends") == appends + 1
+        assert np.shares_memory(first.gaps, second.gaps)
+        assert not second.gaps.flags.writeable
+        self._assert_equal(second, build_reuse_profile(np.concatenate(parts)))
+
+    def test_extending_one_base_twice_copies(self):
+        parts = [self._dense(s, 1_200) for s in (24, 25, 26, 27)]
+        base = build_reuse_profile(parts[0]).extend(parts[1])
+        first = base.extend(parts[2])
+        kept = first.gaps.copy()
+        copies = _counter("chain.copies")
+        second = base.extend(parts[3])
+        assert _counter("chain.copies") == copies + 1
+        assert not np.shares_memory(first.gaps, second.gaps)
+        np.testing.assert_array_equal(first.gaps, kept)
+        self._assert_equal(
+            first, build_reuse_profile(np.concatenate(parts[:3]))
+        )
+        self._assert_equal(
+            second,
+            build_reuse_profile(np.concatenate(parts[:2] + parts[3:])),
+        )
 
     def test_sparse_delta_drops_state_but_stays_exact(self):
         base = self._dense(15, 2_000)

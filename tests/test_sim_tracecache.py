@@ -46,10 +46,7 @@ def reuse_trace(seed=29, n=4_000) -> AccessTrace:
 def grown_trace(base: AccessTrace, seed=31, extra=1_000) -> AccessTrace:
     """``base`` plus one more phase: a prefix-extension of its stream."""
     rng = np.random.default_rng(seed)
-    grown = AccessTrace()
-    grown.extend(base)
-    grown.add(rng.integers(0, 1 << 20, size=extra))
-    return grown
+    return base.appended(addr_trace(rng.integers(0, 1 << 20, size=extra)))
 
 
 class TestTraceAccounting:

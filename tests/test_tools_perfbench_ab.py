@@ -148,3 +148,59 @@ class TestRace:
         samples = json.loads(out.strip().splitlines()[-1])["samples"]
         assert samples["ref_wall_s"] == {"base": [5.0, 5.2], "change": [4.0, 4.1]}
         assert "won 2/2" in out
+
+
+class TestRecord:
+    """``--record DIR``: one JSON report per workload (no pass is run)."""
+
+    @staticmethod
+    def _result(scale):
+        values = {
+            "setup_s": 0.4 * scale,
+            "ref_wall_s": 1.8 * scale,
+            "peak_rss_mb": 600.0 * scale,
+            "sim_speedup_geomean": 1.1175,
+        }
+        return {
+            "failed": 0,
+            "correct": True,
+            "metrics": {k: {"value": v} for k, v in values.items()},
+        }
+
+    def test_record_holds_base_host_and_verdicts(self, tmp_path, monkeypatch):
+        scales = iter([1.0, 0.6, 0.61, 1.02, 0.98, 0.62, 0.59, 1.01])
+        monkeypatch.setattr(
+            perfbench_ab, "run_pass", lambda *args: self._result(next(scales))
+        )
+        monkeypatch.setattr(perfbench_ab, "export", lambda rev, into: None)
+        out = tmp_path / "ab"
+        argv = ["--base", "HEAD", "--workload", "serve-churn", "--pairs", "4",
+                "--seed", "7", "--record", str(out)]
+        assert perfbench_ab.main(argv) == 0
+        record = json.loads((out / "serve-churn-seed7.json").read_text())
+        assert record["workload"] == "serve-churn" and record["seed"] == 7
+        assert record["base"]["rev"] == "HEAD"
+        assert record["base"]["commit"] == perfbench_ab.resolve("HEAD")
+        assert len(record["base"]["commit"]) == 40
+        assert record["pairs"] == 4 and record["failed"] == 0
+        host = record["host"]
+        assert host["nproc"] >= 1 and host["numpy"] and host["python"]
+        assert {"load1_start", "load1_end"} <= set(host)
+        rss = record["metrics"]["peak_rss_mb"]
+        assert rss["bound"] == 0.15 and rss["better"] == "lower"
+        assert rss["samples"]["base"] == pytest.approx([600.0, 612.0, 588.0, 606.0])
+        assert rss["wins"] == 4 and rss["gain"] and not rss["worse"]
+        assert len(rss["base"]) == len(rss["change"]) == 3
+        speedup = record["metrics"]["sim_speedup_geomean"]
+        assert speedup["wins"] == 0 and not speedup["gain"] and not speedup["worse"]
+        assert set(record["metrics"]) == {
+            "setup_s", "ref_wall_s", "peak_rss_mb", "sim_speedup_geomean"
+        }
+
+    def test_without_record_nothing_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(perfbench_ab, "run_pass", lambda *args: self._result(1.0))
+        monkeypatch.chdir(tmp_path)
+        metrics = [{"name": "ref_wall_s", "unit": "s", "better": "lower", "bound": 0.24}]
+        sides = {"base": "b", "change": "c"}
+        assert perfbench_ab.race(sides, "fig5-cold", 2, 7, metrics) == 0
+        assert list(tmp_path.iterdir()) == []

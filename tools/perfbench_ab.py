@@ -4,6 +4,7 @@ Usage (from the root of the repository, or ``make perfbench-ab``)::
 
     python tools/perfbench_ab.py --base HEAD~1 --workload fig5-cold --pairs 10
     python tools/perfbench_ab.py --workload grids-store-2 --workload serve-churn
+    python tools/perfbench_ab.py --base HEAD --workload serve-churn --record benchmarks/ab
 
 ``--base`` is exported with ``git archive`` into a temporary directory
 (no worktree, nothing written under the repository) and the working
@@ -20,12 +21,21 @@ median is worse than the base's by more than the metric's ``bound``,
 read as a fraction of the base median.  A pass that exits non-zero,
 reports a failed job or is not ``correct`` drops its pair and makes the
 command exit non-zero.
+
+``--record DIR`` also writes one ``<workload>-seed<seed>.json`` per
+workload into ``DIR``: the base revision, each metric's bound, samples,
+quartiles, wins, margin and verdicts, and a host fingerprint (CPUs,
+Python and NumPy versions, the one-minute load average before and after
+the pairs), so a committed A/B result can be read back and judged
+without re-running it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -114,12 +124,60 @@ def format_row(name: str, unit: str, summary: dict) -> str:
     )
 
 
-def race(sides: dict, workload: str, pairs: int, seed: int, metrics: list) -> int:
+def resolve(rev: str) -> str:
+    """The commit ``rev`` names."""
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def host_fingerprint() -> dict:
+    """What the host looks like now: CPUs, versions, one-minute load."""
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "load1": os.getloadavg()[0],
+    }
+
+
+def summarise(samples: dict, metrics: list) -> dict:
+    """Each sampled metric's unit, bound, samples and :func:`verdict`."""
+    return {
+        m["name"]: {
+            "unit": m["unit"],
+            "better": m["better"],
+            "bound": m["bound"],
+            "samples": samples[m["name"]],
+            **verdict(
+                samples[m["name"]]["base"], samples[m["name"]]["change"],
+                m["better"], m["bound"],
+            ),
+        }
+        for m in metrics
+        if samples[m["name"]]["base"]
+    }
+
+
+def race(
+    sides: dict,
+    workload: str,
+    pairs: int,
+    seed: int,
+    metrics: list,
+    *,
+    record: Path | None = None,
+    base: dict | None = None,
+) -> int:
     """Run ``pairs`` alternating pairs of ``workload``; print its report.
 
     Returns the number of failed passes.  A pair with a failed pass is
-    left out of the samples.
+    left out of the samples.  With ``record`` (a directory) the report
+    is also written there as ``<workload>-seed<seed>.json``, with
+    ``base`` (the base revision) and the host fingerprint.
     """
+    host_start = host_fingerprint()
     samples = {m["name"]: {"base": [], "change": []} for m in metrics}
     failed = 0
     for pair in range(pairs):
@@ -137,12 +195,27 @@ def race(sides: dict, workload: str, pairs: int, seed: int, metrics: list) -> in
         state = f"failed on {', '.join(bad)}" if bad else "done"
         print(f"{workload} pair {pair + 1}/{pairs} {state} ({order[0]} first)", flush=True)
     print(f"{workload}, seed {seed}: {failed} failed")
-    for m in metrics:
-        cell = samples[m["name"]]
-        if cell["base"]:
-            summary = verdict(cell["base"], cell["change"], m["better"], m["bound"])
-            print(format_row(m["name"], m["unit"], summary))
+    summaries = summarise(samples, metrics)
+    for name, summary in summaries.items():
+        print(format_row(name, summary["unit"], summary))
     print(json.dumps({"workload": workload, "seed": seed, "samples": samples}))
+    if record is not None:
+        host_end = host_fingerprint()
+        host = {k: v for k, v in host_start.items() if k != "load1"}
+        host.update(load1_start=host_start["load1"], load1_end=host_end["load1"])
+        record.mkdir(parents=True, exist_ok=True)
+        path = record / f"{workload}-seed{seed}.json"
+        body = {
+            "workload": workload,
+            "seed": seed,
+            "base": base,
+            "pairs": pairs,
+            "failed": failed,
+            "host": host,
+            "metrics": summaries,
+        }
+        path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
+        print(f"recorded {path}")
     return failed
 
 
@@ -155,10 +228,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--record", type=Path, metavar="DIR",
+        help="also write each workload's report as JSON into DIR",
+    )
     args = parser.parse_args(argv)
     workloads = args.workload or ["fig5-cold"]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     failed = 0
+    base = {"rev": args.base, "commit": resolve(args.base)}
     with tempfile.TemporaryDirectory(prefix="perfbench-ab-") as tmp:
         base_dir = Path(tmp)
         export(args.base, base_dir)
@@ -167,6 +245,7 @@ def main(argv: list[str] | None = None) -> int:
             failed += race(
                 {"base": base_dir, "change": ROOT},
                 workload, args.pairs, args.seed, metrics,
+                record=args.record, base=base,
             )
     return 1 if failed else 0
 
